@@ -62,7 +62,7 @@ cfg = TrainConfig(
     learning_rate=0.02,
     epochs=150,
     seed=0,
-    gradient_mode="analytic",  # closed-form q(u) gradients, differenced hypers
+    gradient_mode="analytic",  # closed-form gradients in every coordinate
 )
 state, q, trace = fit_stochastic(x, y, state0, part, cfg)
 

@@ -31,6 +31,9 @@ from .bounds_vi import (
     BoundBreakdown,
     PreparedBound,
     _LOG_2PI,
+    _pep_gap_penalty,
+    _pep_whole_terms,
+    block_estimate,
     kl_qu,
     prepare,
 )
@@ -110,26 +113,13 @@ class FixedPointMismatch(RuntimeError):
         )
 
 
-def _scaled_gap_penalty(prep: PreparedBound, cfg: PepConfig, m: float):
-    """-(1-a)/(2a) sum_b log det(I + a m D_bb / sigma2) plus its jitter."""
-    a = cfg.alpha
-    reg = 0.0
-    jit = 0.0
-    for idx in cfg.partition.blocks:
-        lb = chol(np.eye(idx.size) + (a * m / prep.sigma2) * prep.block_gap(idx))
-        reg -= (1.0 - a) / (2.0 * a) * lb.logdet()
-        jit = max(jit, lb.jitter_used)
-    return reg, jit
-
-
-def _scaled_fit(prep: PreparedBound, cfg: PepConfig, m: float):
-    """log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I)."""
-    blocks = [cfg.alpha * m * prep.block_gap(idx) for idx in cfg.partition.blocks]
-    noise = BlockNoise(
-        sigma2=prep.sigma2, partition=cfg.partition.blocks, blocks=blocks
-    )
-    gauss = prep.fit_gaussian(noise)
-    return gauss.logpdf(prep.y), gauss.jitter_used
+def _scaled_objective(prep: PreparedBound, cfg: PepConfig, m: float):
+    """Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I), the block
+    log-det penalty and the jitter, with each block gap built and each
+    R_b factored once."""
+    gauss = prep.fit_gaussian(tpep_noise(prep, cfg, m))
+    reg = _pep_gap_penalty(cfg.alpha, gauss.logdet_noise, prep.n, prep.sigma2)
+    return gauss.logpdf(prep.y), reg, gauss.jitter_used
 
 
 def pep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
@@ -138,9 +128,8 @@ def pep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
         raise ValueError("pep_collapsed is the m = 1 objective; use tpep_collapsed")
     prep = prepare(x, y, state)
     _check_sizes(prep, cfg)
-    fit, jit_f = _scaled_fit(prep, cfg, 1.0)
-    reg, jit_r = _scaled_gap_penalty(prep, cfg, 1.0)
-    return BoundBreakdown(fit + reg, fit, reg, max(jit_f, jit_r))
+    fit, reg, jit = _scaled_objective(prep, cfg, 1.0)
+    return BoundBreakdown(fit + reg, fit, reg, jit)
 
 
 def tpep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
@@ -152,13 +141,9 @@ def tpep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
     """
     prep = prepare(x, y, state)
     _check_sizes(prep, cfg)
-    m = cfg.m_scale
-    a = cfg.alpha
-    fit, jit_f = _scaled_fit(prep, cfg, m)
-    reg, jit_r = _scaled_gap_penalty(prep, cfg, m)
-    reg += -prep.n / (2.0 * a) * float(np.log1p(a * (m - 1.0)))
-    reg += 0.5 * prep.n * float(np.log(m))
-    return BoundBreakdown(fit + reg, fit, reg, max(jit_f, jit_r))
+    fit, reg, jit = _scaled_objective(prep, cfg, cfg.m_scale)
+    reg += _pep_whole_terms(prep.n, cfg.alpha, cfg.m_scale)
+    return BoundBreakdown(fit + reg, fit, reg, jit)
 
 
 def tpep_noise(prep: PreparedBound, cfg: PepConfig, m: float) -> BlockNoise:
@@ -197,6 +182,7 @@ def tpep_uncollapsed(
 
     kl = kl_qu(q, state)
     fit = 0.0
+    logdet_noise = 0.0
     jit = prep.luu.jitter_used
     for idx in cfg.partition.blocks:
         rb = a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
@@ -204,46 +190,31 @@ def tpep_uncollapsed(
         jit = max(jit, lr.jitter_used)
         resid = lr.half_solve(prep.y[idx] - a_mean[idx])
         white_h = lr.half_solve(h[idx])
+        ld = lr.logdet()
+        logdet_noise += ld
         fit += -0.5 * (
             idx.size * _LOG_2PI
-            + lr.logdet()
+            + ld
             + float(resid @ resid)
             + float(np.sum(white_h * white_h))
         )
-    reg, jit_r = _scaled_gap_penalty(prep, cfg, m)
-    reg += -prep.n / (2.0 * a) * float(np.log1p(a * (m - 1.0)))
-    reg += 0.5 * prep.n * float(np.log(m))
+    reg = _pep_gap_penalty(a, logdet_noise, prep.n, prep.sigma2)
+    reg += _pep_whole_terms(prep.n, a, m)
     total = -kl + fit + reg
-    return BoundBreakdown(total, fit - kl, reg, max(jit, jit_r))
+    return BoundBreakdown(total, fit - kl, reg, jit)
 
 
 def tpep_stochastic(
     x, y, state: ModelState, cfg: PepConfig, q: GaussianQU, block_index: int
 ) -> float:
-    """Single-block estimator of tpep_uncollapsed, unbiased over blocks."""
-    prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
-    m = cfg.m_scale
-    a = cfg.alpha
-    idx = cfg.partition.blocks[block_index]
-    a_mean = prep.v.T @ prep.luu.half_solve(q.mean)
-    h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
-    rb = a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
-    lr = chol(rb)
-    resid = lr.half_solve(prep.y[idx] - a_mean[idx])
-    white_h = lr.half_solve(h[idx])
-    e_b = -0.5 * (
-        idx.size * _LOG_2PI
-        + lr.logdet()
-        + float(resid @ resid)
-        + float(np.sum(white_h * white_h))
-    )
-    lb = chol(np.eye(idx.size) + (a * m / prep.sigma2) * prep.block_gap(idx))
-    pen_b = (1.0 - a) / (2.0 * a) * lb.logdet()
-    whole = -prep.n / (2.0 * a) * float(np.log1p(a * (m - 1.0)))
-    whole += 0.5 * prep.n * float(np.log(m))
-    b = cfg.partition.num_blocks
-    return -kl_qu(q, state) + b * (e_b - pen_b) + whole
+    """Single-block estimator of tpep_uncollapsed, unbiased over blocks.
+
+    The value of block_estimate with the block noise R_b = a m D_bb + sigma2 I.
+    """
+    return block_estimate(
+        x, y, state, cfg.partition, q, block_index,
+        penalty="pep", alpha=cfg.alpha, m_scale=cfg.m_scale,
+    ).value
 
 
 def tpep_qu_gradient(
@@ -257,30 +228,29 @@ def tpep_qu_gradient(
     """Gradient of tpep_uncollapsed (or its single-block estimator) in q(u).
 
     Same shape as the variational version but with per-block noise
-    R_b = a m D_bb + sigma2 I.  Returns (d_mean, d_lower), lower masked.
+    R_b = a m D_bb + sigma2 I; the single-block gradient is read off
+    block_estimate.  Returns (d_mean, d_lower), lower masked.
     """
+    if block_index is not None:
+        est = block_estimate(
+            x, y, state, cfg.partition, q, block_index,
+            penalty="pep", alpha=cfg.alpha, m_scale=cfg.m_scale, gradient=True,
+        )
+        return est.d_mean, est.d_lower
     prep = prepare(x, y, state)
     _check_sizes(prep, cfg)
-    m = cfg.m_scale
-    a = cfg.alpha
-    if block_index is None:
-        blocks = list(enumerate(cfg.partition.blocks))
-        weight = 1.0
-    else:
-        blocks = [(block_index, cfg.partition.blocks[block_index])]
-        weight = float(cfg.partition.num_blocks)
     at = prep.projector_t()
     a_mean = at.T @ q.mean
     mm = state.num_inducing
     d_mean = -prep.luu.solve(q.mean)
     d_s = 0.5 * (q.cov_chol.solve(np.eye(mm)) - prep.luu.solve(np.eye(mm)))
-    for _, idx in blocks:
-        rb = a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
-        lr = chol(rb)
+    a, m = cfg.alpha, cfg.m_scale
+    for idx in cfg.partition.blocks:
+        lr = chol(a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size))
         atb = at[:, idx]
-        d_mean = d_mean + weight * (atb @ lr.solve(prep.y[idx] - a_mean[idx]))
+        d_mean = d_mean + atb @ lr.solve(prep.y[idx] - a_mean[idx])
         half = lr.half_solve(atb.T)
-        d_s = d_s - 0.5 * weight * (half.T @ half)
+        d_s = d_s - 0.5 * (half.T @ half)
     d_s = 0.5 * (d_s + d_s.T)
     return d_mean, np.tril(2.0 * d_s @ q.cov_chol.lower)
 

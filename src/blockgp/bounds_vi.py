@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .kernels import kernel_diag, kernel_matrix
+from .kernels import kernel_diag, kernel_matrix, kernel_matrix_adjoint
 from .linalg import BlockNoise, CholeskyFactor, LowRankGaussian, chol
 from .model import GaussianQU, ModelState, Partition
 
@@ -74,7 +74,7 @@ class PreparedBound:
         self.state = state
         self.luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
         self.v = self.luu.half_solve(kernel_matrix(state.inducing, x, state.kernel))
-        raw = kernel_diag(x, state.kernel) - np.sum(self.v * self.v, axis=0)
+        raw = _raw_gap_diag(kernel_diag(x, state.kernel), self.v)
         self.diag_clamp = float(max(0.0, -raw.min())) if raw.size else 0.0
         self.gap_diag = np.maximum(raw, 0.0)
 
@@ -88,11 +88,8 @@ class PreparedBound:
 
     def block_gap(self, idx: np.ndarray) -> np.ndarray:
         """Dense conditional-gap block D[idx, idx] with the clamped diagonal."""
-        vb = self.v[:, idx]
-        d = kernel_matrix(self.x[idx], self.x[idx], self.state.kernel) - vb.T @ vb
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, self.gap_diag[idx])
-        return d
+        kbb = kernel_matrix(self.x[idx], self.x[idx], self.state.kernel)
+        return _gap_block(kbb, self.v[:, idx], self.gap_diag[idx])
 
     def fit_gaussian(self, noise: BlockNoise) -> LowRankGaussian:
         return LowRankGaussian(self.luu, self.v, noise)
@@ -100,6 +97,19 @@ class PreparedBound:
     def projector_t(self) -> np.ndarray:
         """A^T = Kuu^-1 Kuf, shape (M, N); A maps u to the prior mean of f."""
         return self.luu.half_solve_t(self.v)
+
+
+def _raw_gap_diag(kff_diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(Kff - V^T V) before clamping; rounding can make entries negative."""
+    return kff_diag - np.sum(v * v, axis=0)
+
+
+def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndarray:
+    """Symmetrized K_bb - V_b^T V_b with the clamped diagonal put back."""
+    d = kbb - vb.T @ vb
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, gap_diag)
+    return d
 
 
 def prepare(x: np.ndarray, y: np.ndarray, state: ModelState) -> PreparedBound:
@@ -303,12 +313,16 @@ def kl_qu(q: GaussianQU, state: ModelState) -> float:
     luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
     if luu.size != q.dim:
         raise ValueError("q(u) dimension does not match the inducing set")
+    return _kl_terms(luu, q)[0]
+
+
+def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
+    """KL[q || N(0, Lu Lu^T)] with the whitened Lu^-1 L_q and Lu^-1 mean."""
     half = luu.half_solve(q.cov_chol.lower)
-    trace = float(np.sum(half * half))
     a = luu.half_solve(q.mean)
-    return 0.5 * (
-        trace + float(a @ a) - q.dim + luu.logdet() - q.cov_chol.logdet()
-    )
+    trace = float(np.sum(half * half))
+    kl = 0.5 * (trace + float(a @ a) - q.dim + luu.logdet() - q.cov_chol.logdet())
+    return kl, half, a
 
 
 _PENALTIES = ("trace", "diag", "logdet", "shared", "spherical")
@@ -399,6 +413,226 @@ def vi_uncollapsed(
     return BoundBreakdown(total, fit - kl, -pen_total, jit)
 
 
+@dataclass(frozen=True)
+class BlockEstimate:
+    """A single-block estimator's value and, when asked for, its gradient.
+
+    The gradient is in the coordinates training moves: log lengthscales
+    (D,), log signal variance, log noise variance, the inducing inputs
+    (M, D), log m (zero for the variational penalties), and the q(u)
+    mean and covariance factor, d_lower masked to the lower triangle.
+    A value-only pass leaves the array fields None.
+    """
+
+    value: float
+    d_log_lengthscales: Optional[np.ndarray] = None
+    d_log_signal_variance: float = 0.0
+    d_log_noise_variance: float = 0.0
+    d_inducing: Optional[np.ndarray] = None
+    d_log_m_scale: float = 0.0
+    d_mean: Optional[np.ndarray] = None
+    d_lower: Optional[np.ndarray] = None
+
+
+_BLOCK_PENALTIES = _SEPARABLE_PENALTIES + ("pep",)
+
+
+def _pep_gap_penalty(alpha: float, logdet_noise: float, n: int, sigma2: float) -> float:
+    """-(1-a)/(2a) sum_b log det(I + a m D_bb / sigma2), from the R_b factors.
+
+    R_b = sigma2 (I + a m D_bb / sigma2), so each block's log det is
+    log det R_b - N_b log sigma2 (logdet_noise sums log det R_b over
+    blocks covering n points); the jitter ladder is relative to the
+    mean diagonal, so it scales by the same sigma2.
+    """
+    return -(1.0 - alpha) / (2.0 * alpha) * (logdet_noise - n * np.log(sigma2))
+
+
+def _pep_whole_terms(n: int, alpha: float, m: float) -> float:
+    """-N/(2a) log(1 + a(m-1)) + N/2 log m; zero at m = 1 and at a = 1."""
+    return (
+        -n / (2.0 * alpha) * float(np.log1p(alpha * (m - 1.0)))
+        + 0.5 * n * float(np.log(m))
+    )
+
+
+def block_estimate(
+    x,
+    y,
+    state: ModelState,
+    partition: Partition,
+    q: GaussianQU,
+    block_index: int,
+    penalty: str = "logdet",
+    alpha: Optional[float] = None,
+    m_scale: float = 1.0,
+    gradient: bool = False,
+) -> BlockEstimate:
+    """Single-block estimator of an uncollapsed objective, from one block.
+
+        value = -KL[q || p] + B * (E_b - penalty_b) + whole,
+
+    B the number of blocks.  "trace", "diag" and "logdet" give the
+    estimators of vi_uncollapsed: E_b = E_q[log N(y_b; A_b u, sigma2 I)]
+    and whole = 0.  "pep" gives tpep_uncollapsed's, with noise
+    R_b = alpha m D_bb + sigma2 I in E_b, penalty_b =
+    (1-alpha)/(2 alpha) log det(I + alpha m D_bb / sigma2), read off the
+    factor of R_b as log det R_b - N_b log sigma2, and whole =
+    -N/(2 alpha) log(1 + alpha (m-1)) + N/2 log m.
+
+    Only Kuu, K_ub and K_bb are built, so a call costs
+    O(N_b M^2 + M^3 + N_b^3) whatever N is.  With gradient, adjoints run
+    back through the same factors (reverse mode, Murray 2016): from the
+    terms into R_b or I + D_bb/sigma2, into D_bb = K_bb - K_bu Kuu^-1 K_ub,
+    through Kuu^-1 into the KL term, and through the kernel into its
+    parameters and the inducing inputs.  A clamped entry on D's diagonal
+    gets adjoint 0; jitter a factor needed is held constant.
+    """
+    if penalty not in _BLOCK_PENALTIES:
+        raise ValueError(f"penalty must be one of {_BLOCK_PENALTIES}, got {penalty!r}")
+    pep = penalty == "pep"
+    if pep and (alpha is None or not 0.0 < alpha <= 1.0):
+        raise ValueError(f"the power-EP estimator needs alpha in (0, 1], got {alpha}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = y.shape[0]
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"x of shape {x.shape} does not match {n} targets")
+    if partition.n != n:
+        raise ValueError(f"partition covers {partition.n} points but data has {n}")
+    if q.dim != state.num_inducing:
+        raise ValueError("q(u) dimension does not match the inducing set")
+    idx = partition.blocks[block_index]
+    nb = idx.size
+    bw = float(partition.num_blocks)
+    kern = state.kernel
+    z = state.inducing
+    xb = x[idx]
+    s2 = state.noise.noise_variance
+
+    kuu = kernel_matrix(z, z, kern)
+    luu = chol(kuu)
+    kub = kernel_matrix(z, xb, kern)
+    vb = luu.half_solve(kub)
+    raw = _raw_gap_diag(kernel_diag(xb, kern), vb)
+    gap = np.maximum(raw, 0.0)
+    full_gap = pep or penalty == "logdet"
+    if full_gap:
+        kbb = kernel_matrix(xb, xb, kern)
+        dmat = _gap_block(kbb, vb, gap)
+
+    lq = q.cov_chol.lower
+    kl, half, w_mean = _kl_terms(luu, q)
+    resid = y[idx] - vb.T @ w_mean
+    h = vb.T @ half  # A_b L_q, A_b = K_bu Kuu^-1
+    whole = 0.0
+    if pep:
+        a, m = alpha, m_scale
+        c = (1.0 - a) / (2.0 * a)
+        lr = chol(a * m * dmat + s2 * np.eye(nb))
+        logdet_r = lr.logdet()
+        white_r = lr.half_solve(resid)
+        white_h = lr.half_solve(h)
+        e_b = -0.5 * (
+            nb * _LOG_2PI
+            + logdet_r
+            + float(white_r @ white_r)
+            + float(np.sum(white_h * white_h))
+        )
+        pen = -_pep_gap_penalty(a, logdet_r, nb, s2)
+        whole = _pep_whole_terms(n, a, m)
+    else:
+        fit_sq = float(resid @ resid) + float(np.sum(h * h))
+        e_b = -0.5 * (nb * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
+        if penalty == "trace":
+            pen = 0.5 * float(np.sum(gap)) / s2
+        elif penalty == "diag":
+            pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
+        else:
+            lc = chol(np.eye(nb) + dmat / s2)
+            pen = 0.5 * lc.logdet()
+    value = -kl + bw * (e_b - pen) + whole
+    if not gradient:
+        return BlockEstimate(value=value)
+
+    # KL term: adjoints of Kuu, the q(u) mean and its factor.
+    at = luu.half_solve_t(vb)  # A_b^T = Kuu^-1 K_ub
+    p_mean = luu.half_solve_t(w_mean)
+    p_lq = luu.half_solve_t(half)
+    g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
+    d_mean = -p_mean
+    d_lower = np.diag(1.0 / np.diag(lq)) - p_lq
+    # Data term: adjoints of A_b (a_bar_t = A_b_bar^T), sigma2, m and D_bb
+    # (d_bar, or its diagonal dd for the diagonal penalties).
+    g_m = 0.0
+    d_bar = None
+    if pep:
+        rho = lr.half_solve_t(white_r)  # R_b^-1 r
+        g = lr.half_solve_t(white_h)  # R_b^-1 A_b L_q
+        r_bar = bw * (0.5 * (np.outer(rho, rho) + g @ g.T) - (0.5 + c) * lr.solve(np.eye(nb)))
+        d_bar = (a * m) * r_bar
+        g_s2 = float(np.trace(r_bar)) + bw * c * nb / s2
+        g_m = a * float(np.sum(r_bar * dmat)) + 0.5 * n * (
+            1.0 / m - 1.0 / (1.0 + a * (m - 1.0))
+        )
+        a_bar_t = bw * (np.outer(q.mean, rho) - lq @ g.T)
+        d_mean += bw * (at @ rho)
+        d_lower -= bw * (at @ g)
+    else:
+        g_s2 = 0.5 * bw * (fit_sq / s2 - nb) / s2
+        a_bar_t = (bw / s2) * (np.outer(q.mean, resid) - lq @ h.T)
+        d_mean += (bw / s2) * (at @ resid)
+        d_lower -= (bw / s2) * (at @ h)
+        if penalty == "trace":
+            dd = np.full(nb, -0.5 * bw / s2)
+            g_s2 += 0.5 * bw * float(np.sum(gap)) / s2**2
+        elif penalty == "diag":
+            dd = -0.5 * bw / (s2 + gap)
+            g_s2 += 0.5 * bw * float(np.sum(gap / (s2 * (s2 + gap))))
+        else:
+            cinv = lc.solve(np.eye(nb))
+            d_bar = (-0.5 * bw / s2) * cinv
+            g_s2 += 0.5 * bw * float(np.sum(cinv * dmat)) / s2**2
+    if d_bar is not None:
+        dd = np.diag(d_bar).copy()
+    dd[raw <= 0.0] = 0.0
+
+    # D_bb is K_bb - Q_bb off the diagonal and s2 - diag(Q_bb) on it, so
+    # Q_bb = K_bu Kuu^-1 K_ub gets -D_bar (diagonal masked by the clamp);
+    # Q_bb and A_b = K_bu Kuu^-1 then pass their adjoints to K_ub and Kuu.
+    if d_bar is None:
+        at_q = at * -dd
+    else:
+        q_bar = -d_bar
+        np.fill_diagonal(q_bar, -dd)
+        at_q = at @ q_bar
+    y_bar = luu.solve(a_bar_t)
+    g_ub = 2.0 * at_q + y_bar
+    g_uu -= at_q @ at.T + at @ y_bar.T
+    g_uu = 0.5 * (g_uu + g_uu.T)
+
+    d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, kuu, g_uu)
+    e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, xb, kern, kub, g_ub)
+    d_ell = d_ell + e_ell
+    d_ls2 += e_ls2 + kern.signal_variance * float(np.sum(dd))
+    if d_bar is not None:
+        g_bb = d_bar.copy()
+        np.fill_diagonal(g_bb, 0.0)
+        f_ell, f_ls2, _, _ = kernel_matrix_adjoint(xb, xb, kern, kbb, g_bb)
+        d_ell = d_ell + f_ell
+        d_ls2 += f_ls2
+    return BlockEstimate(
+        value=value,
+        d_log_lengthscales=d_ell,
+        d_log_signal_variance=d_ls2,
+        d_log_noise_variance=s2 * g_s2,
+        d_inducing=d_z1 + d_z2 + e_z,
+        d_log_m_scale=m_scale * g_m,
+        d_mean=d_mean,
+        d_lower=np.tril(d_lower),
+    )
+
+
 def vi_stochastic(
     x,
     y,
@@ -412,24 +646,12 @@ def vi_stochastic(
 
     Averaged over the uniform block index it reproduces the full bound;
     shared and spherical penalties are not block-separable, so only
-    "trace", "diag" and "logdet" are accepted.
+    "trace", "diag" and "logdet" are accepted.  The value of
+    block_estimate, which touches only the block's kernels.
     """
     if penalty not in _SEPARABLE_PENALTIES:
         raise ValueError("stochastic estimator needs a block-separable penalty")
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    idx = partition.blocks[block_index]
-    a_mean = prep.v.T @ prep.luu.half_solve(q.mean)
-    h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
-    s2 = prep.sigma2
-    resid = prep.y[idx] - a_mean[idx]
-    e_b = -0.5 * (
-        idx.size * (_LOG_2PI + np.log(s2))
-        + float(resid @ resid) / s2
-        + float(np.sum(h[idx] * h[idx])) / s2
-    )
-    pen, _ = _block_penalty(prep, idx, penalty)
-    return -kl_qu(q, state) + partition.num_blocks * (e_b - pen)
+    return block_estimate(x, y, state, partition, q, block_index, penalty).value
 
 
 def uncollapsed_qu_gradient(
@@ -443,33 +665,24 @@ def uncollapsed_qu_gradient(
     """Gradient of the uncollapsed bound in (mean, cov factor) of q(u).
 
     With block_index the gradient is of the single-block estimator
-    (KL part exact, data part upweighted by B); otherwise of the full
-    bound.  The gap penalties do not touch q, so the penalty choice
-    does not matter here.  Returns (d_mean, d_lower) with d_lower
-    already masked to the lower triangle.
+    (KL part exact, data part upweighted by B), read off block_estimate;
+    otherwise of the full bound.  The gap penalties do not touch q, so
+    the penalty choice does not matter here.  Returns (d_mean, d_lower)
+    with d_lower already masked to the lower triangle.
     """
+    if block_index is not None:
+        est = block_estimate(
+            x, y, state, partition, q, block_index, penalty="trace", gradient=True
+        )
+        return est.d_mean, est.d_lower
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    if block_index is None:
-        blocks = partition.blocks
-        weight = 1.0
-    else:
-        blocks = [partition.blocks[block_index]]
-        weight = float(partition.num_blocks)
     s2 = prep.sigma2
     at = prep.projector_t()  # A^T, shape (M, N)
-    a_mean = at.T @ q.mean
-
-    kuu_inv_mean = prep.luu.solve(q.mean)
-    d_mean = -kuu_inv_mean
+    resid = prep.y - at.T @ q.mean
     m = state.num_inducing
-    s_inv = q.cov_chol.solve(np.eye(m))
-    kuu_inv = prep.luu.solve(np.eye(m))
-    d_s = 0.5 * (s_inv - kuu_inv)
-    for idx in blocks:
-        atb = at[:, idx]
-        d_mean = d_mean + weight * (atb @ (prep.y[idx] - a_mean[idx])) / s2
-        d_s = d_s - 0.5 * weight * (atb @ atb.T) / s2
+    d_mean = at @ resid / s2 - prep.luu.solve(q.mean)
+    d_s = 0.5 * (q.cov_chol.solve(np.eye(m)) - prep.luu.solve(np.eye(m)))
+    d_s = d_s - 0.5 * (at @ at.T) / s2
     d_s = 0.5 * (d_s + d_s.T)
-    d_lower = 2.0 * d_s @ q.cov_chol.lower
-    return d_mean, np.tril(d_lower)
+    return d_mean, np.tril(2.0 * d_s @ q.cov_chol.lower)

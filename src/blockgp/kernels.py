@@ -44,7 +44,12 @@ class NoiseParam:
 
     @property
     def noise_variance(self) -> float:
-        return float(np.exp(self.log_noise_variance))
+        value = float(np.exp(self.log_noise_variance))
+        if not 0.0 < value < np.inf:
+            raise FloatingPointError(
+                f"noise variance exp({self.log_noise_variance!r}) is {value!r}"
+            )
+        return value
 
 
 def _check_inputs(x: np.ndarray, params: KernelParams, name: str) -> np.ndarray:
@@ -68,7 +73,41 @@ def kernel_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.nd
     b = x2 / ell
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    return params.signal_variance * np.exp(-0.5 * sq)
+    k = params.signal_variance * np.exp(-0.5 * sq)
+    if not np.isfinite(k).all():
+        raise FloatingPointError(
+            f"kernel matrix has non-finite entries at lengthscales {ell} and "
+            f"signal variance {params.signal_variance!r}"
+        )
+    return k
+
+
+def kernel_matrix_adjoint(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    params: KernelParams,
+    k: np.ndarray,
+    k_bar: np.ndarray,
+):
+    """Pull the adjoint k_bar of K = kernel_matrix(x1, x2, params) back.
+
+    With W = k_bar * K and r_ld = (x1_ld - x2_jd)^2 / l_d^2 per pair,
+    dK/dlog s2 = K, dK/dlog l_d = K r_ld and dK/dx1_id = -K (x1_id -
+    x2_jd) / l_d^2.  Returns (d_log_lengthscales, d_log_signal_variance,
+    d_x1, d_x2).  When x1 and x2 are the same array, its adjoint is
+    d_x1 + d_x2.
+    """
+    x1 = _check_inputs(x1, params, "x1")
+    x2 = _check_inputs(x2, params, "x2")
+    inv = params.lengthscales ** -2.0
+    w = k_bar * k
+    rows = w.sum(axis=1)
+    cols = w.sum(axis=0)
+    w_x2 = w @ x2
+    d_x1 = (w_x2 - rows[:, None] * x1) * inv
+    d_x2 = (w.T @ x1 - cols[:, None] * x2) * inv
+    d_ell = (rows @ (x1 * x1) + cols @ (x2 * x2) - 2.0 * np.sum(x1 * w_x2, axis=0)) * inv
+    return d_ell, float(w.sum()), d_x1, d_x2
 
 
 def kernel_diag(x: np.ndarray, params: KernelParams) -> np.ndarray:

@@ -132,6 +132,7 @@ class LowRankGaussian:
 
     ``posterior`` returns mean and covariance of p(u) N(y; A u, R)
     renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T, m = Lu B^-1 c.
+    ``logdet_noise`` is sum_b log det R_b, from the factors L_b.
     """
 
     def __init__(self, kuu_chol: CholeskyFactor, v: np.ndarray, noise: BlockNoise):
@@ -147,7 +148,7 @@ class LowRankGaussian:
             self._idx = [np.arange(n)]
             self._rchol = [None]
             self._u = [v / sig]
-            self._logdet_r = n * np.log(noise.sigma2)
+            self.logdet_noise = n * np.log(noise.sigma2)
         else:
             self._idx = [np.asarray(ix, dtype=int) for ix in noise.partition]
             covered = np.concatenate(self._idx) if self._idx else np.empty(0, int)
@@ -155,7 +156,7 @@ class LowRankGaussian:
                 raise ValueError("noise partition must cover each of the N indices once")
             self._rchol = []
             self._u = []
-            self._logdet_r = 0.0
+            self.logdet_noise = 0.0
             for ix, a in zip(self._idx, noise.blocks):
                 nb = len(ix)
                 r = noise.sigma2 * np.eye(nb)
@@ -165,7 +166,7 @@ class LowRankGaussian:
                 jit = max(jit, lr.jitter_used)
                 self._rchol.append(lr)
                 self._u.append(lr.half_solve(v[:, ix].T).T)
-                self._logdet_r += lr.logdet()
+                self.logdet_noise += lr.logdet()
         bmat = np.eye(m)
         for u in self._u:
             bmat += u @ u.T
@@ -189,7 +190,7 @@ class LowRankGaussian:
         ts, c = self._whiten_y(y)
         w = self._bchol.half_solve(c)
         quad = sum(float(t @ t) for t in ts) - float(w @ w)
-        ld = self._logdet_r + self._bchol.logdet()
+        ld = self.logdet_noise + self._bchol.logdet()
         return -0.5 * (self._n * np.log(2.0 * np.pi) + ld + quad)
 
     def posterior(self, y: np.ndarray):

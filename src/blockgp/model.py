@@ -49,7 +49,12 @@ class ModelState:
 
     @property
     def m_scale(self) -> float:
-        return 1.0 if self.log_m_scale is None else float(np.exp(self.log_m_scale))
+        if self.log_m_scale is None:
+            return 1.0
+        value = float(np.exp(self.log_m_scale))
+        if not 0.0 < value < np.inf:
+            raise FloatingPointError(f"gap scale exp({self.log_m_scale!r}) is {value!r}")
+        return value
 
     def with_(self, **kwargs) -> "ModelState":
         return replace(self, **kwargs)

@@ -8,10 +8,14 @@ taking one gradient step per block while cycling blocks in a seeded
 shuffled order each epoch; with a single block it degenerates to
 full-batch training of the uncollapsed bound.
 
-Gradients for hyperparameters are always central finite differences
-(the objectives run through Cholesky factorizations, and the FD route
-is the correctness oracle anyway).  Analytic gradients exist for the
-q(u) parameters and are cross-checked against FD in the test suite.
+Gradients.  fit_collapsed always uses central finite differences in
+every coordinate (2P + 1 evaluations of the whole objective a step,
+P = D + 2 + M D, plus one for log m).  fit_stochastic with
+gradient_mode "analytic" takes every coordinate (hyperparameters,
+inducing inputs, log m, and q(u)) from one block_estimate call a step,
+reverse-mode adjoints through the block's own factors; "fd" differences
+the same single-block value instead and stays the oracle the analytic
+gradients are tested against.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from .bounds_pep import PepConfig, pep_collapsed, tpep_collapsed, tpep_qu_gradient, tpep_stochastic
+from .bounds_pep import PepConfig, pep_collapsed, tpep_collapsed, tpep_stochastic
 from .bounds_vi import (
+    BlockEstimate,
     BoundBreakdown,
+    block_estimate,
     btsgpr_collapsed,
     exact_lml,
     sgpr_collapsed,
     sharedblock_collapsed,
     spherical_collapsed,
     tsgpr_collapsed,
-    uncollapsed_qu_gradient,
     vi_stochastic,
 )
 from .kernels import KernelParams, NoiseParam, kernel_matrix
@@ -75,8 +80,9 @@ class TrainConfig:
     objective picks the bound; optimizer is "lbfgs" (full batch) or
     "adam"; epochs counts L-BFGS iterations, full-batch Adam steps, or
     full block cycles for stochastic runs.  gradient_mode "analytic"
-    uses the closed-form q(u) gradients where they exist (stochastic
-    runs); hyperparameters always go through central differences with
+    gives stochastic runs closed-form gradients in every coordinate
+    (hyperparameters, inducing inputs, log m and q(u)); collapsed runs
+    ignore it.  Central differences, wherever they are used, take the
     per-coordinate step fd_step * max(1, |theta_i|).
     """
 
@@ -265,6 +271,19 @@ class ParameterPack:
         lower[diag, diag] = np.exp(lower[diag, diag])
         return GaussianQU(mean=mean, cov_chol=CholeskyFactor(lower=lower, jitter_used=0.0))
 
+    def pack_estimate_gradient(self, q: GaussianQU, est: BlockEstimate) -> np.ndarray:
+        """Flatten a block_estimate gradient in this pack's layout."""
+        parts = [
+            est.d_log_lengthscales,
+            [est.d_log_signal_variance, est.d_log_noise_variance],
+            est.d_inducing.ravel(),
+        ]
+        if self.with_m:
+            parts.append([est.d_log_m_scale])
+        if self.with_q:
+            parts.append(self.pack_q_gradient(q, est.d_mean, est.d_lower))
+        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+
     def pack_q_gradient(
         self, q: GaussianQU, d_mean: np.ndarray, d_lower: np.ndarray
     ) -> np.ndarray:
@@ -327,10 +346,16 @@ def evaluate_bound(
     return tpep_collapsed(x, y, state, cfg)
 
 
+# What an objective raises where it cannot be evaluated: a factorization that
+# failed, or parameters whose exp overflows (the kernel, noise and gap-scale
+# accessors raise FloatingPointError for those).
+_EVALUATION_ERRORS = (NotPositiveDefiniteError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def _eval(fun: Callable[[np.ndarray], float], theta: np.ndarray) -> float:
     try:
         value = float(fun(theta))
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except _EVALUATION_ERRORS as exc:
         raise EvaluationFailed(str(exc)) from exc
     if not np.isfinite(value):
         raise EvaluationFailed(f"objective evaluated to {value}")
@@ -376,20 +401,26 @@ def maximize_lbfgs(
 
     Points where the objective cannot be evaluated are reported to the
     line search as a huge value (and a zero gradient), so it backs off
-    instead of crashing.  on_step sees each accepted iterate.  Returns
-    the final parameters and the iteration count.
+    instead of crashing.  A zero gradient also reads as convergence, so
+    if L-BFGS-B stops at a point where the objective or its gradient
+    failed, EvaluationFailed is raised with scipy's stop message rather
+    than that point returned.  on_step sees each accepted iterate.
+    Returns the final parameters and the iteration count.
     """
+    failed = set()
 
     def neg(theta):
         try:
             return -_eval(fun, theta)
         except EvaluationFailed:
+            failed.add(np.asarray(theta, dtype=float).tobytes())
             return _INFEASIBLE
 
     def neg_grad(theta):
         try:
             return -finite_difference_gradient(fun, theta, fd_step)
         except EvaluationFailed:
+            failed.add(np.asarray(theta, dtype=float).tobytes())
             return np.zeros_like(np.asarray(theta, dtype=float))
 
     result = optimize.minimize(
@@ -400,7 +431,13 @@ def maximize_lbfgs(
         callback=on_step,
         options={"maxiter": max_iter, "gtol": gtol},
     )
-    return np.asarray(result.x, dtype=float), int(result.nit)
+    theta = np.asarray(result.x, dtype=float)
+    if theta.tobytes() in failed:
+        raise EvaluationFailed(
+            f"L-BFGS-B stopped after {result.nit} iterations ({result.message}) at a "
+            "point where the objective or its gradient cannot be evaluated"
+        )
+    return theta, int(result.nit)
 
 
 class _AdamState:
@@ -464,9 +501,11 @@ def fit_collapsed(
 
     Moves kernel parameters, noise, inducing inputs, and the gap scale
     m when the state carries one.  Gradients are central differences
-    regardless of cfg.gradient_mode (no analytic hyperparameter
-    gradients are implemented).  The trace records each accepted step;
-    a non-finite objective at an accepted step raises Diverged.
+    regardless of cfg.gradient_mode (the collapsed objectives have no
+    analytic gradients).  The trace records each accepted step; a
+    non-finite objective at an accepted step raises Diverged, and an
+    L-BFGS run that stops where the objective or its gradient cannot
+    be evaluated raises EvaluationFailed.
     """
     spec = cfg.objective
     if spec.method in ORACLE_METHODS:
@@ -508,6 +547,38 @@ def fit_collapsed(
     return pack.unpack_state(theta), builder.build()
 
 
+def stochastic_estimate(
+    x,
+    y,
+    state: ModelState,
+    partition: Partition,
+    q: GaussianQU,
+    block_index: int,
+    spec: BoundSpec,
+    gradient: bool = False,
+) -> BlockEstimate:
+    """block_estimate for one of the STOCHASTIC_METHODS.
+
+    The variational methods use their penalty ("trace", "diag" or
+    "logdet"); PEP and T-PEP use the block noise at the state's gap
+    scale m (1 when the state does not carry one).
+    """
+    if spec.method not in STOCHASTIC_METHODS:
+        raise ValueError(
+            f"method {spec.method} has no block-separable estimator; "
+            f"choose from {STOCHASTIC_METHODS}"
+        )
+    if spec.is_pep:
+        return block_estimate(
+            x, y, state, partition, q, block_index, penalty="pep",
+            alpha=spec.alpha, m_scale=state.m_scale, gradient=gradient,
+        )
+    return block_estimate(
+        x, y, state, partition, q, block_index,
+        penalty=_VI_PENALTY[spec.method], gradient=gradient,
+    )
+
+
 def _initial_qu(state: ModelState) -> GaussianQU:
     """q(u) starting point: the prior N(0, Kuu) at the initial state."""
     luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
@@ -527,10 +598,13 @@ def fit_stochastic(
     Each epoch shuffles the block order with the run's seeded generator
     and takes one Adam step per block on that block's estimator of the
     bound; q(u) (mean and covariance factor) rides in the parameter
-    vector next to the hyperparameters.  gradient_mode "analytic" uses
-    the closed-form q(u) gradients, "fd" differences everything.  Only
-    block-separable objectives are accepted; q defaults to the prior
-    at the initial state.
+    vector next to the hyperparameters.  gradient_mode "analytic" takes
+    the gradient in every coordinate (hyperparameters, inducing inputs,
+    log m when the state tracks it, q(u)) from one block_estimate call,
+    whose cost does not grow with N; "fd" differences the same value in
+    all of them.  The trace records the block's estimate after each
+    step.  Only block-separable objectives are accepted; q defaults to
+    the prior at the initial state.
     """
     spec = cfg.objective
     if spec.method not in STOCHASTIC_METHODS:
@@ -562,17 +636,11 @@ def fit_stochastic(
             )
         st = pack.unpack_state(theta_vec)
         qu = pack.unpack_q(theta_vec)
-        if spec.is_pep:
-            pcfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=st.m_scale)
-            d_mean, d_lower = tpep_qu_gradient(x, y, st, pcfg, qu, block_index=b)
-        else:
-            d_mean, d_lower = uncollapsed_qu_gradient(x, y, st, part, qu, block_index=b)
-        hyper = finite_difference_gradient(
-            lambda t: block_value(np.concatenate([t, theta_vec[pack.num_hyper :]]), b),
-            theta_vec[: pack.num_hyper],
-            cfg.fd_step,
-        )
-        return np.concatenate([hyper, pack.pack_q_gradient(qu, d_mean, d_lower)])
+        try:
+            est = stochastic_estimate(x, y, st, part, qu, b, spec, gradient=True)
+        except _EVALUATION_ERRORS as exc:
+            raise EvaluationFailed(str(exc)) from exc
+        return pack.pack_estimate_gradient(qu, est)
 
     rng = np.random.default_rng(cfg.seed)
     adam = _AdamState(theta.size, cfg.learning_rate)

@@ -54,13 +54,14 @@ from .bounds_vi import (
 from .kernels import KernelParams, NoiseParam, kernel_diag, kernel_matrix
 from .linalg import CholeskyFactor, chol
 from .model import (
+    BoundSpec,
     GaussianQU,
     ModelState,
     Partition,
     make_partition,
     singleton_partition,
 )
-from .training import ParameterPack, finite_difference_gradient
+from .training import ParameterPack, finite_difference_gradient, stochastic_estimate
 
 # Tolerances, one name per claim.
 ORDERING_SLACK = 1e-9
@@ -544,7 +545,8 @@ def check_general_scale_optimality(ctx: CheckContext) -> str:
 
 def check_gradient_checks(ctx: CheckContext) -> str:
     """Closed-form q(u) gradients match central differences on every
-    uncollapsed objective family."""
+    uncollapsed objective family, and the single-block estimators of
+    every stochastic method match them in all trained coordinates."""
     rng = np.random.default_rng((ctx.seed, 7))
     count = ctx.count(3, 20)
     vi_families = ("trace", "diag", "logdet", "shared", "spherical")
@@ -560,7 +562,7 @@ def check_gradient_checks(ctx: CheckContext) -> str:
         worst = max(worst, scale_dev * GRAD_RTOL)
         if not np.allclose(analytic, fd, rtol=GRAD_RTOL, atol=GRAD_ATOL):
             raise CheckFailure(
-                f"instance {k}: {name} analytic q gradient off central "
+                f"instance {k}: {name} analytic gradient off central "
                 f"differences by {dev:.3e} (max abs)"
             )
 
@@ -598,7 +600,33 @@ def check_gradient_checks(ctx: CheckContext) -> str:
         )
         d_mean, d_lower = uncollapsed_qu_gradient(x, y, state, part, q, block_index=b)
         compare("single-block", pack.pack_q_gradient(q, d_mean, d_lower), fd, k)
-    return f"{count} instances x 8 families, worst rel dev {worst:.3e}"
+
+        # hyperparameters (log m for T-PEP) and q(u) together, against
+        # differences of the same single-block value
+        specs = (
+            BoundSpec(method="SGPR"),
+            BoundSpec(method="T-SGPR"),
+            BoundSpec(method="BT-SGPR", num_blocks=part.num_blocks),
+            BoundSpec(method="PEP", alpha=0.5),
+            BoundSpec(method="T-PEP", alpha=0.35),
+        )
+        for spec in specs:
+            st = state.with_(log_m_scale=np.log(1.3)) if spec.method == "T-PEP" else state
+            spack = ParameterPack.for_state(st, with_q=True)
+            b = int(rng.integers(part.num_blocks))
+
+            def value(t, spec=spec, spack=spack, b=b):
+                return stochastic_estimate(
+                    x, y, spack.unpack_state(t), part, spack.unpack_q(t), b, spec
+                ).value
+
+            fd = finite_difference_gradient(value, spack.pack(st, q))
+            est = stochastic_estimate(x, y, st, part, q, b, spec, gradient=True)
+            compare(f"{spec.method} single-block", spack.pack_estimate_gradient(q, est), fd, k)
+    return (
+        f"{count} instances x (8 q(u) families + 5 single-block estimators in "
+        f"every coordinate), worst rel dev {worst:.3e}"
+    )
 
 
 CHECKS: List[Tuple[str, Callable[[CheckContext], str]]] = [

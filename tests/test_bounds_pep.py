@@ -261,3 +261,33 @@ def test_partition_size_mismatch_is_rejected():
     wrong = singleton_partition(y.shape[0] + 1)
     with pytest.raises(ValueError):
         pep_collapsed(x, y, state, _cfg(0.5, wrong))
+
+
+def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
+    # the log-det penalty is read off the factors of R_b, so one evaluation
+    # makes one gap block and one R_b factor per block, plus Kuu and the
+    # capacitance
+    from blockgp import bounds_pep, bounds_vi, linalg
+
+    calls = {"block_gap": 0, "chol": 0}
+    real_gap = bounds_vi.PreparedBound.block_gap
+    real_chol = linalg.chol
+
+    def counting_gap(self, idx):
+        calls["block_gap"] += 1
+        return real_gap(self, idx)
+
+    def counting_chol(*args, **kwargs):
+        calls["chol"] += 1
+        return real_chol(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_vi.PreparedBound, "block_gap", counting_gap)
+    for mod in (linalg, bounds_vi, bounds_pep):
+        monkeypatch.setattr(mod, "chol", counting_chol)
+    rng = np.random.default_rng(30)
+    x, y, state = small_instance(rng)
+    part = make_partition(y.shape[0], 5, seed=1)
+    for fn, m in ((pep_collapsed, 1.0), (tpep_collapsed, 1.3)):
+        calls.update(block_gap=0, chol=0)
+        fn(x, y, state, _cfg(0.5, part, m))
+        assert calls == {"block_gap": 5, "chol": 5 + 2}, fn.__name__

@@ -349,3 +349,69 @@ def test_trace_builder_raises_diverged_on_nonfinite():
     builder.append(-3.0, state)
     with pytest.raises(Diverged):
         builder.append(float("nan"), state)
+
+
+def _failing_start():
+    """300 standardized 2-d points, noise variance 1e-9 and five inducing
+    points duplicated: a start from which L-BFGS-B reaches points whose
+    objective or gradient cannot be evaluated."""
+    from blockgp.data import Dataset, initial_state, standardize
+
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-2.0, 2.0, (300, 2))
+    w = rng.standard_normal((2, 8))
+    y = np.sin(x @ w).sum(axis=1) / np.sqrt(8) + 0.01 * rng.standard_normal(300)
+    train = standardize(Dataset(x=x, y=y))
+    state = initial_state(train, 10, seed=0, noise_variance=1e-9)
+    z = state.inducing.copy()
+    z[5:10] = z[0:5]
+    return train.x, train.y, state.with_(inducing=z)
+
+
+def test_lbfgs_never_returns_a_point_whose_gradient_failed():
+    # the difference gradient fails at the first accepted iterate; fed to
+    # L-BFGS-B as zeros it read as convergence, and the fit returned there
+    x, y, state = _failing_start()
+    part = make_partition(300, 30, seed=0)
+    cfg = TrainConfig(objective=BoundSpec(method="BT-SGPR", num_blocks=30),
+                      optimizer="lbfgs", epochs=50)
+    with pytest.raises(EvaluationFailed, match="NORM OF PROJECTED GRADIENT"):
+        fit_collapsed(x, y, state, cfg, part)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_line_search_trial_is_infeasible_not_a_crash():
+    # a trial point overflows the kernel parameters; that must read as an
+    # infeasible point (EvaluationFailed inside L-BFGS), not a bare ValueError
+    x, y, state = _failing_start()
+    spec = BoundSpec(method="SGPR")
+    cfg = TrainConfig(objective=spec, optimizer="lbfgs", epochs=50)
+    fitted, trace = fit_collapsed(x, y, state, cfg)
+    assert len(trace) >= 1
+    pack = ParameterPack.for_state(fitted)
+    grad = finite_difference_gradient(
+        lambda t: evaluate_bound(x, y, pack.unpack_state(t), spec).total, pack.pack(fitted)
+    )
+    assert np.all(np.isfinite(grad))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_evaluation_failed_but_shape_errors_surface():
+    rng = np.random.default_rng(11)
+    x, y, state = small_instance(rng)
+    spec = BoundSpec(method="SGPR")
+    pack = ParameterPack.for_state(state)
+    theta = pack.pack(state)
+    d = pack.input_dim
+    # lengthscale underflow, signal variance overflow, noise over- and underflow
+    for i, value in ((0, -1e3), (d, 1e3), (d + 1, 1e3), (d + 1, -1e3)):
+        far = theta.copy()
+        far[i] = value
+        with pytest.raises(EvaluationFailed):
+            finite_difference_gradient(
+                lambda t: evaluate_bound(x, y, pack.unpack_state(t), spec).total, far
+            )
+    with pytest.raises(ValueError):
+        finite_difference_gradient(
+            lambda t: evaluate_bound(x[:, :0], y, pack.unpack_state(t), spec).total, theta
+        )
