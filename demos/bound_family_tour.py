@@ -31,7 +31,7 @@ from blockgp import (
     tsgpr_optimal_scales,
     vi_uncollapsed,
 )
-from blockgp.kernels import conditional_gap
+from blockgp.bounds_vi import prepare
 from blockgp.linalg import chol
 
 rng = np.random.default_rng(7)
@@ -103,7 +103,7 @@ single_block = btsgpr_collapsed(x, y, state, whole).total
 print(f"\ndense-scaling optimum {best:.6f} == single-block bound {single_block:.6f}")
 # Walk the segment from the optimum toward the unscaled gap (the
 # scaling that recovers the trace bound): every step costs nats.
-gap, _ = conditional_gap(x, state.inducing, state.kernel)
+gap = prepare(x, y, state).block_gap(np.arange(n))
 for t in (0.25, 0.5, 0.75):
     probe = general_c_oracle(x, y, state, (1.0 - t) * c_star + t * gap).total
     print(f"  blend t={t:4.2f} toward unscaled gap {probe:12.4f}  (<= optimum by {best - probe:9.4f})")

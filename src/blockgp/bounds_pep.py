@@ -22,7 +22,7 @@ against an independent dense recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -31,13 +31,14 @@ from .bounds_vi import (
     BoundBreakdown,
     PreparedBound,
     _LOG_2PI,
+    _check_partition,
     _pep_gap_penalty,
     _pep_whole_terms,
     block_estimate,
     kl_qu,
     prepare,
 )
-from .linalg import BlockNoise, CholeskyFactor, chol
+from .linalg import BlockFactors, BlockNoise, CholeskyFactor, chol
 from .model import GaussianQU, ModelState, Partition
 
 
@@ -127,7 +128,7 @@ def pep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
     if cfg.m_scale != 1.0:
         raise ValueError("pep_collapsed is the m = 1 objective; use tpep_collapsed")
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     fit, reg, jit = _scaled_objective(prep, cfg, 1.0)
     return BoundBreakdown(fit + reg, fit, reg, jit)
 
@@ -140,22 +141,23 @@ def tpep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
     alpha = 1 exactly.
     """
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     fit, reg, jit = _scaled_objective(prep, cfg, cfg.m_scale)
     reg += _pep_whole_terms(prep.n, cfg.alpha, cfg.m_scale)
     return BoundBreakdown(fit + reg, fit, reg, jit)
 
 
 def tpep_noise(prep: PreparedBound, cfg: PepConfig, m: float) -> BlockNoise:
-    """The per-block likelihood noise R_b = a m D_bb + sigma2 I."""
-    blocks = [cfg.alpha * m * prep.block_gap(idx) for idx in cfg.partition.blocks]
-    return BlockNoise(sigma2=prep.sigma2, partition=cfg.partition.blocks, blocks=blocks)
+    """The per-block likelihood noise R_b = a m D_bb + sigma2 I, stacked by block size."""
+    groups = cfg.partition.groups
+    blocks = [(cfg.alpha * m) * gaps for gaps in prep.block_gaps(groups)]
+    return BlockNoise(sigma2=prep.sigma2, partition=groups, blocks=blocks)
 
 
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:
     """The q(u) at which the uncollapsed objective meets the collapsed one."""
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     mean, cov_chol = prep.fit_gaussian(tpep_noise(prep, cfg, cfg.m_scale)).posterior(
         prep.y
     )
@@ -172,36 +174,20 @@ def tpep_uncollapsed(
             + the same three gap penalties as the collapsed form.
     """
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     if q.dim != state.num_inducing:
         raise ValueError("q(u) dimension does not match the inducing set")
-    m = cfg.m_scale
-    a = cfg.alpha
     a_mean = prep.v.T @ prep.luu.half_solve(q.mean)
     h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
 
     kl = kl_qu(q, state)
-    fit = 0.0
-    logdet_noise = 0.0
-    jit = prep.luu.jitter_used
-    for idx in cfg.partition.blocks:
-        rb = a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
-        lr = chol(rb)
-        jit = max(jit, lr.jitter_used)
-        resid = lr.half_solve(prep.y[idx] - a_mean[idx])
-        white_h = lr.half_solve(h[idx])
-        ld = lr.logdet()
-        logdet_noise += ld
-        fit += -0.5 * (
-            idx.size * _LOG_2PI
-            + ld
-            + float(resid @ resid)
-            + float(np.sum(white_h * white_h))
-        )
-    reg = _pep_gap_penalty(a, logdet_noise, prep.n, prep.sigma2)
-    reg += _pep_whole_terms(prep.n, a, m)
+    rfac = BlockFactors(tpep_noise(prep, cfg, cfg.m_scale), prep.n)
+    white = rfac.half_solve(np.column_stack([prep.y - a_mean, h]))
+    fit = -0.5 * (prep.n * _LOG_2PI + rfac.logdet + float(np.sum(white * white)))
+    reg = _pep_gap_penalty(cfg.alpha, rfac.logdet, prep.n, prep.sigma2)
+    reg += _pep_whole_terms(prep.n, cfg.alpha, cfg.m_scale)
     total = -kl + fit + reg
-    return BoundBreakdown(total, fit - kl, reg, jit)
+    return BoundBreakdown(total, fit - kl, reg, max(prep.luu.jitter_used, rfac.jitter_used))
 
 
 def tpep_stochastic(
@@ -238,19 +224,17 @@ def tpep_qu_gradient(
         )
         return est.d_mean, est.d_lower
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     at = prep.projector_t()
     a_mean = at.T @ q.mean
     mm = state.num_inducing
     d_mean = -prep.luu.solve(q.mean)
     d_s = 0.5 * (q.cov_chol.solve(np.eye(mm)) - prep.luu.solve(np.eye(mm)))
-    a, m = cfg.alpha, cfg.m_scale
-    for idx in cfg.partition.blocks:
-        lr = chol(a * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size))
-        atb = at[:, idx]
-        d_mean = d_mean + atb @ lr.solve(prep.y[idx] - a_mean[idx])
-        half = lr.half_solve(atb.T)
-        d_s = d_s - 0.5 * (half.T @ half)
+    rfac = BlockFactors(tpep_noise(prep, cfg, cfg.m_scale), prep.n)
+    white = rfac.half_solve(np.column_stack([prep.y - a_mean, at.T]))
+    half = white[:, 1:]  # blkdiag(L_b)^-1 A, so A_b^T R_b^-1 = half_b^T L_b^-1
+    d_mean = d_mean + half.T @ white[:, 0]
+    d_s = d_s - 0.5 * (half.T @ half)
     d_s = 0.5 * (d_s + d_s.T)
     return d_mean, np.tril(2.0 * d_s @ q.cov_chol.lower)
 
@@ -320,13 +304,6 @@ def general_pep_oracle(
     return BoundBreakdown(fit + reg, fit, reg, jit)
 
 
-def _check_sizes(prep: PreparedBound, cfg: PepConfig):
-    if cfg.partition.n != prep.n:
-        raise ValueError(
-            f"partition covers {cfg.partition.n} points but data has {prep.n}"
-        )
-
-
 def verify_site_fixed_point(
     x, y, state: ModelState, cfg: PepConfig, rtol: float = 1e-7
 ) -> FixedPointReport:
@@ -342,7 +319,7 @@ def verify_site_fixed_point(
     beyond rtol.
     """
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     if prep.n > ORACLE_CAP:
         raise ValueError(
             f"verify_site_fixed_point is dense; refusing N={prep.n} > {ORACLE_CAP}"
@@ -416,7 +393,7 @@ def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
     cavities; at the fixed point it equals the collapsed objective.
     """
     prep = prepare(x, y, state)
-    _check_sizes(prep, cfg)
+    _check_partition(prep, cfg.partition)
     if prep.n > ITERATE_CAP:
         raise ValueError(
             f"pep_iterate is desk scale; refusing N={prep.n} > {ITERATE_CAP}"

@@ -20,12 +20,12 @@ of the full conditional covariance backs the optimality claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .kernels import kernel_diag, kernel_matrix, kernel_matrix_adjoint
-from .linalg import BlockNoise, CholeskyFactor, LowRankGaussian, chol
+from .kernels import kernel_diag, kernel_matrix, kernel_matrix_adjoint, kernel_stack
+from .linalg import BlockNoise, CholeskyFactor, LowRankGaussian, chol, chol_stack, stack_logdet
 from .model import GaussianQU, ModelState, Partition
 
 # Dense oracles refuse anything bigger than this.
@@ -56,8 +56,9 @@ class PreparedBound:
 
     Holds Lu (factor of Kuu), the whitened cross term V = Lu^-1 Kuf,
     and the clamped diagonal of the conditional gap D = Kff - V^T V.
-    Dense D blocks are cut on demand; the full N x N gap is never built
-    by the bounds themselves.
+    Dense D blocks are built on demand, a whole stack of equal-size
+    blocks at a time; the full N x N gap is never built by the bounds
+    themselves.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, state: ModelState):
@@ -86,10 +87,17 @@ class PreparedBound:
     def sigma2(self) -> float:
         return self.state.noise.noise_variance
 
+    def block_gaps(self, groups: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """Gap blocks D[idx, idx] with the clamped diagonal, stacked: one
+        (B_s, n_s, n_s) array per (B_s, n_s) stack of block indices, from
+        one kernel broadcast and one V_b^T V_b product, built as consumed."""
+        for ix in groups:
+            kbb = kernel_stack(self.x[ix], self.state.kernel)
+            yield _gap_block(kbb, np.moveaxis(self.v[:, ix], 0, -2), self.gap_diag[ix])
+
     def block_gap(self, idx: np.ndarray) -> np.ndarray:
         """Dense conditional-gap block D[idx, idx] with the clamped diagonal."""
-        kbb = kernel_matrix(self.x[idx], self.x[idx], self.state.kernel)
-        return _gap_block(kbb, self.v[:, idx], self.gap_diag[idx])
+        return next(self.block_gaps([np.asarray(idx)[None]]))[0]
 
     def fit_gaussian(self, noise: BlockNoise) -> LowRankGaussian:
         return LowRankGaussian(self.luu, self.v, noise)
@@ -105,10 +113,14 @@ def _raw_gap_diag(kff_diag: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndarray:
-    """Symmetrized K_bb - V_b^T V_b with the clamped diagonal put back."""
-    d = kbb - vb.T @ vb
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, gap_diag)
+    """Symmetrized K_bb - V_b^T V_b with the clamped diagonal put back.
+
+    Stacks too: kbb (..., n, n), vb (..., M, n), gap_diag (..., n).
+    """
+    d = kbb - np.swapaxes(vb, -1, -2) @ vb
+    d = 0.5 * (d + np.swapaxes(d, -1, -2))
+    diag = np.arange(d.shape[-1])
+    d[..., diag, diag] = gap_diag
     return d
 
 
@@ -140,15 +152,13 @@ def _collapsed(prep: PreparedBound, regularizer: float, extra_jitter: float = 0.
 def sgpr_collapsed(x, y, state: ModelState) -> BoundBreakdown:
     """Collapsed bound with the plain trace penalty sum_n d_nn / (2 sigma2)."""
     prep = prepare(x, y, state)
-    reg = -0.5 * float(np.sum(prep.gap_diag)) / prep.sigma2
-    return _collapsed(prep, reg)
+    return _collapsed(prep, *_gap_regularizer(prep, None, "trace"))
 
 
 def tsgpr_collapsed(x, y, state: ModelState) -> BoundBreakdown:
     """Collapsed bound with a per-point scale, penalty sum_n log(1 + d_nn/sigma2)/2."""
     prep = prepare(x, y, state)
-    reg = -0.5 * float(np.sum(np.log1p(prep.gap_diag / prep.sigma2)))
-    return _collapsed(prep, reg)
+    return _collapsed(prep, *_gap_regularizer(prep, None, "diag"))
 
 
 def tsgpr_optimal_scales(x, y, state: ModelState) -> np.ndarray:
@@ -161,24 +171,18 @@ def btsgpr_collapsed(x, y, state: ModelState, partition: Partition) -> BoundBrea
     """Collapsed bound with one scale matrix per block, log-det penalty."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    reg = 0.0
-    jit = 0.0
-    for idx in partition.blocks:
-        lb = chol(np.eye(idx.size) + prep.block_gap(idx) / prep.sigma2)
-        reg -= 0.5 * lb.logdet()
-        jit = max(jit, lb.jitter_used)
-    return _collapsed(prep, reg, jit)
+    return _collapsed(prep, *_gap_regularizer(prep, partition, "logdet"))
 
 
 def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List[np.ndarray]:
     """Per-block optimal scale matrices (I + D_bb / sigma2)^-1."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    out = []
-    for idx in partition.blocks:
-        lb = chol(np.eye(idx.size) + prep.block_gap(idx) / prep.sigma2)
-        out.append(lb.solve(np.eye(idx.size)))
-    return out
+    scales = {}
+    for ix, lower, _ in _scale_stacks(prep, partition):
+        inv_l = np.linalg.solve(lower, np.eye(ix.shape[1]))
+        scales.update(zip(ix[:, 0], np.swapaxes(inv_l, -1, -2) @ inv_l))
+    return [scales[idx[0]] for idx in partition.blocks]
 
 
 def btsgpr_parametric(
@@ -214,41 +218,21 @@ def sharedblock_collapsed(x, y, state: ModelState, partition: Partition) -> Boun
     """Collapsed bound with one scale matrix shared by all equal-size blocks."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    sizes = set(partition.block_sizes)
-    if len(sizes) != 1:
-        raise ValueError("SharedBlock requires equal block sizes")
-    nb = sizes.pop()
-    b = partition.num_blocks
-    avg = np.zeros((nb, nb))
-    for idx in partition.blocks:
-        avg += prep.block_gap(idx)
-    avg /= b
-    lb = chol(np.eye(nb) + avg / prep.sigma2)
-    reg = -0.5 * b * lb.logdet()
-    return _collapsed(prep, reg, lb.jitter_used)
+    return _collapsed(prep, *_gap_regularizer(prep, partition, "shared"))
 
 
 def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> np.ndarray:
     """The shared optimal scale (I + mean_b D_bb / sigma2)^-1."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    sizes = set(partition.block_sizes)
-    if len(sizes) != 1:
-        raise ValueError("SharedBlock requires equal block sizes")
-    nb = sizes.pop()
-    avg = np.zeros((nb, nb))
-    for idx in partition.blocks:
-        avg += prep.block_gap(idx)
-    avg /= partition.num_blocks
-    return chol(np.eye(nb) + avg / prep.sigma2).solve(np.eye(nb))
+    lb = _shared_factor(prep, partition)
+    return lb.solve(np.eye(lb.size))
 
 
 def spherical_collapsed(x, y, state: ModelState) -> BoundBreakdown:
     """Collapsed bound with a single scalar scale; SharedBlock at block size 1."""
     prep = prepare(x, y, state)
-    mean_gap = float(np.mean(prep.gap_diag))
-    reg = -0.5 * prep.n * float(np.log1p(mean_gap / prep.sigma2))
-    return _collapsed(prep, reg)
+    return _collapsed(prep, *_gap_regularizer(prep, None, "spherical"))
 
 
 def spherical_optimal_scale(x, y, state: ModelState) -> float:
@@ -336,14 +320,39 @@ def _check_partition(prep: PreparedBound, partition: Partition):
         )
 
 
-def _block_penalty(prep: PreparedBound, idx: np.ndarray, penalty: str):
-    """Per-block gap penalty and the jitter it needed."""
+def _scale_stacks(prep: PreparedBound, partition: Partition):
+    """Index stack, factors and jitters of I + D_bb / sigma2, a stack at a time."""
+    for ix, gaps in zip(partition.groups, prep.block_gaps(partition.groups)):
+        gaps /= prep.sigma2
+        yield (ix, *chol_stack(gaps + np.eye(ix.shape[1])))
+
+
+def _shared_factor(prep: PreparedBound, partition: Partition) -> CholeskyFactor:
+    """Factor of I + mean_b D_bb / sigma2 over equal-size blocks."""
+    if len(set(partition.block_sizes)) != 1:
+        raise ValueError("SharedBlock requires equal block sizes")
+    gaps = prep.block_gaps(partition.groups)
+    avg = sum(g.sum(axis=0) for g in gaps) / partition.num_blocks
+    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2)
+
+
+def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalty: str):
+    """Minus the gap penalty of one of the _PENALTIES, and the jitter it needed."""
+    s2 = prep.sigma2
     if penalty == "trace":
-        return 0.5 * float(np.sum(prep.gap_diag[idx])) / prep.sigma2, 0.0
+        return -0.5 * float(np.sum(prep.gap_diag)) / s2, 0.0
     if penalty == "diag":
-        return 0.5 * float(np.sum(np.log1p(prep.gap_diag[idx] / prep.sigma2))), 0.0
-    lb = chol(np.eye(idx.size) + prep.block_gap(idx) / prep.sigma2)
-    return 0.5 * lb.logdet(), lb.jitter_used
+        return -0.5 * float(np.sum(np.log1p(prep.gap_diag / s2))), 0.0
+    if penalty == "spherical":
+        return -0.5 * prep.n * float(np.log1p(float(np.mean(prep.gap_diag)) / s2)), 0.0
+    if penalty == "shared":
+        lb = _shared_factor(prep, partition)
+        return -0.5 * partition.num_blocks * lb.logdet(), lb.jitter_used
+    logdet, jit = 0.0, 0.0
+    for _, lower, jitter in _scale_stacks(prep, partition):
+        logdet += stack_logdet(lower)
+        jit = max(jit, float(jitter.max()))
+    return -0.5 * logdet, jit
 
 
 def vi_uncollapsed(
@@ -372,45 +381,14 @@ def vi_uncollapsed(
     if q.dim != state.num_inducing:
         raise ValueError("q(u) dimension does not match the inducing set")
 
-    a_mean = prep.v.T @ prep.luu.half_solve(q.mean)
+    resid = prep.y - prep.v.T @ prep.luu.half_solve(q.mean)
     h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
-    row_tr = np.sum(h * h, axis=1)
-
     kl = kl_qu(q, state)
-    fit = 0.0
-    jit = prep.luu.jitter_used
-    pen_total = 0.0
-    s2 = prep.sigma2
-    separable = penalty in _SEPARABLE_PENALTIES
-    for idx in partition.blocks:
-        resid = prep.y[idx] - a_mean[idx]
-        fit += -0.5 * (
-            idx.size * (_LOG_2PI + np.log(s2))
-            + float(resid @ resid) / s2
-            + float(np.sum(row_tr[idx])) / s2
-        )
-        if separable:
-            pen, pj = _block_penalty(prep, idx, penalty)
-            pen_total += pen
-            jit = max(jit, pj)
-    if penalty == "shared":
-        sizes = set(partition.block_sizes)
-        if len(sizes) != 1:
-            raise ValueError("shared penalty requires equal block sizes")
-        nb = sizes.pop()
-        avg = np.zeros((nb, nb))
-        for idx in partition.blocks:
-            avg += prep.block_gap(idx)
-        avg /= partition.num_blocks
-        lb = chol(np.eye(nb) + avg / s2)
-        pen_total = 0.5 * partition.num_blocks * lb.logdet()
-        jit = max(jit, lb.jitter_used)
-    elif penalty == "spherical":
-        mean_gap = float(np.mean(prep.gap_diag))
-        pen_total = 0.5 * prep.n * float(np.log1p(mean_gap / s2))
-
-    total = -kl + fit - pen_total
-    return BoundBreakdown(total, fit - kl, -pen_total, jit)
+    fit_sq = float(resid @ resid) + float(np.sum(h * h))
+    fit = -0.5 * (prep.n * (_LOG_2PI + np.log(prep.sigma2)) + fit_sq / prep.sigma2)
+    reg, jit = _gap_regularizer(prep, partition, penalty)
+    total = -kl + fit + reg
+    return BoundBreakdown(total, fit - kl, reg, max(prep.luu.jitter_used, jit))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import chol
+# Parameters far out on log scale over- or underflow exp; the non-finite
+# checks below and in the bounds raise FloatingPointError for them, so the
+# floating-point warnings on the way there are noise.
+QUIET = dict(over="ignore", divide="ignore", invalid="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -27,11 +30,13 @@ class KernelParams:
 
     @property
     def lengthscales(self) -> np.ndarray:
-        return np.exp(self.log_lengthscales)
+        with np.errstate(**QUIET):
+            return np.exp(self.log_lengthscales)
 
     @property
     def signal_variance(self) -> float:
-        return float(np.exp(self.log_signal_variance))
+        with np.errstate(**QUIET):
+            return float(np.exp(self.log_signal_variance))
 
     @property
     def input_dim(self) -> int:
@@ -44,7 +49,8 @@ class NoiseParam:
 
     @property
     def noise_variance(self) -> float:
-        value = float(np.exp(self.log_noise_variance))
+        with np.errstate(**QUIET):
+            value = float(np.exp(self.log_noise_variance))
         if not 0.0 < value < np.inf:
             raise FloatingPointError(
                 f"noise variance exp({self.log_noise_variance!r}) is {value!r}"
@@ -64,22 +70,36 @@ def _check_inputs(x: np.ndarray, params: KernelParams, name: str) -> np.ndarray:
     return x
 
 
-def kernel_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix k(x1[i], x2[j]), shape (n1, n2)."""
-    x1 = _check_inputs(x1, params, "x1")
-    x2 = _check_inputs(x2, params, "x2")
+def _se(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """SE kernel between the rows of x1 and x2 over their last two axes."""
     ell = params.lengthscales
-    a = x1 / ell
-    b = x2 / ell
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    k = params.signal_variance * np.exp(-0.5 * sq)
+    with np.errstate(**QUIET):
+        a = x1 / ell
+        b = x2 / ell
+        sq = (a * a).sum(axis=-1)[..., :, None] + (b * b).sum(axis=-1)[..., None, :]
+        sq -= 2.0 * (a @ np.swapaxes(b, -1, -2))
+        np.maximum(sq, 0.0, out=sq)
+        k = params.signal_variance * np.exp(-0.5 * sq)
     if not np.isfinite(k).all():
         raise FloatingPointError(
             f"kernel matrix has non-finite entries at lengthscales {ell} and "
             f"signal variance {params.signal_variance!r}"
         )
     return k
+
+
+def kernel_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Cross-covariance matrix k(x1[i], x2[j]), shape (n1, n2)."""
+    return _se(_check_inputs(x1, params, "x1"), _check_inputs(x2, params, "x2"), params)
+
+
+def kernel_stack(xs: np.ndarray, params: KernelParams) -> np.ndarray:
+    """k(xs[b, i], xs[b, j]) for a (B, n, D) stack of point sets, shape (B, n, n).
+
+    One broadcast over the whole stack, with kernel_matrix's arithmetic.
+    """
+    xs = np.asarray(xs, dtype=float)
+    return _se(xs, xs, params)
 
 
 def kernel_matrix_adjoint(
@@ -115,25 +135,3 @@ def kernel_diag(x: np.ndarray, params: KernelParams) -> np.ndarray:
     x = _check_inputs(x, params, "x")
     return np.full(x.shape[0], params.signal_variance)
 
-
-def conditional_gap(x: np.ndarray, z: np.ndarray, params: KernelParams):
-    """Conditional covariance gap D = Kff - Kfu Kuu^-1 Kuf at inputs x.
-
-    Returns (D, clamp) where D has its diagonal clamped at zero and
-    clamp is the largest negative diagonal magnitude removed.  Kuu is
-    factorized with the jitter ladder.  With no inducing points D is
-    just Kff.
-    """
-    x = _check_inputs(x, params, "x")
-    z = _check_inputs(z, params, "z")
-    kff = kernel_matrix(x, x, params)
-    if z.shape[0] == 0:
-        return kff, 0.0
-    luu = chol(kernel_matrix(z, z, params))
-    w = luu.half_solve(kernel_matrix(z, x, params))
-    d = kff - w.T @ w
-    d = 0.5 * (d + d.T)
-    diag = np.diag(d).copy()
-    clamp = float(max(0.0, -diag.min())) if diag.size else 0.0
-    np.fill_diagonal(d, np.maximum(diag, 0.0))
-    return d, clamp

@@ -1,13 +1,15 @@
 """Dense positive-definite linear algebra shared by every objective.
 
-Two things live here: a Cholesky wrapper with an escalating diagonal
-jitter ladder, and the log-density of a Gaussian whose covariance is
-"low rank plus block noise",
+Three things live here: a Cholesky wrapper with an escalating diagonal
+jitter ladder, its batched form for stacks of equal-size blocks, and the
+log-density of a Gaussian whose covariance is "low rank plus block noise",
 
     N(y; 0, Kfu Kuu^-1 Kuf + blkdiag(A_1, ..., A_B) + sigma2 * I),
 
 evaluated through the matrix inversion and determinant lemmas so the
-N x N covariance is never formed.  Cost is O(N M^2 + sum_b Nb^3 + M^3).
+N x N covariance is never formed.  Cost is O(N M^2 + sum_b Nb^3 + M^3);
+the per-block work is batched by block size, one factorization and one
+triangular solve for each stack of equal-size blocks.
 """
 
 from __future__ import annotations
@@ -92,17 +94,37 @@ def chol(a: np.ndarray, symmetrize: bool = True) -> CholeskyFactor:
                 ) from None
 
 
-def logdet(factor: CholeskyFactor) -> float:
-    return factor.logdet()
+def chol_stack(a: np.ndarray):
+    """Cholesky factors of a (B, n, n) stack, with chol's jitter ladder.
+
+    The stack is symmetrized and factored in one call.  If any matrix in
+    it is not positive definite, every matrix of the stack goes through
+    chol one at a time, so the jitter each one gets, and the error past
+    the ladder's cap, are chol's.  Returns the (B, n, n) lower factors
+    and the (B,) jitters.
+    """
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    try:
+        return np.linalg.cholesky(a), np.zeros(a.shape[0])
+    except np.linalg.LinAlgError:
+        factors = [chol(ab) for ab in a]
+    return np.stack([f.lower for f in factors]), np.array([f.jitter_used for f in factors])
+
+
+def stack_logdet(lower: np.ndarray) -> float:
+    """sum_b log det(L_b L_b^T) over a (B, n, n) stack of lower factors."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(lower, 0, 1, 2))))
 
 
 @dataclass(frozen=True)
 class BlockNoise:
     """Noise covariance sigma2 * I plus an optional block-diagonal part.
 
-    ``partition`` holds index arrays into 0..N-1 and ``blocks`` the
-    corresponding dense PSD matrices (entries may be None for a pure
-    sigma2 * I block).  With no partition the noise is plain iid.
+    ``partition`` holds index arrays into 0..N-1, each one block or a
+    (B_s, n_s) stack of equal-size blocks, and ``blocks`` the matching
+    dense PSD matrices, (n_s, n_s) or (B_s, n_s, n_s); an entry may be
+    None for a pure sigma2 * I block.  With no partition the noise is
+    plain iid.
     """
 
     sigma2: float
@@ -118,17 +140,58 @@ class BlockNoise:
             raise ValueError("partition and blocks must have equal length")
 
 
+class BlockFactors:
+    """Factors L_b of the blocks R_b = sigma2 I + A_b of a BlockNoise.
+
+    Each entry of the partition, one block or a stack of equal-size
+    blocks, is factored by chol_stack in one call; iid noise has
+    L = sqrt(sigma2) I.  ``logdet`` is sum_b log det R_b and
+    ``jitter_used`` the largest jitter a block needed.
+    """
+
+    def __init__(self, noise: BlockNoise, n: int):
+        self.sigma2 = noise.sigma2
+        self.stacks = []  # (index stack (B_s, n_s), lower factors (B_s, n_s, n_s))
+        self.jitter_used = 0.0
+        self.logdet = n * np.log(noise.sigma2)
+        if noise.partition is None:
+            return
+        covered = np.concatenate([np.ravel(ix) for ix in noise.partition])
+        if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
+            raise ValueError("noise partition must cover each of the N indices once")
+        self.logdet = 0.0
+        for ix, a in zip(noise.partition, noise.blocks):
+            ix = np.atleast_2d(np.asarray(ix, dtype=int))
+            shape = (ix.shape[0], ix.shape[1], ix.shape[1])
+            a = 0.0 if a is None else np.reshape(a, shape)
+            r = noise.sigma2 * np.eye(ix.shape[1]) + a
+            lower, jitter = chol_stack(np.broadcast_to(r, shape))
+            self.stacks.append((ix, lower))
+            self.logdet += stack_logdet(lower)
+            self.jitter_used = max(self.jitter_used, float(jitter.max()))
+
+    def half_solve(self, b: np.ndarray) -> np.ndarray:
+        """blkdiag(L_b)^-1 b for b of shape (N, k), one batched solve per stack."""
+        if not self.stacks:
+            return b / np.sqrt(self.sigma2)
+        out = np.empty(b.shape)
+        for ix, lower in self.stacks:
+            out[ix] = np.linalg.solve(lower, b[ix])
+        return out
+
+
 class LowRankGaussian:
     """N(0, V^T V scaled back + R) where the low-rank part is Q = Kfu Kuu^-1 Kuf.
 
     Built from the Cholesky factor Lu of Kuu and the whitened cross
     term V = Lu^-1 Kuf, so Q = V^T V.  R comes from a BlockNoise.  The
-    core quantities are per-block factors L_b of R_b, the projected
-    blocks U_b = V_b L_b^-T, and the capacitance B = I + sum_b U_b U_b^T:
+    core quantities are the block factors L_b of R_b (BlockFactors),
+    W = blkdiag(L_b)^-1 V^T, whose block rows are the projected blocks
+    U_b^T = L_b^-1 V_b^T, and the capacitance B = I + W^T W:
 
         log det(Q + R) = log det B + sum_b log det R_b
-        y^T (Q + R)^-1 y = sum_b |L_b^-1 y_b|^2 - |L_B^-1 c|^2,
-        c = sum_b U_b L_b^-1 y_b.
+        y^T (Q + R)^-1 y = |t|^2 - |L_B^-1 c|^2,
+        t = blkdiag(L_b)^-1 y,  c = W^T t.
 
     ``posterior`` returns mean and covariance of p(u) N(y; A u, R)
     renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T, m = Lu B^-1 c.
@@ -141,55 +204,26 @@ class LowRankGaussian:
             raise ValueError("Kuu factor and V disagree on the number of inducing points")
         self._lu = kuu_chol
         self._n = n
-        self._sigma2 = noise.sigma2
-        jit = kuu_chol.jitter_used
-        if noise.partition is None:
-            sig = np.sqrt(noise.sigma2)
-            self._idx = [np.arange(n)]
-            self._rchol = [None]
-            self._u = [v / sig]
-            self.logdet_noise = n * np.log(noise.sigma2)
-        else:
-            self._idx = [np.asarray(ix, dtype=int) for ix in noise.partition]
-            covered = np.concatenate(self._idx) if self._idx else np.empty(0, int)
-            if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
-                raise ValueError("noise partition must cover each of the N indices once")
-            self._rchol = []
-            self._u = []
-            self.logdet_noise = 0.0
-            for ix, a in zip(self._idx, noise.blocks):
-                nb = len(ix)
-                r = noise.sigma2 * np.eye(nb)
-                if a is not None:
-                    r = r + np.asarray(a, dtype=float)
-                lr = chol(r)
-                jit = max(jit, lr.jitter_used)
-                self._rchol.append(lr)
-                self._u.append(lr.half_solve(v[:, ix].T).T)
-                self.logdet_noise += lr.logdet()
-        bmat = np.eye(m)
-        for u in self._u:
-            bmat += u @ u.T
-        self._bchol = chol(bmat)
-        self.jitter_used = max(jit, self._bchol.jitter_used)
+        self._rfac = BlockFactors(noise, n)
+        self._w = self._rfac.half_solve(v.T)
+        self._bchol = chol(np.eye(m) + self._w.T @ self._w)
+        self.logdet_noise = self._rfac.logdet
+        self.jitter_used = max(
+            kuu_chol.jitter_used, self._rfac.jitter_used, self._bchol.jitter_used
+        )
 
     def _whiten_y(self, y: np.ndarray):
-        """Per-block L_b^-1 y_b and the projected vector c = sum U_b t_b."""
-        ts = []
-        c = np.zeros(self._lu.size)
-        for ix, lr, u in zip(self._idx, self._rchol, self._u):
-            t = y[ix] / np.sqrt(self._sigma2) if lr is None else lr.half_solve(y[ix])
-            ts.append(t)
-            c += u @ t
-        return ts, c
+        """t = blkdiag(L_b)^-1 y and the projected vector c = W^T t."""
+        t = self._rfac.half_solve(y[:, None])[:, 0]
+        return t, self._w.T @ t
 
     def logpdf(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape[0] != self._n:
             raise ValueError(f"y has length {y.shape[0]}, expected {self._n}")
-        ts, c = self._whiten_y(y)
+        t, c = self._whiten_y(y)
         w = self._bchol.half_solve(c)
-        quad = sum(float(t @ t) for t in ts) - float(w @ w)
+        quad = float(t @ t) - float(w @ w)
         ld = self.logdet_noise + self._bchol.logdet()
         return -0.5 * (self._n * np.log(2.0 * np.pi) + ld + quad)
 
@@ -203,12 +237,3 @@ class LowRankGaussian:
         cov = f.T @ f
         return mean, chol(cov)
 
-
-def gauss_logpdf_lowrank(
-    y: np.ndarray, kfu: np.ndarray, kuu: np.ndarray, noise: BlockNoise
-) -> float:
-    """log N(y; 0, Kfu Kuu^-1 Kuf + R) without forming the N x N matrix."""
-    kfu = np.asarray(kfu, dtype=float)
-    luu = chol(np.asarray(kuu, dtype=float))
-    v = luu.half_solve(kfu.T)
-    return LowRankGaussian(luu, v, noise).logpdf(y)

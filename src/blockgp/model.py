@@ -7,12 +7,13 @@ power-EP family) the scalar scale m on log scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from .kernels import KernelParams, NoiseParam
+from .kernels import QUIET, KernelParams, NoiseParam
 from .linalg import CholeskyFactor
 
 # Method names accepted everywhere (BoundSpec, CLI, reports).
@@ -20,6 +21,11 @@ VI_METHODS = ("SGPR", "T-SGPR", "BT-SGPR", "SharedBlock", "Spherical")
 PEP_METHODS = ("PEP", "T-PEP", "GeneralPEP-Oracle")
 ORACLE_METHODS = ("GeneralC-Oracle", "GeneralPEP-Oracle")
 METHODS = ("Exact",) + VI_METHODS + ("PEP", "T-PEP") + ORACLE_METHODS
+
+# Most matrix entries (B_s n_s^2) in one stack of equal-size blocks, so each
+# (B_s, n_s, n_s) temporary of the batched block work stays near 0.5 MB;
+# a block that fills a stack alone costs far more than the call around it.
+STACK_ENTRIES = 2**16
 
 # Methods whose objective carries a block partition.
 BLOCK_METHODS = ("BT-SGPR", "SharedBlock", "PEP", "T-PEP", "GeneralPEP-Oracle")
@@ -51,7 +57,8 @@ class ModelState:
     def m_scale(self) -> float:
         if self.log_m_scale is None:
             return 1.0
-        value = float(np.exp(self.log_m_scale))
+        with np.errstate(**QUIET):
+            value = float(np.exp(self.log_m_scale))
         if not 0.0 < value < np.inf:
             raise FloatingPointError(f"gap scale exp({self.log_m_scale!r}) is {value!r}")
         return value
@@ -92,6 +99,18 @@ class Partition:
     @property
     def block_sizes(self) -> List[int]:
         return [b.size for b in self.blocks]
+
+    @cached_property
+    def groups(self) -> List[np.ndarray]:
+        """The blocks as (B_s, n_s) index stacks of equal-size blocks, sizes
+        ascending, blocks in partition order; a stack holds one block or
+        as many as fit in STACK_ENTRIES matrix entries."""
+        out = []
+        for s in sorted(set(self.block_sizes)):
+            same = [b for b in self.blocks if b.size == s]
+            per = max(1, STACK_ENTRIES // (s * s))
+            out += [np.stack(same[i : i + per]) for i in range(0, len(same), per)]
+        return out
 
 
 def make_partition(n: int, num_blocks: int, seed: int = 0) -> Partition:

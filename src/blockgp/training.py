@@ -131,10 +131,6 @@ class TrainTrace:
     def __len__(self) -> int:
         return self.objective.shape[0]
 
-    @property
-    def num_steps(self) -> int:
-        return self.objective.shape[0]
-
 
 class _TraceBuilder:
     def __init__(self, input_dim: int):
@@ -395,7 +391,7 @@ def maximize_lbfgs(
     fd_step: float = 1e-5,
     max_iter: int = 1000,
     gtol: float = 1e-6,
-    on_step: Optional[Callable[[np.ndarray], None]] = None,
+    on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Maximize fun by L-BFGS-B with finite-difference gradients.
 
@@ -404,17 +400,25 @@ def maximize_lbfgs(
     instead of crashing.  A zero gradient also reads as convergence, so
     if L-BFGS-B stops at a point where the objective or its gradient
     failed, EvaluationFailed is raised with scipy's stop message rather
-    than that point returned.  on_step sees each accepted iterate.
-    Returns the final parameters and the iteration count.
+    than that point returned.  on_step sees each accepted iterate and
+    the objective value the line search already computed there (None if
+    it has none).  Returns the final parameters and the iteration count.
     """
     failed = set()
+    last = [None, None]  # the most recently evaluated point and its value
 
     def neg(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
         try:
-            return -_eval(fun, theta)
+            last[:] = key, _eval(fun, theta)
         except EvaluationFailed:
-            failed.add(np.asarray(theta, dtype=float).tobytes())
+            failed.add(key)
             return _INFEASIBLE
+        return -last[1]
+
+    def callback(theta):
+        theta = np.asarray(theta, dtype=float)
+        on_step(theta, last[1] if last[0] == theta.tobytes() else None)
 
     def neg_grad(theta):
         try:
@@ -428,7 +432,7 @@ def maximize_lbfgs(
         np.asarray(theta0, dtype=float),
         jac=neg_grad,
         method="L-BFGS-B",
-        callback=on_step,
+        callback=None if on_step is None else callback,
         options={"maxiter": max_iter, "gtol": gtol},
     )
     theta = np.asarray(result.x, dtype=float)
@@ -523,9 +527,11 @@ def fit_collapsed(
     theta0 = pack.pack(state)
     builder = _TraceBuilder(state.kernel.input_dim)
 
-    def on_step(theta):
+    def on_step(theta, value=None):
         theta = np.asarray(theta, dtype=float)
-        builder.append(float(objective(theta)), pack.unpack_state(theta))
+        if value is None:
+            value = objective(theta)
+        builder.append(float(value), pack.unpack_state(theta))
 
     if cfg.optimizer == "lbfgs":
         theta, _ = maximize_lbfgs(

@@ -31,7 +31,7 @@ from blockgp.bounds_vi import (
     spherical_collapsed,
     spherical_optimal_scale,
 )
-from blockgp.model import make_partition, singleton_partition
+from blockgp.model import singleton_partition
 from blockgp.verify import (
     gentle_instance,
     random_blocks,
@@ -264,30 +264,51 @@ def test_partition_size_mismatch_is_rejected():
 
 
 def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
-    # the log-det penalty is read off the factors of R_b, so one evaluation
-    # makes one gap block and one R_b factor per block, plus Kuu and the
-    # capacitance
+    # the blocks are built and factored a size group at a time, and the
+    # log-det penalty is read off the factors of R_b: one evaluation passes
+    # each block once through the stacked gap builder and once through the
+    # stacked factorization, one call per size group, and on the happy path
+    # chol runs only for Kuu and the capacitance
     from blockgp import bounds_pep, bounds_vi, linalg
+    from blockgp.model import Partition
 
-    calls = {"block_gap": 0, "chol": 0}
-    real_gap = bounds_vi.PreparedBound.block_gap
+    calls = {"gap_rows": 0, "gap_calls": 0, "factor_rows": 0, "factor_calls": 0,
+             "chol": 0}
+    real_stack = bounds_vi.kernel_stack
+    real_chol_stack = linalg.chol_stack
     real_chol = linalg.chol
 
-    def counting_gap(self, idx):
-        calls["block_gap"] += 1
-        return real_gap(self, idx)
+    def counting_stack(xs, params):
+        calls["gap_rows"] += xs.shape[0]
+        calls["gap_calls"] += 1
+        return real_stack(xs, params)
+
+    def counting_chol_stack(a):
+        calls["factor_rows"] += a.shape[0]
+        calls["factor_calls"] += 1
+        return real_chol_stack(a)
 
     def counting_chol(*args, **kwargs):
         calls["chol"] += 1
         return real_chol(*args, **kwargs)
 
-    monkeypatch.setattr(bounds_vi.PreparedBound, "block_gap", counting_gap)
+    monkeypatch.setattr(bounds_vi, "kernel_stack", counting_stack)
+    monkeypatch.setattr(linalg, "chol_stack", counting_chol_stack)
     for mod in (linalg, bounds_vi, bounds_pep):
         monkeypatch.setattr(mod, "chol", counting_chol)
     rng = np.random.default_rng(30)
     x, y, state = small_instance(rng)
-    part = make_partition(y.shape[0], 5, seed=1)
+    n = y.shape[0]
+    # sizes 1, 2 and 3, with a size group that holds a single block
+    cuts = [1, 3, 5, 8, 11] + list(range(14, n, 3))
+    part = Partition([np.sort(b) for b in np.split(rng.permutation(n), cuts)])
+    groups = len(part.groups)
+    assert groups >= 3
     for fn, m in ((pep_collapsed, 1.0), (tpep_collapsed, 1.3)):
-        calls.update(block_gap=0, chol=0)
+        for key in calls:
+            calls[key] = 0
         fn(x, y, state, _cfg(0.5, part, m))
-        assert calls == {"block_gap": 5, "chol": 5 + 2}, fn.__name__
+        assert calls == {
+            "gap_rows": part.num_blocks, "gap_calls": groups,
+            "factor_rows": part.num_blocks, "factor_calls": groups, "chol": 2,
+        }, fn.__name__

@@ -1,16 +1,16 @@
-"""Squared-exponential kernel and conditional-gap tests."""
+"""Squared-exponential kernel and conditional-gap tests.
+
+The gap D = Kff - Kfu Kuu^-1 Kuf is read off PreparedBound as one block
+over all points, with the clamp it needed on its diagonal.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blockgp.kernels import (
-    KernelParams,
-    NoiseParam,
-    conditional_gap,
-    kernel_diag,
-    kernel_matrix,
-)
+from blockgp.bounds_vi import prepare
+from blockgp.kernels import KernelParams, NoiseParam, kernel_diag, kernel_matrix
+from blockgp.model import ModelState
 
 
 def _params(lengthscales, signal_variance=1.0) -> KernelParams:
@@ -77,6 +77,12 @@ def test_input_validation():
 def test_noise_param_roundtrip():
     noise = NoiseParam(log_noise_variance=np.log(0.3))
     assert_allclose(noise.noise_variance, 0.3, rtol=1e-15)
+
+
+def conditional_gap(x, z, params):
+    state = ModelState(kernel=params, noise=NoiseParam(0.0), inducing=z)
+    prep = prepare(x, np.zeros(x.shape[0]), state)
+    return prep.block_gap(np.arange(x.shape[0])), prep.diag_clamp
 
 
 def test_gap_vanishes_when_inducing_cover_inputs():

@@ -17,8 +17,6 @@ from blockgp.linalg import (
     LowRankGaussian,
     NotPositiveDefiniteError,
     chol,
-    gauss_logpdf_lowrank,
-    logdet,
 )
 
 
@@ -51,7 +49,7 @@ def test_logdet_matches_cofactor_expansion():
             a = _random_spd(rng, n)
             factor = chol(a)
             assert factor.jitter_used == 0.0
-            assert_allclose(logdet(factor), np.log(_cofactor_det(a)), rtol=1e-10)
+            assert_allclose(factor.logdet(), np.log(_cofactor_det(a)), rtol=1e-10)
 
 
 def test_solves_match_numpy():
@@ -109,6 +107,11 @@ def _random_lowrank(rng, n: int, m: int):
     return kfu, kuu
 
 
+def _lowrank_logpdf(y, kfu, kuu, noise):
+    luu = chol(kuu)
+    return LowRankGaussian(luu, luu.half_solve(kfu.T), noise).logpdf(y)
+
+
 def test_lowrank_logpdf_iid_matches_dense():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -118,7 +121,7 @@ def test_lowrank_logpdf_iid_matches_dense():
         y = rng.standard_normal(n)
         cov = kfu @ np.linalg.solve(kuu, kfu.T) + sigma2 * np.eye(n)
         dense = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(y)
-        ours = gauss_logpdf_lowrank(y, kfu, kuu, BlockNoise(sigma2=sigma2))
+        ours = _lowrank_logpdf(y, kfu, kuu, BlockNoise(sigma2=sigma2))
         assert_allclose(ours, dense, rtol=1e-9)
 
 
@@ -138,7 +141,7 @@ def test_lowrank_logpdf_block_noise_matches_dense():
                 cov[np.ix_(ix, ix)] += a
         dense = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(y)
         noise = BlockNoise(sigma2=sigma2, partition=idx, blocks=blocks)
-        ours = gauss_logpdf_lowrank(y, kfu, kuu, noise)
+        ours = _lowrank_logpdf(y, kfu, kuu, noise)
         assert_allclose(ours, dense, rtol=1e-9)
 
 

@@ -62,8 +62,8 @@ def test_instance_generators_shapes_and_determinism():
     assert gx.shape[0] == gy.shape[0]
 
     sx, _, sstate = spread_instance(np.random.default_rng(9))
-    from blockgp.kernels import conditional_gap
+    from blockgp.bounds_vi import prepare
 
-    gap, _ = conditional_gap(sx, sstate.inducing, sstate.kernel)
+    gap = prepare(sx, np.zeros(sx.shape[0]), sstate).block_gap(np.arange(sx.shape[0]))
     evals = np.linalg.eigvalsh(0.5 * (gap + gap.T))
     assert evals.min() > 0.0  # spread instances keep the gap invertible
