@@ -17,7 +17,9 @@ machinery: projected Gaussian site factors, a damped cavity /
 moment-matching sweep, and the EP energy assembled from normalizer
 and cavity terms.  At convergence the energy equals the collapsed
 objective, which the tests enforce; the site closed form is checked
-against an independent dense recomputation.
+against an independent dense recomputation.  The collapsed forms'
+gradients come from bounds_vi's reverse-mode pass over the blocks at
+the optimal q(u), where the uncollapsed objective meets them.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from .bounds_vi import (
     PreparedBound,
     _LOG_2PI,
     _check_partition,
+    _collapsed,
+    _estimate,
     _pep_gap_penalty,
     _pep_whole_terms,
     block_estimate,
-    kl_qu,
     prepare,
 )
-from .linalg import BlockFactors, BlockNoise, CholeskyFactor, chol
+from .linalg import BlockNoise, CholeskyFactor, chol
 from .model import GaussianQU, ModelState, Partition
 
 
@@ -114,37 +117,40 @@ class FixedPointMismatch(RuntimeError):
         )
 
 
-def _scaled_objective(prep: PreparedBound, cfg: PepConfig, m: float):
-    """Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I), the block
-    log-det penalty and the jitter, with each block gap built and each
-    R_b factored once."""
+def _scaled_objective(
+    prep: PreparedBound, cfg: PepConfig, gradient: bool
+) -> BoundBreakdown:
+    """Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I) plus the block
+    log-det penalty and the whole-dataset terms, with each block gap built
+    and each R_b factored once; with gradient, also its gradient."""
+    _check_partition(prep, cfg.partition)
+    a, m = cfg.alpha, cfg.m_scale
     gauss = prep.fit_gaussian(tpep_noise(prep, cfg, m))
-    reg = _pep_gap_penalty(cfg.alpha, gauss.logdet_noise, prep.n, prep.sigma2)
-    return gauss.logpdf(prep.y), reg, gauss.jitter_used
+    reg = _pep_gap_penalty(a, gauss.logdet_noise, prep.n, prep.sigma2)
+    reg += _pep_whole_terms(prep.n, a, m)
+    envelope = dict(groups=cfg.partition.groups, penalty="pep", alpha=a, m=m)
+    return _collapsed(prep, gauss, reg, 0.0, envelope if gradient else None)
 
 
-def pep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
+def pep_collapsed(
+    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
+) -> BoundBreakdown:
     """Collapsed power-EP objective with the unscaled gap (m pinned at 1)."""
     if cfg.m_scale != 1.0:
         raise ValueError("pep_collapsed is the m = 1 objective; use tpep_collapsed")
-    prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
-    fit, reg, jit = _scaled_objective(prep, cfg, 1.0)
-    return BoundBreakdown(fit + reg, fit, reg, jit)
+    return _scaled_objective(prepare(x, y, state), cfg, gradient)
 
 
-def tpep_collapsed(x, y, state: ModelState, cfg: PepConfig) -> BoundBreakdown:
+def tpep_collapsed(
+    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
+) -> BoundBreakdown:
     """Collapsed power-EP objective with the scalar-scaled gap C = m D.
 
     Relative to the m = 1 objective this adds two whole-dataset terms,
     -N/(2a) log(1 + a(m-1)) + N/2 log m; both vanish at m = 1 and at
     alpha = 1 exactly.
     """
-    prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
-    fit, reg, jit = _scaled_objective(prep, cfg, cfg.m_scale)
-    reg += _pep_whole_terms(prep.n, cfg.alpha, cfg.m_scale)
-    return BoundBreakdown(fit + reg, fit, reg, jit)
+    return _scaled_objective(prepare(x, y, state), cfg, gradient)
 
 
 def tpep_noise(prep: PreparedBound, cfg: PepConfig, m: float) -> BlockNoise:
@@ -175,19 +181,10 @@ def tpep_uncollapsed(
     """
     prep = prepare(x, y, state)
     _check_partition(prep, cfg.partition)
-    if q.dim != state.num_inducing:
-        raise ValueError("q(u) dimension does not match the inducing set")
-    a_mean = prep.v.T @ prep.luu.half_solve(q.mean)
-    h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
-
-    kl = kl_qu(q, state)
-    rfac = BlockFactors(tpep_noise(prep, cfg, cfg.m_scale), prep.n)
-    white = rfac.half_solve(np.column_stack([prep.y - a_mean, h]))
-    fit = -0.5 * (prep.n * _LOG_2PI + rfac.logdet + float(np.sum(white * white)))
-    reg = _pep_gap_penalty(cfg.alpha, rfac.logdet, prep.n, prep.sigma2)
-    reg += _pep_whole_terms(prep.n, cfg.alpha, cfg.m_scale)
-    total = -kl + fit + reg
-    return BoundBreakdown(total, fit - kl, reg, max(prep.luu.jitter_used, rfac.jitter_used))
+    est, reg, jit = _estimate(
+        prep, q, cfg.partition.groups, "pep", 1.0, alpha=cfg.alpha, m=cfg.m_scale
+    )
+    return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
 
 def tpep_stochastic(
@@ -215,28 +212,20 @@ def tpep_qu_gradient(
 
     Same shape as the variational version but with per-block noise
     R_b = a m D_bb + sigma2 I; the single-block gradient is read off
-    block_estimate.  Returns (d_mean, d_lower), lower masked.
+    block_estimate, the full one off the same pass over all blocks.
+    Returns (d_mean, d_lower), lower masked.
     """
     if block_index is not None:
         est = block_estimate(
             x, y, state, cfg.partition, q, block_index,
             penalty="pep", alpha=cfg.alpha, m_scale=cfg.m_scale, gradient=True,
         )
-        return est.d_mean, est.d_lower
-    prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
-    at = prep.projector_t()
-    a_mean = at.T @ q.mean
-    mm = state.num_inducing
-    d_mean = -prep.luu.solve(q.mean)
-    d_s = 0.5 * (q.cov_chol.solve(np.eye(mm)) - prep.luu.solve(np.eye(mm)))
-    rfac = BlockFactors(tpep_noise(prep, cfg, cfg.m_scale), prep.n)
-    white = rfac.half_solve(np.column_stack([prep.y - a_mean, at.T]))
-    half = white[:, 1:]  # blkdiag(L_b)^-1 A, so A_b^T R_b^-1 = half_b^T L_b^-1
-    d_mean = d_mean + half.T @ white[:, 0]
-    d_s = d_s - 0.5 * (half.T @ half)
-    d_s = 0.5 * (d_s + d_s.T)
-    return d_mean, np.tril(2.0 * d_s @ q.cov_chol.lower)
+    else:
+        prep = prepare(x, y, state)
+        _check_partition(prep, cfg.partition)
+        est = _estimate(prep, q, cfg.partition.groups, "pep", 1.0,
+                        alpha=cfg.alpha, m=cfg.m_scale, gradient=True)[0]
+    return est.d_mean, est.d_lower
 
 
 def general_pep_oracle(

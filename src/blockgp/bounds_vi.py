@@ -13,19 +13,37 @@ only in how much of D the penalty keeps:
 
 Each collapsed form equals the corresponding uncollapsed evidence lower
 bound at the optimal Gaussian q(u); both routes are implemented and the
-tests hold them together.  A dense oracle over arbitrary PSD scalings C
-of the full conditional covariance backs the optimality claims.
+tests hold them together.  That identity also gives every collapsed
+bound its gradient: by the envelope theorem it is the uncollapsed
+bound's gradient with q(u) held at the optimum, which one reverse-mode
+pass over the blocks computes (the pass block_estimate runs on one
+block).  A dense oracle over arbitrary PSD scalings C of the full
+conditional covariance backs the optimality claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import kernel_diag, kernel_matrix, kernel_matrix_adjoint, kernel_stack
-from .linalg import BlockNoise, CholeskyFactor, LowRankGaussian, chol, chol_stack, stack_logdet
+from .kernels import (
+    kernel_diag,
+    kernel_matrix,
+    kernel_matrix_adjoint,
+    kernel_stack,
+    kernel_stack_adjoint,
+)
+from .linalg import (
+    BlockNoise,
+    CholeskyFactor,
+    LowRankGaussian,
+    chol,
+    chol_stack,
+    stack_inverse,
+    stack_logdet,
+)
 from .model import GaussianQU, ModelState, Partition
 
 # Dense oracles refuse anything bigger than this.
@@ -42,20 +60,24 @@ class BoundBreakdown:
     (or expected log-likelihood plus -KL for uncollapsed forms) and
     regularizer collects the gap penalties, so tightening claims can be
     checked term by term.  jitter_used is the largest diagonal jitter
-    any factorization in the evaluation needed.
+    any factorization in the evaluation needed.  gradient, when it was
+    asked for, is the gradient of total in the trained coordinates.
     """
 
     total: float
     fit_term: float
     regularizer: float
     jitter_used: float = 0.0
+    gradient: Optional["BlockEstimate"] = field(default=None, compare=False, repr=False)
 
 
 class PreparedBound:
     """Kernel and Cholesky work shared by every objective at one state.
 
-    Holds Lu (factor of Kuu), the whitened cross term V = Lu^-1 Kuf,
-    and the clamped diagonal of the conditional gap D = Kff - V^T V.
+    Holds Kuu and its factor Lu, Kuf and the whitened cross term
+    V = Lu^-1 Kuf, and the clamped diagonal of the conditional gap
+    D = Kff - V^T V (clamped marks the entries the clamp raised or that
+    came out exactly 0).
     Dense D blocks are built on demand, a whole stack of equal-size
     blocks at a time; the full N x N gap is never built by the bounds
     themselves.
@@ -73,10 +95,13 @@ class PreparedBound:
         self.x = x
         self.y = y
         self.state = state
-        self.luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
-        self.v = self.luu.half_solve(kernel_matrix(state.inducing, x, state.kernel))
+        self.kuu = kernel_matrix(state.inducing, state.inducing, state.kernel)
+        self.luu = chol(self.kuu)
+        self.kuf = kernel_matrix(state.inducing, x, state.kernel)
+        self.v = self.luu.half_solve(self.kuf)
         raw = _raw_gap_diag(kernel_diag(x, state.kernel), self.v)
         self.diag_clamp = float(max(0.0, -raw.min())) if raw.size else 0.0
+        self.clamped = raw <= 0.0
         self.gap_diag = np.maximum(raw, 0.0)
 
     @property
@@ -87,13 +112,19 @@ class PreparedBound:
     def sigma2(self) -> float:
         return self.state.noise.noise_variance
 
-    def block_gaps(self, groups: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        """Gap blocks D[idx, idx] with the clamped diagonal, stacked: one
-        (B_s, n_s, n_s) array per (B_s, n_s) stack of block indices, from
-        one kernel broadcast and one V_b^T V_b product, built as consumed."""
+    def gap_stacks(self, groups: Sequence[np.ndarray]) -> Iterator[tuple]:
+        """(ix, K_bb, D_bb) for each (B_s, n_s) stack ix of block indices:
+        the (B_s, n_s, n_s) kernel blocks and gap blocks with the clamped
+        diagonal, from one kernel broadcast and one V_b^T V_b product,
+        built as consumed."""
         for ix in groups:
             kbb = kernel_stack(self.x[ix], self.state.kernel)
-            yield _gap_block(kbb, np.moveaxis(self.v[:, ix], 0, -2), self.gap_diag[ix])
+            vb = np.moveaxis(self.v[:, ix], 0, -2)
+            yield ix, kbb, _gap_block(kbb, vb, self.gap_diag[ix])
+
+    def block_gaps(self, groups: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """The gap stacks D_bb of gap_stacks alone."""
+        return (gaps for _, _, gaps in self.gap_stacks(groups))
 
     def block_gap(self, idx: np.ndarray) -> np.ndarray:
         """Dense conditional-gap block D[idx, idx] with the clamped diagonal."""
@@ -128,37 +159,88 @@ def prepare(x: np.ndarray, y: np.ndarray, state: ModelState) -> PreparedBound:
     return PreparedBound(x, y, state)
 
 
-def exact_lml(x: np.ndarray, y: np.ndarray, state: ModelState) -> BoundBreakdown:
-    """Dense log marginal likelihood log N(y; 0, Kff + sigma2 I)."""
+def exact_lml(
+    x: np.ndarray, y: np.ndarray, state: ModelState, gradient: bool = False
+) -> BoundBreakdown:
+    """Dense log marginal likelihood log N(y; 0, Kff + sigma2 I).
+
+    With gradient, the dense form: with K = Kff + sigma2 I and
+    a = K^-1 y, d total = tr[(a a^T - K^-1) dK] / 2 (no inducing inputs).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
     if n > DENSE_CAP:
         raise ValueError(f"exact_lml is dense; refusing N={n} > {DENSE_CAP}")
     kff = kernel_matrix(x, x, state.kernel)
-    lk = chol(kff + state.noise.noise_variance * np.eye(n))
+    s2 = state.noise.noise_variance
+    lk = chol(kff + s2 * np.eye(n))
     w = lk.half_solve(y)
     total = -0.5 * (n * _LOG_2PI + lk.logdet() + float(w @ w))
-    return BoundBreakdown(total, total, 0.0, lk.jitter_used)
+    grad = None
+    if gradient:
+        a = lk.half_solve_t(w)
+        k_bar = 0.5 * (np.outer(a, a) - lk.solve(np.eye(n)))
+        d_ell, d_ls2, _, _ = kernel_matrix_adjoint(x, x, state.kernel, kff, k_bar)
+        grad = BlockEstimate(
+            value=total,
+            d_log_lengthscales=d_ell,
+            d_log_signal_variance=d_ls2,
+            d_log_noise_variance=s2 * float(np.trace(k_bar)),
+            d_inducing=np.zeros_like(state.inducing),
+        )
+    return BoundBreakdown(total, total, 0.0, lk.jitter_used, grad)
 
 
-def _collapsed(prep: PreparedBound, regularizer: float, extra_jitter: float = 0.0):
-    gauss = prep.fit_gaussian(BlockNoise(sigma2=prep.sigma2))
+def _collapsed(
+    prep: PreparedBound,
+    gauss: LowRankGaussian,
+    regularizer: Optional[float],
+    jitter: float = 0.0,
+    gradient: Optional[dict] = None,
+) -> BoundBreakdown:
+    """The collapsed bound log N(y; gauss) + regularizer.
+
+    gradient, if given, holds the _estimate arguments (groups, penalty,
+    alpha, m) of the matching uncollapsed bound; its gradient at the q(u)
+    gauss's posterior gives, over all blocks at weight 1, the collapsed
+    bound's (the envelope theorem), from this one prepare.  A regularizer
+    of None is taken, with its jitter, from that pass, which builds and
+    factors the same gap blocks.
+    """
     fit = gauss.logpdf(prep.y)
-    jit = max(gauss.jitter_used, extra_jitter)
-    return BoundBreakdown(fit + regularizer, fit, regularizer, jit)
+    jit = max(gauss.jitter_used, jitter)
+    grad = None
+    if gradient is not None:
+        mean, cov_chol = gauss.posterior(prep.y)
+        q = GaussianQU(mean=mean, cov_chol=cov_chol)
+        grad, reg, reg_jitter = _estimate(prep, q, weight=1.0, gradient=True, **gradient)
+        if regularizer is None:
+            regularizer, jit = reg, max(jit, reg_jitter)
+    return BoundBreakdown(fit + regularizer, fit, regularizer, jit, grad)
 
 
-def sgpr_collapsed(x, y, state: ModelState) -> BoundBreakdown:
+def _vi_collapsed(
+    prep: PreparedBound, partition: Optional[Partition], penalty: str, gradient: bool
+) -> BoundBreakdown:
+    """A collapsed variational bound: log N(y; 0, Q + sigma2 I) minus a gap penalty."""
+    if partition is not None:
+        _check_partition(prep, partition)
+    gauss = _plain_gaussian(prep)
+    if not gradient:
+        return _collapsed(prep, gauss, *_gap_regularizer(prep, partition, penalty))
+    groups = None if partition is None else partition.groups
+    return _collapsed(prep, gauss, None, gradient=dict(groups=groups, penalty=penalty))
+
+
+def sgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with the plain trace penalty sum_n d_nn / (2 sigma2)."""
-    prep = prepare(x, y, state)
-    return _collapsed(prep, *_gap_regularizer(prep, None, "trace"))
+    return _vi_collapsed(prepare(x, y, state), None, "trace", gradient)
 
 
-def tsgpr_collapsed(x, y, state: ModelState) -> BoundBreakdown:
+def tsgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with a per-point scale, penalty sum_n log(1 + d_nn/sigma2)/2."""
-    prep = prepare(x, y, state)
-    return _collapsed(prep, *_gap_regularizer(prep, None, "diag"))
+    return _vi_collapsed(prepare(x, y, state), None, "diag", gradient)
 
 
 def tsgpr_optimal_scales(x, y, state: ModelState) -> np.ndarray:
@@ -167,11 +249,11 @@ def tsgpr_optimal_scales(x, y, state: ModelState) -> np.ndarray:
     return prep.sigma2 / (prep.sigma2 + prep.gap_diag)
 
 
-def btsgpr_collapsed(x, y, state: ModelState, partition: Partition) -> BoundBreakdown:
+def btsgpr_collapsed(
+    x, y, state: ModelState, partition: Partition, gradient: bool = False
+) -> BoundBreakdown:
     """Collapsed bound with one scale matrix per block, log-det penalty."""
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    return _collapsed(prep, *_gap_regularizer(prep, partition, "logdet"))
+    return _vi_collapsed(prepare(x, y, state), partition, "logdet", gradient)
 
 
 def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List[np.ndarray]:
@@ -211,28 +293,32 @@ def btsgpr_parametric(
             - lm.logdet()
             - idx.size
         )
-    return _collapsed(prep, reg, jit)
+    return _collapsed(prep, _plain_gaussian(prep), reg, jit)
 
 
-def sharedblock_collapsed(x, y, state: ModelState, partition: Partition) -> BoundBreakdown:
+def _plain_gaussian(prep: PreparedBound) -> LowRankGaussian:
+    """N(0, Q + sigma2 I), the variational bounds' fit term."""
+    return prep.fit_gaussian(BlockNoise(sigma2=prep.sigma2))
+
+
+def sharedblock_collapsed(
+    x, y, state: ModelState, partition: Partition, gradient: bool = False
+) -> BoundBreakdown:
     """Collapsed bound with one scale matrix shared by all equal-size blocks."""
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    return _collapsed(prep, *_gap_regularizer(prep, partition, "shared"))
+    return _vi_collapsed(prepare(x, y, state), partition, "shared", gradient)
 
 
 def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> np.ndarray:
     """The shared optimal scale (I + mean_b D_bb / sigma2)^-1."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    lb = _shared_factor(prep, partition)
+    lb, _ = _shared_factor(prep, partition.groups)
     return lb.solve(np.eye(lb.size))
 
 
-def spherical_collapsed(x, y, state: ModelState) -> BoundBreakdown:
+def spherical_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with a single scalar scale; SharedBlock at block size 1."""
-    prep = prepare(x, y, state)
-    return _collapsed(prep, *_gap_regularizer(prep, None, "spherical"))
+    return _vi_collapsed(prepare(x, y, state), None, "spherical", gradient)
 
 
 def spherical_optimal_scale(x, y, state: ModelState) -> float:
@@ -263,7 +349,7 @@ def general_c_oracle(x, y, state: ModelState, c: np.ndarray) -> BoundBreakdown:
     lc = chol(c)
     trace = float(np.sum(ld.solve(c) * np.eye(n))) + float(np.trace(c)) / prep.sigma2
     reg = -0.5 * trace - 0.5 * (ld.logdet() - lc.logdet()) + 0.5 * n
-    return _collapsed(prep, reg, max(ld.jitter_used, lc.jitter_used))
+    return _collapsed(prep, _plain_gaussian(prep), reg, max(ld.jitter_used, lc.jitter_used))
 
 
 def general_c_optimum(x, y, state: ModelState) -> np.ndarray:
@@ -295,13 +381,13 @@ def optimal_qu(x, y, state: ModelState, noise: Optional[BlockNoise] = None) -> G
 def kl_qu(q: GaussianQU, state: ModelState) -> float:
     """KL[q(u) || N(0, Kuu)] for a Gaussian q."""
     luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
-    if luu.size != q.dim:
-        raise ValueError("q(u) dimension does not match the inducing set")
     return _kl_terms(luu, q)[0]
 
 
 def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
     """KL[q || N(0, Lu Lu^T)] with the whitened Lu^-1 L_q and Lu^-1 mean."""
+    if luu.size != q.dim:
+        raise ValueError("q(u) dimension does not match the inducing set")
     half = luu.half_solve(q.cov_chol.lower)
     a = luu.half_solve(q.mean)
     trace = float(np.sum(half * half))
@@ -327,13 +413,13 @@ def _scale_stacks(prep: PreparedBound, partition: Partition):
         yield (ix, *chol_stack(gaps + np.eye(ix.shape[1])))
 
 
-def _shared_factor(prep: PreparedBound, partition: Partition) -> CholeskyFactor:
-    """Factor of I + mean_b D_bb / sigma2 over equal-size blocks."""
-    if len(set(partition.block_sizes)) != 1:
+def _shared_factor(prep: PreparedBound, groups: Sequence[np.ndarray]):
+    """Factor of I + mean_b D_bb / sigma2 over equal-size blocks, and the mean."""
+    if len({ix.shape[1] for ix in groups}) != 1:
         raise ValueError("SharedBlock requires equal block sizes")
-    gaps = prep.block_gaps(partition.groups)
-    avg = sum(g.sum(axis=0) for g in gaps) / partition.num_blocks
-    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2)
+    total = sum(gaps.sum(axis=0) for gaps in prep.block_gaps(groups))
+    avg = total / sum(ix.shape[0] for ix in groups)
+    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg
 
 
 def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalty: str):
@@ -346,7 +432,7 @@ def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalt
     if penalty == "spherical":
         return -0.5 * prep.n * float(np.log1p(float(np.mean(prep.gap_diag)) / s2)), 0.0
     if penalty == "shared":
-        lb = _shared_factor(prep, partition)
+        lb, _ = _shared_factor(prep, partition.groups)
         return -0.5 * partition.num_blocks * lb.logdet(), lb.jitter_used
     logdet, jit = 0.0, 0.0
     for _, lower, jitter in _scale_stacks(prep, partition):
@@ -378,28 +464,22 @@ def vi_uncollapsed(
         raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    if q.dim != state.num_inducing:
-        raise ValueError("q(u) dimension does not match the inducing set")
-
-    resid = prep.y - prep.v.T @ prep.luu.half_solve(q.mean)
-    h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
-    kl = kl_qu(q, state)
-    fit_sq = float(resid @ resid) + float(np.sum(h * h))
-    fit = -0.5 * (prep.n * (_LOG_2PI + np.log(prep.sigma2)) + fit_sq / prep.sigma2)
-    reg, jit = _gap_regularizer(prep, partition, penalty)
-    total = -kl + fit + reg
-    return BoundBreakdown(total, fit - kl, reg, max(prep.luu.jitter_used, jit))
+    est, reg, jit = _estimate(prep, q, partition.groups, penalty, 1.0)
+    return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
 
 @dataclass(frozen=True)
 class BlockEstimate:
-    """A single-block estimator's value and, when asked for, its gradient.
+    """An estimator's value and, when asked for, its gradient.
 
-    The gradient is in the coordinates training moves: log lengthscales
+    Returned by block_estimate for one block, and by the collapsed
+    bounds (as BoundBreakdown.gradient) for the whole bound.  The
+    gradient is in the coordinates training moves: log lengthscales
     (D,), log signal variance, log noise variance, the inducing inputs
     (M, D), log m (zero for the variational penalties), and the q(u)
-    mean and covariance factor, d_lower masked to the lower triangle.
-    A value-only pass leaves the array fields None.
+    mean and covariance factor, d_lower masked to the lower triangle
+    (None for Exact, which has no q(u)).  A value-only pass leaves the
+    array fields None.
     """
 
     value: float
@@ -458,13 +538,16 @@ def block_estimate(
     factor of R_b as log det R_b - N_b log sigma2, and whole =
     -N/(2 alpha) log(1 + alpha (m-1)) + N/2 log m.
 
-    Only Kuu, K_ub and K_bb are built, so a call costs
-    O(N_b M^2 + M^3 + N_b^3) whatever N is.  With gradient, adjoints run
-    back through the same factors (reverse mode, Murray 2016): from the
-    terms into R_b or I + D_bb/sigma2, into D_bb = K_bb - K_bu Kuu^-1 K_ub,
-    through Kuu^-1 into the KL term, and through the kernel into its
-    parameters and the inducing inputs.  A clamped entry on D's diagonal
-    gets adjoint 0; jitter a factor needed is held constant.
+    Only Kuu, K_ub and K_bb are built (a PreparedBound on the block's
+    points alone), so a call costs O(N_b M^2 + M^3 + N_b^3) whatever N
+    is.  It is the one-block, weight-B case of the pass (_estimate) that
+    also gives the collapsed bounds their gradients.  With gradient,
+    adjoints run back through the same factors (reverse mode, Murray
+    2016): from the terms into R_b or I + D_bb/sigma2, into
+    D_bb = K_bb - K_bu Kuu^-1 K_ub, through Kuu^-1 into the KL term, and
+    through the kernel into its parameters and the inducing inputs.  A
+    clamped entry on D's diagonal gets adjoint 0; jitter a factor needed
+    is held constant.
     """
     if penalty not in _BLOCK_PENALTIES:
         raise ValueError(f"penalty must be one of {_BLOCK_PENALTIES}, got {penalty!r}")
@@ -478,137 +561,186 @@ def block_estimate(
         raise ValueError(f"x of shape {x.shape} does not match {n} targets")
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} points but data has {n}")
-    if q.dim != state.num_inducing:
-        raise ValueError("q(u) dimension does not match the inducing set")
     idx = partition.blocks[block_index]
-    nb = idx.size
-    bw = float(partition.num_blocks)
-    kern = state.kernel
-    z = state.inducing
-    xb = x[idx]
-    s2 = state.noise.noise_variance
+    prep = PreparedBound(x[idx], y[idx], state)
+    return _estimate(
+        prep, q, [np.arange(idx.size)[None]], penalty, float(partition.num_blocks),
+        alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
+    )[0]
 
-    kuu = kernel_matrix(z, z, kern)
-    luu = chol(kuu)
-    kub = kernel_matrix(z, xb, kern)
-    vb = luu.half_solve(kub)
-    raw = _raw_gap_diag(kernel_diag(xb, kern), vb)
-    gap = np.maximum(raw, 0.0)
-    full_gap = pep or penalty == "logdet"
-    if full_gap:
-        kbb = kernel_matrix(xb, xb, kern)
-        dmat = _gap_block(kbb, vb, gap)
 
-    lq = q.cov_chol.lower
-    kl, half, w_mean = _kl_terms(luu, q)
-    resid = y[idx] - vb.T @ w_mean
-    h = vb.T @ half  # A_b L_q, A_b = K_bu Kuu^-1
-    whole = 0.0
+def _estimate(
+    prep: PreparedBound,
+    q: GaussianQU,
+    groups: Optional[Sequence[np.ndarray]],
+    penalty: str,
+    weight: float,
+    alpha: Optional[float] = None,
+    m: float = 1.0,
+    n_total: Optional[int] = None,
+    gradient: bool = False,
+) -> Tuple[BlockEstimate, float, float]:
+    """-KL[q || p] + weight * sum_b (E_b - penalty_b) + whole, over prep's points.
+
+    The blocks are those of the (B_s, n_s) index stacks groups, into
+    prep's points, which they cover; the diagonal penalties ("trace",
+    "diag", "spherical") need none.  E_b, penalty_b and whole are
+    block_estimate's, whole counting n_total points (default prep's),
+    plus "shared" (one log det(I + mean_b D_bb / sigma2) / 2 for each
+    block) and "spherical" (N log(1 + mean_n d_nn / sigma2) / 2), which
+    couple every block.  Blocks are built and factored a stack at a
+    time; their adjoints reach K_bb by one stacked kernel adjoint a
+    stack, and Kuf and Kuu by one kernel_matrix_adjoint each.  Returns
+    the estimate, its regularizer whole - weight * sum_b penalty_b and
+    the largest jitter a gap factor needed.
+    """
+    s2 = prep.sigma2
+    n = prep.n
+    n_total = n if n_total is None else n_total
+    w = float(weight)
+    pep = penalty == "pep"
+    kern = prep.state.kernel
+    c = (1.0 - alpha) / (2.0 * alpha) if pep else 0.0
+    kl, half, w_mean = _kl_terms(prep.luu, q)
+    resid = prep.y - prep.v.T @ w_mean
+    h = prep.v.T @ half  # A L_q, A = Kfu Kuu^-1
+    # Adjoints: of sigma2, of m, of D's diagonal (dd), and A^T Q_bar with
+    # Q_bar the adjoint of Q = Kfu Kuu^-1 Kuf, which D = Kff - Q passes on.
+    g_s2, g_m, pen, jit = 0.0, 0.0, 0.0, 0.0
+    dd = np.zeros(n)
+    # rho = R^-1 r and g = R^-1 A L_q with the noise R, blkdiag(R_b) or
+    # sigma2 I; g overwrites h, a block at a time, to hold one N x M array.
+    g = h
     if pep:
-        a, m = alpha, m_scale
-        c = (1.0 - a) / (2.0 * a)
-        lr = chol(a * m * dmat + s2 * np.eye(nb))
-        logdet_r = lr.logdet()
-        white_r = lr.half_solve(resid)
-        white_h = lr.half_solve(h)
-        e_b = -0.5 * (
-            nb * _LOG_2PI
-            + logdet_r
-            + float(white_r @ white_r)
-            + float(np.sum(white_h * white_h))
-        )
-        pen = -_pep_gap_penalty(a, logdet_r, nb, s2)
-        whole = _pep_whole_terms(n, a, m)
+        rho = np.empty(n)
+        e = -0.5 * n * _LOG_2PI
     else:
-        fit_sq = float(resid @ resid) + float(np.sum(h * h))
-        e_b = -0.5 * (nb * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
-        if penalty == "trace":
-            pen = 0.5 * float(np.sum(gap)) / s2
-        elif penalty == "diag":
-            pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
-        else:
-            lc = chol(np.eye(nb) + dmat / s2)
-            pen = 0.5 * lc.logdet()
-    value = -kl + bw * (e_b - pen) + whole
-    if not gradient:
-        return BlockEstimate(value=value)
+        fit_sq = float(resid @ resid) + float(np.vdot(h, h))
+        e = -0.5 * (n * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
+        g_s2 = 0.5 * w * (fit_sq / s2 - n) / s2
+        rho = resid / s2
+        g /= s2
+    if gradient:
+        at = prep.projector_t()
+        at_q = np.zeros(at.shape)
+        kbb_ell, kbb_s2 = np.zeros(kern.input_dim), 0.0
 
-    # KL term: adjoints of Kuu, the q(u) mean and its factor.
-    at = luu.half_solve_t(vb)  # A_b^T = Kuu^-1 K_ub
-    p_mean = luu.half_solve_t(w_mean)
-    p_lq = luu.half_solve_t(half)
-    g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
-    d_mean = -p_mean
-    d_lower = np.diag(1.0 / np.diag(lq)) - p_lq
-    # Data term: adjoints of A_b (a_bar_t = A_b_bar^T), sigma2, m and D_bb
-    # (d_bar, or its diagonal dd for the diagonal penalties).
-    g_m = 0.0
-    d_bar = None
-    if pep:
-        rho = lr.half_solve_t(white_r)  # R_b^-1 r
-        g = lr.half_solve_t(white_h)  # R_b^-1 A_b L_q
-        r_bar = bw * (0.5 * (np.outer(rho, rho) + g @ g.T) - (0.5 + c) * lr.solve(np.eye(nb)))
-        d_bar = (a * m) * r_bar
-        g_s2 = float(np.trace(r_bar)) + bw * c * nb / s2
-        g_m = a * float(np.sum(r_bar * dmat)) + 0.5 * n * (
-            1.0 / m - 1.0 / (1.0 + a * (m - 1.0))
-        )
-        a_bar_t = bw * (np.outer(q.mean, rho) - lq @ g.T)
-        d_mean += bw * (at @ rho)
-        d_lower -= bw * (at @ g)
-    else:
-        g_s2 = 0.5 * bw * (fit_sq / s2 - nb) / s2
-        a_bar_t = (bw / s2) * (np.outer(q.mean, resid) - lq @ h.T)
-        d_mean += (bw / s2) * (at @ resid)
-        d_lower -= (bw / s2) * (at @ h)
-        if penalty == "trace":
-            dd = np.full(nb, -0.5 * bw / s2)
-            g_s2 += 0.5 * bw * float(np.sum(gap)) / s2**2
-        elif penalty == "diag":
-            dd = -0.5 * bw / (s2 + gap)
-            g_s2 += 0.5 * bw * float(np.sum(gap / (s2 * (s2 + gap))))
-        else:
-            cinv = lc.solve(np.eye(nb))
-            d_bar = (-0.5 * bw / s2) * cinv
-            g_s2 += 0.5 * bw * float(np.sum(cinv * dmat)) / s2**2
-    if d_bar is not None:
-        dd = np.diag(d_bar).copy()
-    dd[raw <= 0.0] = 0.0
-
-    # D_bb is K_bb - Q_bb off the diagonal and s2 - diag(Q_bb) on it, so
-    # Q_bb = K_bu Kuu^-1 K_ub gets -D_bar (diagonal masked by the clamp);
-    # Q_bb and A_b = K_bu Kuu^-1 then pass their adjoints to K_ub and Kuu.
-    if d_bar is None:
-        at_q = at * -dd
-    else:
+    def pull(ix, kbb, d_bar):
+        """Pass a stack's gap adjoints d_bar on to dd, A^T Q_bar and K_bb."""
+        nonlocal kbb_ell, kbb_s2
+        diag = np.arange(ix.shape[1])
+        dd[ix] = d_bar[:, diag, diag] * ~prep.clamped[ix]
         q_bar = -d_bar
-        np.fill_diagonal(q_bar, -dd)
-        at_q = at @ q_bar
-    y_bar = luu.solve(a_bar_t)
-    g_ub = 2.0 * at_q + y_bar
-    g_uu -= at_q @ at.T + at @ y_bar.T
-    g_uu = 0.5 * (g_uu + g_uu.T)
+        q_bar[:, diag, diag] = -dd[ix]
+        at_q[:, ix] = np.moveaxis(np.moveaxis(at[:, ix], 0, -2) @ q_bar, -2, 0)
+        d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
+        e_ell, e_s2 = kernel_stack_adjoint(prep.x[ix], kern, kbb, d_bar)
+        kbb_ell, kbb_s2 = kbb_ell + e_ell, kbb_s2 + e_s2
 
-    d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, kuu, g_uu)
-    e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, xb, kern, kub, g_ub)
-    d_ell = d_ell + e_ell
-    d_ls2 += e_ls2 + kern.signal_variance * float(np.sum(dd))
-    if d_bar is not None:
-        g_bb = d_bar.copy()
-        np.fill_diagonal(g_bb, 0.0)
-        f_ell, f_ls2, _, _ = kernel_matrix_adjoint(xb, xb, kern, kbb, g_bb)
-        d_ell = d_ell + f_ell
-        d_ls2 += f_ls2
-    return BlockEstimate(
+    gap = prep.gap_diag
+    if penalty == "trace":
+        pen = 0.5 * float(np.sum(gap)) / s2
+        dd[:] = -0.5 * w / s2
+        g_s2 += 0.5 * w * float(np.sum(gap)) / s2**2
+    elif penalty == "diag":
+        pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
+        dd[:] = -0.5 * w / (s2 + gap)
+        g_s2 += 0.5 * w * float(np.sum(gap / (s2 * (s2 + gap))))
+    elif penalty == "spherical":
+        mean_gap = float(np.mean(gap))
+        pen = 0.5 * n * float(np.log1p(mean_gap / s2))
+        dd[:] = -0.5 * w / (s2 + mean_gap)
+        g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
+    elif penalty == "shared":
+        lb, avg = _shared_factor(prep, groups)
+        num_blocks = sum(ix.shape[0] for ix in groups)
+        pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
+        if gradient:
+            cinv = lb.solve(np.eye(lb.size))
+            g_s2 += 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
+            for ix in groups:
+                d_bar = np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0)
+                pull(ix, kernel_stack(prep.x[ix], kern), d_bar)
+    else:  # "logdet" and "pep": one factor per block, a stack at a time
+        for ix, kbb, gaps in prep.gap_stacks(groups):
+            eye = np.eye(ix.shape[1])
+            if pep:
+                lower, jitter = chol_stack((alpha * m) * gaps + s2 * eye)
+                logdet_r = stack_logdet(lower)
+                rinv = stack_inverse(lower)
+                rho_s = (rinv @ resid[ix][..., None])[..., 0]
+                g_s = rinv @ h[ix]
+                e -= 0.5 * (
+                    logdet_r + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s))
+                )
+                rho[ix], g[ix] = rho_s, g_s
+                pen += c * (logdet_r - ix.size * np.log(s2))
+                jit = max(jit, float(jitter.max()))
+                if not gradient:
+                    continue
+                outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
+                r_bar = w * (0.5 * outer - (0.5 + c) * rinv)
+                g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum())
+                g_s2 += w * c * ix.size / s2
+                g_m += alpha * float(np.sum(r_bar * gaps))
+                pull(ix, kbb, (alpha * m) * r_bar)
+            else:
+                lower, jitter = chol_stack(gaps / s2 + eye)
+                pen += 0.5 * stack_logdet(lower)
+                jit = max(jit, float(jitter.max()))
+                if not gradient:
+                    continue
+                cinv = stack_inverse(lower)
+                g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
+                pull(ix, kbb, (-0.5 * w / s2) * cinv)
+    whole = _pep_whole_terms(n_total, alpha, m) if pep else 0.0
+    value = -kl + w * (e - pen) + whole
+    reg = whole - w * pen
+    if not gradient:
+        return BlockEstimate(value=value), reg, jit
+
+    if penalty in ("trace", "diag", "spherical"):
+        dd[prep.clamped] = 0.0
+        np.multiply(at, -dd, out=at_q)
+    # KL term: adjoints of Kuu, the q(u) mean and its factor; the data
+    # term adds those of A^T, w (q.mean rho^T - L_q g^T), and of the
+    # q(u) mean and factor.
+    luu, lq = prep.luu, q.cov_chol.lower
+    p_mean = luu.half_solve_t(w_mean)  # Kuu^-1 q.mean
+    p_lq = luu.half_solve_t(half)  # Kuu^-1 L_q
+    g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
+    at_rho, at_g = at @ rho, at @ g
+    d_mean = w * at_rho - p_mean
+    d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
+    # Q and A = Kfu Kuu^-1 pass their adjoints on to Kuu and Kuf.  Kuf's,
+    # 2 A^T Q_bar + Kuu^-1 A_bar^T, is built in A^T Q_bar's array, and the
+    # other M x N arrays are freed as soon as they are spent.
+    g_uu -= at_q @ at.T + w * (np.outer(at_rho, p_mean) - at_g @ p_lq.T)
+    g_uu = 0.5 * (g_uu + g_uu.T)
+    del at
+    g_uf = at_q
+    g_uf *= 2.0
+    g_uf += (w * p_mean)[:, None] * rho
+    g_uf -= (w * p_lq) @ g.T
+    del g, h
+    z = prep.state.inducing
+    d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
+    e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, prep.x, kern, prep.kuf, g_uf)
+    if pep:
+        g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
+    # K's diagonal, the signal variance, is D's diagonal's other part
+    d_ls2 += e_ls2 + kbb_s2 + kern.signal_variance * float(np.sum(dd))
+    est = BlockEstimate(
         value=value,
-        d_log_lengthscales=d_ell,
+        d_log_lengthscales=d_ell + e_ell + kbb_ell,
         d_log_signal_variance=d_ls2,
         d_log_noise_variance=s2 * g_s2,
         d_inducing=d_z1 + d_z2 + e_z,
-        d_log_m_scale=m_scale * g_m,
+        d_log_m_scale=m * g_m,
         d_mean=d_mean,
         d_lower=np.tril(d_lower),
     )
+    return est, reg, jit
 
 
 def vi_stochastic(
@@ -644,23 +776,17 @@ def uncollapsed_qu_gradient(
 
     With block_index the gradient is of the single-block estimator
     (KL part exact, data part upweighted by B), read off block_estimate;
-    otherwise of the full bound.  The gap penalties do not touch q, so
-    the penalty choice does not matter here.  Returns (d_mean, d_lower)
-    with d_lower already masked to the lower triangle.
+    otherwise of the full bound, read off the same pass over all points.
+    The gap penalties do not touch q, so the penalty choice does not
+    matter here.  Returns (d_mean, d_lower) with d_lower already masked
+    to the lower triangle.
     """
     if block_index is not None:
         est = block_estimate(
             x, y, state, partition, q, block_index, penalty="trace", gradient=True
         )
-        return est.d_mean, est.d_lower
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    s2 = prep.sigma2
-    at = prep.projector_t()  # A^T, shape (M, N)
-    resid = prep.y - at.T @ q.mean
-    m = state.num_inducing
-    d_mean = at @ resid / s2 - prep.luu.solve(q.mean)
-    d_s = 0.5 * (q.cov_chol.solve(np.eye(m)) - prep.luu.solve(np.eye(m)))
-    d_s = d_s - 0.5 * (at @ at.T) / s2
-    d_s = 0.5 * (d_s + d_s.T)
-    return d_mean, np.tril(2.0 * d_s @ q.cov_chol.lower)
+    else:
+        prep = prepare(x, y, state)
+        _check_partition(prep, partition)
+        est = _estimate(prep, q, None, "trace", 1.0, gradient=True)[0]
+    return est.d_mean, est.d_lower

@@ -506,6 +506,9 @@ def _report_payload(
     }
     if run.uncollapsed is not None:
         report["objective_uncollapsed"] = run.uncollapsed
+    if run.trace.function_evals is not None:
+        # a count, not scipy's message, so reruns stay byte-identical
+        report["lbfgs_function_evals"] = run.trace.function_evals
     return report
 
 
@@ -568,6 +571,11 @@ def cmd_fit(args) -> int:
         f"{method}: objective {run.objective:.6f} after {len(run.trace)} steps, "
         f"rmse {m['rmse']:.6f}, mean_ll {m['mean_ll']:.6f} ({eval_on})"
     )
+    if run.trace.stop_message is not None:
+        print(
+            f"L-BFGS-B stopped: {run.trace.stop_message} ({len(run.trace)} iterations, "
+            f"{run.trace.function_evals} value-and-gradient evaluations)"
+        )
     print(f"wrote {out / 'model.json'}, {out / 'trace.csv'}, {out / 'report.json'}")
     return 0
 

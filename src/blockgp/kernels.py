@@ -130,6 +130,25 @@ def kernel_matrix_adjoint(
     return d_ell, float(w.sum()), d_x1, d_x2
 
 
+def kernel_stack_adjoint(
+    xs: np.ndarray, params: KernelParams, k: np.ndarray, k_bar: np.ndarray
+):
+    """Pull the adjoint k_bar of K = kernel_stack(xs, params) back.
+
+    The stacked form of kernel_matrix_adjoint for a (B, n, D) stack whose
+    points are data, not parameters: returns (d_log_lengthscales,
+    d_log_signal_variance) summed over the stack.  k_bar must be
+    symmetric in its last two axes.
+    """
+    xs = np.asarray(xs, dtype=float)
+    w = k_bar * k
+    rows = w.sum(axis=-1)
+    d_ell = 2.0 * (
+        np.einsum("bi,bid->d", rows, xs * xs) - np.einsum("bid,bid->d", xs, w @ xs)
+    )
+    return d_ell * params.lengthscales ** -2.0, float(w.sum())
+
+
 def kernel_diag(x: np.ndarray, params: KernelParams) -> np.ndarray:
     """diag k(x, x), which is constant s2 for this kernel."""
     x = _check_inputs(x, params, "x")

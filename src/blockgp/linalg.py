@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 # Jitter ladder: relative to the mean diagonal, multiplied by
 # JITTER_GROWTH on each failed attempt until JITTER_CAP.
@@ -114,6 +114,29 @@ def chol_stack(a: np.ndarray):
 def stack_logdet(lower: np.ndarray) -> float:
     """sum_b log det(L_b L_b^T) over a (B, n, n) stack of lower factors."""
     return 2.0 * float(np.sum(np.log(np.diagonal(lower, 0, 1, 2))))
+
+
+# Blocks up to this size are inverted in one batched call; larger ones go
+# one at a time through LAPACK's potri.  With one BLAS thread on a 2-core
+# Xeon, stacks of 2^16 entries: batched 0.44, 4.3, 16.2 and 27 us a block
+# at 4, 16, 32 and 40 points, potri 8.8, 10.7, 16.6 and 21 us; the two
+# meet at 32 points, and potri is 2.4 times faster at 200.
+BATCHED_INVERSE_MAX = 32
+
+
+def stack_inverse(lower: np.ndarray) -> np.ndarray:
+    """(L_b L_b^T)^-1 for a (B, n, n) stack of lower factors, symmetric."""
+    if lower.shape[-1] <= BATCHED_INVERSE_MAX:
+        inv_l = np.linalg.inv(lower)
+        return np.swapaxes(inv_l, -1, -2) @ inv_l
+    out = np.empty(lower.shape)
+    for b, low in enumerate(lower):
+        inv, info = lapack.dpotri(low, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potri failed on block {b} (info {info})")
+        inv = np.tril(inv)
+        out[b] = inv + np.tril(inv, -1).T
+    return out
 
 
 @dataclass(frozen=True)

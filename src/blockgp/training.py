@@ -1,5 +1,5 @@
-"""Fitting: finite-difference gradients, Adam and L-BFGS drivers, and the
-full-batch / block-cycling training loops.
+"""Fitting: gradients, Adam and L-BFGS drivers, and the full-batch /
+block-cycling training loops.
 
 Two entry points.  fit_collapsed moves hyperparameters (and the scalar
 gap scale, when the state carries one) on a collapsed objective.
@@ -8,14 +8,18 @@ taking one gradient step per block while cycling blocks in a seeded
 shuffled order each epoch; with a single block it degenerates to
 full-batch training of the uncollapsed bound.
 
-Gradients.  fit_collapsed always uses central finite differences in
-every coordinate (2P + 1 evaluations of the whole objective a step,
-P = D + 2 + M D, plus one for log m).  fit_stochastic with
-gradient_mode "analytic" takes every coordinate (hyperparameters,
-inducing inputs, log m, and q(u)) from one block_estimate call a step,
-reverse-mode adjoints through the block's own factors; "fd" differences
-the same single-block value instead and stays the oracle the analytic
-gradients are tested against.
+Gradients.  fit_collapsed takes the value and the gradient in every
+coordinate (hyperparameters, inducing inputs, and log m when the state
+carries it) from one evaluate_bound call, which prepares the state once:
+by the envelope theorem a collapsed bound's gradient is its uncollapsed
+bound's at the optimal q(u), one reverse-mode pass over the blocks
+(Exact has its dense closed form).  fit_stochastic with gradient_mode
+"analytic" takes every coordinate (hyperparameters, inducing inputs,
+log m, and q(u)) from one block_estimate call a step, reverse-mode
+adjoints through the block's own factors; "fd" differences the same
+single-block value instead.  Central differences
+(finite_difference_gradient) stay the oracle every analytic gradient is
+tested against.
 """
 
 from __future__ import annotations
@@ -81,9 +85,10 @@ class TrainConfig:
     "adam"; epochs counts L-BFGS iterations, full-batch Adam steps, or
     full block cycles for stochastic runs.  gradient_mode "analytic"
     gives stochastic runs closed-form gradients in every coordinate
-    (hyperparameters, inducing inputs, log m and q(u)); collapsed runs
-    ignore it.  Central differences, wherever they are used, take the
-    per-coordinate step fd_step * max(1, |theta_i|).
+    (hyperparameters, inducing inputs, log m and q(u)), "fd" central
+    differences; collapsed runs ignore it, their gradients are always
+    analytic.  Central differences take the per-coordinate step
+    fd_step * max(1, |theta_i|).
     """
 
     objective: BoundSpec
@@ -118,7 +123,10 @@ class TrainTrace:
 
     One row per optimizer step actually taken (L-BFGS iteration, Adam
     step, or per-block stochastic step).  wall_time holds seconds spent
-    on each step.  m_scale is 1 for states without the gap scale.
+    on each step.  m_scale is 1 for states without the gap scale.  An
+    L-BFGS run also keeps scipy's stop message and its count of
+    objective evaluations (each one value and one gradient); other runs
+    leave them None.
     """
 
     objective: np.ndarray  # (S,)
@@ -127,6 +135,8 @@ class TrainTrace:
     lengthscales: np.ndarray  # (S, D)
     m_scale: np.ndarray  # (S,)
     wall_time: np.ndarray  # (S,)
+    stop_message: Optional[str] = None
+    function_evals: Optional[int] = None
 
     def __len__(self) -> int:
         return self.objective.shape[0]
@@ -156,7 +166,7 @@ class _TraceBuilder:
         )
         self._last = now
 
-    def build(self) -> TrainTrace:
+    def build(self, stop_message=None, function_evals=None) -> TrainTrace:
         if self.rows:
             obj, s2, kv, ell, m, wt = zip(*self.rows)
             ell_arr = np.vstack(ell)
@@ -170,6 +180,8 @@ class _TraceBuilder:
             lengthscales=ell_arr,
             m_scale=np.array(m, dtype=float),
             wall_time=np.array(wt, dtype=float),
+            stop_message=stop_message,
+            function_evals=function_evals,
         )
 
 
@@ -267,8 +279,10 @@ class ParameterPack:
         lower[diag, diag] = np.exp(lower[diag, diag])
         return GaussianQU(mean=mean, cov_chol=CholeskyFactor(lower=lower, jitter_used=0.0))
 
-    def pack_estimate_gradient(self, q: GaussianQU, est: BlockEstimate) -> np.ndarray:
-        """Flatten a block_estimate gradient in this pack's layout."""
+    def pack_estimate_gradient(
+        self, q: Optional[GaussianQU], est: BlockEstimate
+    ) -> np.ndarray:
+        """Flatten a BlockEstimate gradient in this pack's layout (q only with_q)."""
         parts = [
             est.d_log_lengthscales,
             [est.d_log_signal_variance, est.d_log_noise_variance],
@@ -314,32 +328,35 @@ def evaluate_bound(
     state: ModelState,
     spec: BoundSpec,
     partition: Optional[Partition] = None,
+    gradient: bool = False,
 ) -> BoundBreakdown:
     """Collapsed objective value for a BoundSpec at one model state.
 
-    The oracle methods are rejected here: they take explicit scale
-    matrices and exist to check the others, not to be trained.
+    With gradient, the breakdown's gradient field holds its gradient in
+    every trained coordinate, from the same prepared state.  The oracle
+    methods are rejected here: they take explicit scale matrices and
+    exist to check the others, not to be trained.
     """
     method = spec.method
     if method in ORACLE_METHODS:
         raise ValueError(f"{method} takes explicit scale matrices; call it directly")
     if method == "Exact":
-        return exact_lml(x, y, state)
+        return exact_lml(x, y, state, gradient)
     if method == "SGPR":
-        return sgpr_collapsed(x, y, state)
+        return sgpr_collapsed(x, y, state, gradient)
     if method == "T-SGPR":
-        return tsgpr_collapsed(x, y, state)
+        return tsgpr_collapsed(x, y, state, gradient)
     if method == "Spherical":
-        return spherical_collapsed(x, y, state)
+        return spherical_collapsed(x, y, state, gradient)
     part = _resolve_partition(np.asarray(y).reshape(-1).shape[0], spec, partition)
     if method == "BT-SGPR":
-        return btsgpr_collapsed(x, y, state, part)
+        return btsgpr_collapsed(x, y, state, part, gradient)
     if method == "SharedBlock":
-        return sharedblock_collapsed(x, y, state, part)
+        return sharedblock_collapsed(x, y, state, part, gradient)
     cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
     if method == "PEP":
-        return pep_collapsed(x, y, state, cfg)
-    return tpep_collapsed(x, y, state, cfg)
+        return pep_collapsed(x, y, state, cfg, gradient)
+    return tpep_collapsed(x, y, state, cfg, gradient)
 
 
 # What an objective raises where it cannot be evaluated: a factorization that
@@ -356,6 +373,20 @@ def _eval(fun: Callable[[np.ndarray], float], theta: np.ndarray) -> float:
     if not np.isfinite(value):
         raise EvaluationFailed(f"objective evaluated to {value}")
     return value
+
+
+def _eval_with_gradient(fun, theta: np.ndarray) -> Tuple[float, np.ndarray]:
+    """_eval for a function returning (value, gradient); both must be finite."""
+    try:
+        value, grad = fun(theta)
+        value, grad = float(value), np.asarray(grad, dtype=float)
+    except _EVALUATION_ERRORS as exc:
+        raise EvaluationFailed(str(exc)) from exc
+    if not np.isfinite(value):
+        raise EvaluationFailed(f"objective evaluated to {value}")
+    if not np.all(np.isfinite(grad)):
+        raise EvaluationFailed("gradient has non-finite entries")
+    return value, grad
 
 
 def _central(fun, theta: np.ndarray, i: int, h: float) -> float:
@@ -392,17 +423,24 @@ def maximize_lbfgs(
     max_iter: int = 1000,
     gtol: float = 1e-6,
     on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
-) -> Tuple[np.ndarray, int]:
-    """Maximize fun by L-BFGS-B with finite-difference gradients.
+    jac: bool = False,
+) -> optimize.OptimizeResult:
+    """Maximize fun by L-BFGS-B.
 
-    Points where the objective cannot be evaluated are reported to the
-    line search as a huge value (and a zero gradient), so it backs off
-    instead of crashing.  A zero gradient also reads as convergence, so
-    if L-BFGS-B stops at a point where the objective or its gradient
-    failed, EvaluationFailed is raised with scipy's stop message rather
-    than that point returned.  on_step sees each accepted iterate and
-    the objective value the line search already computed there (None if
-    it has none).  Returns the final parameters and the iteration count.
+    With jac, fun returns (value, gradient) and each point L-BFGS-B
+    asks for costs one call; without, fun returns the value alone and
+    the gradient is central differences (finite_difference_gradient,
+    2P more calls a point).  Points where the objective cannot be
+    evaluated are reported to the line search as a huge value (and a
+    zero gradient), so it backs off instead of crashing.  A zero
+    gradient also reads as convergence, so if L-BFGS-B stops at a point
+    where the objective or its gradient failed, EvaluationFailed is
+    raised with scipy's stop message rather than that point returned.
+    on_step sees each accepted iterate and the objective value the line
+    search already computed there (None if it has none).  Returns
+    scipy's result for the minimized negation: the final parameters x,
+    the iteration count nit, the evaluation count nfev and the stop
+    message.
     """
     failed = set()
     last = [None, None]  # the most recently evaluated point and its value
@@ -410,11 +448,15 @@ def maximize_lbfgs(
     def neg(theta):
         key = np.asarray(theta, dtype=float).tobytes()
         try:
-            last[:] = key, _eval(fun, theta)
+            if jac:
+                value, grad = _eval_with_gradient(fun, theta)
+            else:
+                value = _eval(fun, theta)
         except EvaluationFailed:
             failed.add(key)
-            return _INFEASIBLE
-        return -last[1]
+            return (_INFEASIBLE, np.zeros(np.shape(theta))) if jac else _INFEASIBLE
+        last[:] = key, value
+        return (-value, -grad) if jac else -value
 
     def callback(theta):
         theta = np.asarray(theta, dtype=float)
@@ -430,18 +472,18 @@ def maximize_lbfgs(
     result = optimize.minimize(
         neg,
         np.asarray(theta0, dtype=float),
-        jac=neg_grad,
+        jac=True if jac else neg_grad,
         method="L-BFGS-B",
         callback=None if on_step is None else callback,
         options={"maxiter": max_iter, "gtol": gtol},
     )
-    theta = np.asarray(result.x, dtype=float)
-    if theta.tobytes() in failed:
+    result.x = np.asarray(result.x, dtype=float)
+    if result.x.tobytes() in failed:
         raise EvaluationFailed(
             f"L-BFGS-B stopped after {result.nit} iterations ({result.message}) at a "
             "point where the objective or its gradient cannot be evaluated"
         )
-    return theta, int(result.nit)
+    return result
 
 
 class _AdamState:
@@ -504,9 +546,11 @@ def fit_collapsed(
     """Full-batch training of a collapsed objective.
 
     Moves kernel parameters, noise, inducing inputs, and the gap scale
-    m when the state carries one.  Gradients are central differences
-    regardless of cfg.gradient_mode (the collapsed objectives have no
-    analytic gradients).  The trace records each accepted step; a
+    m when the state carries one.  Each point the optimizer asks for
+    costs one evaluate_bound call, which returns the value and its
+    analytic gradient from one prepared state, whatever
+    cfg.gradient_mode says.  The trace records each accepted step (an
+    L-BFGS trace also scipy's stop message and evaluation count); a
     non-finite objective at an accepted step raises Diverged, and an
     L-BFGS run that stops where the objective or its gradient cannot
     be evaluated raises EvaluationFailed.
@@ -524,6 +568,13 @@ def fit_collapsed(
     def objective(theta):
         return evaluate_bound(x, y, pack.unpack_state(theta), spec, part).total
 
+    def value_and_gradient(theta):
+        out = evaluate_bound(x, y, pack.unpack_state(theta), spec, part, gradient=True)
+        return out.total, pack.pack_estimate_gradient(None, out.gradient)
+
+    def gradient(theta):
+        return _eval_with_gradient(value_and_gradient, theta)[1]
+
     theta0 = pack.pack(state)
     builder = _TraceBuilder(state.kernel.input_dim)
 
@@ -534,22 +585,19 @@ def fit_collapsed(
         builder.append(float(value), pack.unpack_state(theta))
 
     if cfg.optimizer == "lbfgs":
-        theta, _ = maximize_lbfgs(
-            objective,
-            theta0,
-            fd_step=cfg.fd_step,
-            max_iter=cfg.epochs,
-            on_step=on_step,
+        result = maximize_lbfgs(
+            value_and_gradient, theta0, max_iter=cfg.epochs, on_step=on_step, jac=True
         )
-    else:
-        theta = maximize_adam(
-            objective,
-            theta0,
-            steps=cfg.epochs,
-            learning_rate=cfg.learning_rate,
-            fd_step=cfg.fd_step,
-            on_step=on_step,
-        )
+        trace = builder.build(str(result.message), int(result.nfev))
+        return pack.unpack_state(result.x), trace
+    theta = maximize_adam(
+        objective,
+        theta0,
+        steps=cfg.epochs,
+        learning_rate=cfg.learning_rate,
+        grad_fn=gradient,
+        on_step=on_step,
+    )
     return pack.unpack_state(theta), builder.build()
 
 

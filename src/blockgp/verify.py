@@ -61,7 +61,12 @@ from .model import (
     make_partition,
     singleton_partition,
 )
-from .training import ParameterPack, finite_difference_gradient, stochastic_estimate
+from .training import (
+    ParameterPack,
+    evaluate_bound,
+    finite_difference_gradient,
+    stochastic_estimate,
+)
 
 # Tolerances, one name per claim.
 ORDERING_SLACK = 1e-9
@@ -545,8 +550,9 @@ def check_general_scale_optimality(ctx: CheckContext) -> str:
 
 def check_gradient_checks(ctx: CheckContext) -> str:
     """Closed-form q(u) gradients match central differences on every
-    uncollapsed objective family, and the single-block estimators of
-    every stochastic method match them in all trained coordinates."""
+    uncollapsed objective family, the single-block estimators of every
+    stochastic method match them in all trained coordinates, and so do
+    the gradients of every collapsed objective fit_collapsed trains."""
     rng = np.random.default_rng((ctx.seed, 7))
     count = ctx.count(3, 20)
     vi_families = ("trace", "diag", "logdet", "shared", "spherical")
@@ -623,9 +629,38 @@ def check_gradient_checks(ctx: CheckContext) -> str:
             fd = finite_difference_gradient(value, spack.pack(st, q))
             est = stochastic_estimate(x, y, st, part, q, b, spec, gradient=True)
             compare(f"{spec.method} single-block", spack.pack_estimate_gradient(q, est), fd, k)
+
+        # collapsed objectives (log m for T-PEP): the envelope gradient
+        # (the dense form for Exact) against differences of the value
+        for spec in _collapsed_specs(part.num_blocks):
+            st = state.with_(log_m_scale=np.log(1.3)) if spec.method == "T-PEP" else state
+            spart = part if spec.uses_partition else None
+            cpack = ParameterPack.for_state(st)
+
+            def bound(t, spec=spec, spart=spart, cpack=cpack):
+                return evaluate_bound(x, y, cpack.unpack_state(t), spec, spart).total
+
+            fd = finite_difference_gradient(bound, cpack.pack(st))
+            grad = evaluate_bound(x, y, st, spec, spart, gradient=True).gradient
+            analytic = cpack.pack_estimate_gradient(None, grad)
+            compare(f"{spec.method} collapsed", analytic, fd, k)
     return (
-        f"{count} instances x (8 q(u) families + 5 single-block estimators in "
-        f"every coordinate), worst rel dev {worst:.3e}"
+        f"{count} instances x (8 q(u) families + 5 single-block estimators + "
+        f"8 collapsed objectives in every coordinate), worst rel dev {worst:.3e}"
+    )
+
+
+def _collapsed_specs(num_blocks: int) -> Tuple[BoundSpec, ...]:
+    """Every objective fit_collapsed trains, on num_blocks equal blocks."""
+    return (
+        BoundSpec(method="Exact"),
+        BoundSpec(method="SGPR"),
+        BoundSpec(method="T-SGPR"),
+        BoundSpec(method="Spherical"),
+        BoundSpec(method="SharedBlock", num_blocks=num_blocks),
+        BoundSpec(method="BT-SGPR", num_blocks=num_blocks),
+        BoundSpec(method="PEP", alpha=0.5, num_blocks=num_blocks),
+        BoundSpec(method="T-PEP", alpha=0.35, num_blocks=num_blocks),
     )
 
 

@@ -352,3 +352,38 @@ def test_breakdown_totals_are_consistent():
     br = btsgpr_collapsed(x, y, state, part)
     assert_allclose(br.total, br.fit_term + br.regularizer, rtol=1e-12)
     assert br.regularizer <= 1e-12  # penalties only ever subtract
+
+
+def test_an_uncollapsed_evaluation_builds_and_factors_kuu_once(monkeypatch):
+    # prepare builds Kuu and Kuf and factors Kuu; the KL term reads that
+    # factor instead of building and factoring Kuu again
+    from blockgp import bounds_pep, bounds_vi, kernels, linalg
+    from blockgp.bounds_pep import PepConfig, tpep_uncollapsed
+
+    real_kernel, real_chol = kernels.kernel_matrix, linalg.chol
+    counts = {"kernel_matrix": 0, "chol": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (kernels, linalg, bounds_vi, bounds_pep):
+        if getattr(mod, "kernel_matrix", None) is real_kernel:
+            monkeypatch.setattr(mod, "kernel_matrix", counting("kernel_matrix", real_kernel))
+        if getattr(mod, "chol", None) is real_chol:
+            monkeypatch.setattr(mod, "chol", counting("chol", real_chol))
+    rng = np.random.default_rng(60)
+    x, y, state = random_instance(rng)
+    part = random_blocks(rng, y.shape[0])
+    q = random_qu(rng, state.num_inducing)
+    evaluations = [
+        lambda: vi_uncollapsed(x, y, state, part, q, penalty="trace"),
+        lambda: vi_uncollapsed(x, y, state, part, q, penalty="logdet"),
+        lambda: tpep_uncollapsed(x, y, state, PepConfig(alpha=0.5, partition=part), q),
+    ]
+    for evaluate in evaluations:
+        counts.update(kernel_matrix=0, chol=0)
+        evaluate()
+        assert counts == {"kernel_matrix": 2, "chol": 1}

@@ -209,3 +209,17 @@ def test_float_formatting_is_full_precision(tmp_path):
     # 17 significant digits survive a JSON round trip exactly
     text = (Path(cfg["out"]) / "report.json").read_text()
     assert repr(report["objective"])[:12] in text
+
+
+def test_fit_reports_why_lbfgs_stopped_and_reruns_stay_byte_identical(tmp_path, capsys):
+    cfg_path, cfg = _write_config(tmp_path, method="BT-SGPR", blocks=5, epochs=8)
+    assert main(["fit", "--config", cfg_path]) == 0
+    out = Path(cfg["out"])
+    first = (out / "report.json").read_bytes()
+    report = json.loads(first)
+    assert report["lbfgs_function_evals"] >= report["steps"] >= 1
+    line = [l for l in capsys.readouterr().out.splitlines() if "L-BFGS-B stopped" in l]
+    assert len(line) == 1
+    assert f"{report['lbfgs_function_evals']} value-and-gradient evaluations" in line[0]
+    assert main(["fit", "--config", cfg_path]) == 0
+    assert (out / "report.json").read_bytes() == first

@@ -15,8 +15,10 @@ from blockgp.linalg import (
     BlockNoise,
     CholeskyFactor,
     LowRankGaussian,
+    BATCHED_INVERSE_MAX,
     NotPositiveDefiniteError,
     chol,
+    stack_inverse,
 )
 
 
@@ -186,3 +188,12 @@ def test_cholesky_factor_is_frozen():
     with pytest.raises(AttributeError):
         factor.jitter_used = 1.0
     assert isinstance(factor, CholeskyFactor)
+
+
+@pytest.mark.parametrize("n", [1, 4, BATCHED_INVERSE_MAX, BATCHED_INVERSE_MAX + 1, 40])
+def test_stack_inverse_matches_numpy_on_both_paths(n):
+    rng = np.random.default_rng(n)
+    a = np.stack([_random_spd(rng, n) for _ in range(3)])
+    inv = stack_inverse(np.linalg.cholesky(a))
+    assert_allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+    assert_allclose(inv, np.swapaxes(inv, 1, 2), rtol=1e-12, atol=1e-14)

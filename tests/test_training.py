@@ -95,9 +95,9 @@ def test_fd_gradient_wraps_linalg_failures():
 
 def test_lbfgs_maximizes_quadratic():
     c = np.array([0.7, -1.2])
-    theta, nit = maximize_lbfgs(lambda t: -np.sum((t - c) ** 2), np.zeros(2))
-    assert nit >= 1
-    assert_allclose(theta, c, atol=1e-5)
+    result = maximize_lbfgs(lambda t: -np.sum((t - c) ** 2), np.zeros(2))
+    assert result.nit >= 1
+    assert_allclose(result.x, c, atol=1e-5)
 
 
 def test_lbfgs_survives_infeasible_regions():
@@ -108,8 +108,7 @@ def test_lbfgs_survives_infeasible_regions():
             raise NotPositiveDefiniteError("off the cliff")
         return -float((t[0] - c[0]) ** 2)
 
-    theta, _ = maximize_lbfgs(fun, np.zeros(1))
-    assert_allclose(theta, c, atol=1e-4)
+    assert_allclose(maximize_lbfgs(fun, np.zeros(1)).x, c, atol=1e-4)
 
 
 def test_adam_is_deterministic_and_climbs():
@@ -209,32 +208,45 @@ def test_fit_collapsed_lbfgs_improves_and_traces():
 
 
 def test_lbfgs_trace_reuses_the_line_search_value(monkeypatch):
-    # L-BFGS-B has evaluated the objective at each accepted iterate; the
-    # trace records that value instead of evaluating it a second time, so
-    # one iteration costs the start and one trial, each value plus 2P
-    # differences
+    # each point L-BFGS-B asks for costs one evaluate_bound call that
+    # returns the value and its analytic gradient from one prepare, with
+    # no differences; the trace records the value L-BFGS-B has already
+    # computed at each accepted iterate instead of evaluating it again
+    import blockgp.bounds_pep as bounds_pep
+    import blockgp.bounds_vi as bounds_vi
     import blockgp.training as training
 
     rng = np.random.default_rng(3)
     x, y, state = small_instance(rng)
+    real_eval, real_prepare = training.evaluate_bound, bounds_vi.prepare
     for spec, part in ((BoundSpec(method="SGPR"), None),
                        (BoundSpec(method="T-PEP", alpha=0.5, num_blocks=4),
                         make_partition(y.shape[0], 4, seed=0))):
         start = state.with_(log_m_scale=0.0) if spec.is_pep else state
-        real = training.evaluate_bound
-        count = [0]
+        calls, prepares = [], [0]
 
         def counting(*args, **kwargs):
-            count[0] += 1
-            return real(*args, **kwargs)
+            calls.append(kwargs.get("gradient", False))
+            return real_eval(*args, **kwargs)
+
+        def counting_prepare(*args, **kwargs):
+            prepares[0] += 1
+            return real_prepare(*args, **kwargs)
+
+        def no_differences(*args, **kwargs):
+            raise AssertionError("fit_collapsed took a difference gradient")
 
         monkeypatch.setattr(training, "evaluate_bound", counting)
+        monkeypatch.setattr(training, "finite_difference_gradient", no_differences)
+        for mod in (bounds_vi, bounds_pep):
+            monkeypatch.setattr(mod, "prepare", counting_prepare)
         cfg = TrainConfig(objective=spec, optimizer="lbfgs", epochs=1)
         fitted, trace = fit_collapsed(x, y, start, cfg, part)
-        monkeypatch.setattr(training, "evaluate_bound", real)
-        p = ParameterPack.for_state(start).size
+        monkeypatch.undo()
         assert len(trace) == 1
-        assert count[0] == 2 * (2 * p + 1), spec.method
+        assert trace.function_evals >= 2, spec.method
+        assert calls == [True] * trace.function_evals, spec.method
+        assert prepares[0] == trace.function_evals, spec.method
         assert trace.objective[0] == evaluate_bound(x, y, fitted, spec, part).total
 
 
@@ -395,17 +407,6 @@ def _failing_start():
     z = state.inducing.copy()
     z[5:10] = z[0:5]
     return train.x, train.y, state.with_(inducing=z)
-
-
-def test_lbfgs_never_returns_a_point_whose_gradient_failed():
-    # the difference gradient fails at the first accepted iterate; fed to
-    # L-BFGS-B as zeros it read as convergence, and the fit returned there
-    x, y, state = _failing_start()
-    part = make_partition(300, 30, seed=0)
-    cfg = TrainConfig(objective=BoundSpec(method="BT-SGPR", num_blocks=30),
-                      optimizer="lbfgs", epochs=50)
-    with pytest.raises(EvaluationFailed, match="NORM OF PROJECTED GRADIENT"):
-        fit_collapsed(x, y, state, cfg, part)
 
 
 def test_overflowing_line_search_trial_is_infeasible_not_a_crash():
