@@ -83,7 +83,7 @@ CONFIG_DEFAULTS = {
     "optimizer": "lbfgs",
     "learning_rate": 0.005,
     "epochs": 100,
-    "gradient_mode": "fd",
+    "gradient_mode": "analytic",
     "fd_step": 1e-5,
     "seed": 0,
     "destandardize_metrics": False,

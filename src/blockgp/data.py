@@ -15,9 +15,15 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .kernels import KernelParams, NoiseParam
 from .model import ModelState
+
+
+# Entries in one chunk of k-means distances (2 MB of float64), so the
+# set-up's memory does not grow with N times M.
+KMEANS_CHUNK_ENTRIES = 2**18
 
 
 class DataFormatError(ValueError):
@@ -231,10 +237,7 @@ def init_lengthscales_median(data: Dataset, subsample: int = 1000, seed: int = 0
     if x.shape[0] > subsample:
         idx = np.random.default_rng(seed).choice(x.shape[0], subsample, replace=False)
         x = x[idx]
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(x.shape[0], k=1)
-    med = float(np.median(dist[iu]))
+    med = float(np.median(pdist(x)))
     if med <= 0.0:
         med = 1.0
     return KernelParams(
@@ -251,32 +254,72 @@ def init_inducing_subset(data: Dataset, num_inducing: int, seed: int = 0) -> np.
     return data.x[np.sort(idx)].copy()
 
 
+def _row_chunks(n: int, width: int):
+    """Slices of 0..n-1 whose rows hold about KMEANS_CHUNK_ENTRIES entries."""
+    step = max(1, KMEANS_CHUNK_ENTRIES // width)
+    return (slice(s, s + step) for s in range(0, n, step))
+
+
+def _sq_dist_to(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of x to the point c, a chunk at a time."""
+    out = np.empty(x.shape[0])
+    for rows in _row_chunks(x.shape[0], x.shape[1]):
+        out[rows] = np.sum((x[rows] - c) ** 2, axis=1)
+    return out
+
+
+def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest center (the first one on a tie).
+
+    Takes argmin of ||c||^2 - 2 x.c, which leaves out the ||x||^2 term
+    that is the same for every center, a chunk of rows at a time.  It
+    rounds differently from summing (x - c)^2, so a near tie could go
+    the other way; tests/_oracles.py keeps the direct form to check it.
+    """
+    neg2ct = -2.0 * centers.T
+    cc = np.einsum("ij,ij->i", centers, centers)
+    assign = np.empty(x.shape[0], dtype=np.intp)
+    for rows in _row_chunks(x.shape[0], centers.shape[0]):
+        d = x[rows] @ neg2ct
+        d += cc
+        assign[rows] = d.argmin(axis=1)
+    return assign
+
+
 def init_inducing_kmeans(
     data: Dataset, num_inducing: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-6
 ) -> np.ndarray:
-    """Inducing init: k-means centers of the inputs (k-means++ seeding)."""
+    """Inducing init: k-means centers of the inputs (k-means++ seeding).
+
+    Lloyd iterations until no center moves by tol in any coordinate, or
+    max_iter; a center that loses all its points stays where it is.
+    Each iteration costs O(NMD) time and holds a few length-N vectors
+    next to the inputs, whatever M is.
+    """
     if not 1 <= num_inducing <= data.n:
         raise ValueError(f"num_inducing must be in [1, {data.n}], got {num_inducing}")
     x = data.x
     rng = np.random.default_rng(seed)
     centers = np.empty((num_inducing, data.dim))
     centers[0] = x[rng.integers(data.n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _sq_dist_to(x, centers[0])
     for k in range(1, num_inducing):
         total = d2.sum()
         if total <= 0.0:
             centers[k] = x[rng.integers(data.n)]
         else:
             centers[k] = x[rng.choice(data.n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centers[k]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist_to(x, centers[k]))
     for _ in range(max_iter):
-        dist = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        assign = dist.argmin(axis=1)
+        assign = _nearest_center(x, centers)
+        counts = np.bincount(assign, minlength=num_inducing)
+        filled = counts > 0
         new_centers = centers.copy()
-        for k in range(num_inducing):
-            members = x[assign == k]
-            if members.shape[0]:
-                new_centers[k] = members.mean(axis=0)
+        for j in range(data.dim):
+            # bincount adds each cluster's members in row order, the order
+            # of a column mean over the members
+            sums = np.bincount(assign, weights=x[:, j], minlength=num_inducing)
+            new_centers[filled, j] = sums[filled] / counts[filled]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < tol:

@@ -14,10 +14,10 @@ carries it) from one evaluate_bound call, which prepares the state once:
 by the envelope theorem a collapsed bound's gradient is its uncollapsed
 bound's at the optimal q(u), one reverse-mode pass over the blocks
 (Exact has its dense closed form).  fit_stochastic with gradient_mode
-"analytic" takes every coordinate (hyperparameters, inducing inputs,
-log m, and q(u)) from one block_estimate call a step, reverse-mode
-adjoints through the block's own factors; "fd" differences the same
-single-block value instead.  Central differences
+"analytic", the default, takes every coordinate (hyperparameters,
+inducing inputs, log m, and q(u)) from one block_estimate call a step,
+reverse-mode adjoints through the block's own factors; "fd" differences
+the same single-block value instead.  Central differences
 (finite_difference_gradient) stay the oracle every analytic gradient is
 tested against.
 """
@@ -84,10 +84,10 @@ class TrainConfig:
     objective picks the bound; optimizer is "lbfgs" (full batch) or
     "adam"; epochs counts L-BFGS iterations, full-batch Adam steps, or
     full block cycles for stochastic runs.  gradient_mode "analytic"
-    gives stochastic runs closed-form gradients in every coordinate
-    (hyperparameters, inducing inputs, log m and q(u)), "fd" central
-    differences; collapsed runs ignore it, their gradients are always
-    analytic.  Central differences take the per-coordinate step
+    (the default) gives stochastic runs closed-form gradients in every
+    coordinate (hyperparameters, inducing inputs, log m and q(u)), "fd"
+    central differences; collapsed runs ignore it, their gradients are
+    always analytic.  Central differences take the per-coordinate step
     fd_step * max(1, |theta_i|).
     """
 
@@ -96,7 +96,7 @@ class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 100
     seed: int = 0
-    gradient_mode: str = "fd"
+    gradient_mode: str = "analytic"
     fd_step: float = 1e-5
 
     def __post_init__(self):
@@ -515,24 +515,34 @@ class _AdamState:
 
 
 def maximize_adam(
-    fun: Callable[[np.ndarray], float],
+    fun: Callable,
     theta0: np.ndarray,
     steps: int,
     learning_rate: float = 0.005,
     fd_step: float = 1e-5,
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    on_step: Optional[Callable[[np.ndarray], None]] = None,
+    on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
+    jac: bool = False,
 ) -> np.ndarray:
-    """Maximize fun with Adam; gradients from grad_fn or central FD."""
+    """Maximize fun with Adam; gradients from fun itself (jac) or central FD.
+
+    With jac, fun returns (value, gradient); a failed or non-finite one
+    raises EvaluationFailed.  on_step(theta, value) sees each new point
+    once the next step has evaluated it, with the value that call
+    returned (None without jac); the last point comes with None, since
+    no step evaluates it.
+    """
     theta = np.asarray(theta0, dtype=float).copy()
     adam = _AdamState(theta.size, learning_rate)
-    for _ in range(steps):
-        grad = grad_fn(theta) if grad_fn is not None else finite_difference_gradient(
-            fun, theta, fd_step
-        )
+    for step in range(steps):
+        if jac:
+            value, grad = _eval_with_gradient(fun, theta)
+        else:
+            value, grad = None, finite_difference_gradient(fun, theta, fd_step)
+        if step and on_step is not None:
+            on_step(theta, value)
         theta = adam.step(theta, grad)
-        if on_step is not None:
-            on_step(theta)
+    if steps and on_step is not None:
+        on_step(theta, None)
     return theta
 
 
@@ -549,11 +559,14 @@ def fit_collapsed(
     m when the state carries one.  Each point the optimizer asks for
     costs one evaluate_bound call, which returns the value and its
     analytic gradient from one prepared state, whatever
-    cfg.gradient_mode says.  The trace records each accepted step (an
-    L-BFGS trace also scipy's stop message and evaluation count); a
-    non-finite objective at an accepted step raises Diverged, and an
-    L-BFGS run that stops where the objective or its gradient cannot
-    be evaluated raises EvaluationFailed.
+    cfg.gradient_mode says.  The trace records each accepted step with
+    the value the optimizer's own call there returned; only Adam's last
+    point costs one more, value-only, evaluation.  An L-BFGS trace also
+    keeps scipy's stop message and evaluation count.  A non-finite
+    objective at an accepted step raises Diverged (EvaluationFailed
+    where Adam's next gradient call meets it first), and an L-BFGS run
+    that stops where the objective or its gradient cannot be evaluated
+    raises EvaluationFailed.
     """
     spec = cfg.objective
     if spec.method in ORACLE_METHODS:
@@ -572,13 +585,10 @@ def fit_collapsed(
         out = evaluate_bound(x, y, pack.unpack_state(theta), spec, part, gradient=True)
         return out.total, pack.pack_estimate_gradient(None, out.gradient)
 
-    def gradient(theta):
-        return _eval_with_gradient(value_and_gradient, theta)[1]
-
     theta0 = pack.pack(state)
     builder = _TraceBuilder(state.kernel.input_dim)
 
-    def on_step(theta, value=None):
+    def on_step(theta, value):
         theta = np.asarray(theta, dtype=float)
         if value is None:
             value = objective(theta)
@@ -591,12 +601,12 @@ def fit_collapsed(
         trace = builder.build(str(result.message), int(result.nfev))
         return pack.unpack_state(result.x), trace
     theta = maximize_adam(
-        objective,
+        value_and_gradient,
         theta0,
         steps=cfg.epochs,
         learning_rate=cfg.learning_rate,
-        grad_fn=gradient,
         on_step=on_step,
+        jac=True,
     )
     return pack.unpack_state(theta), builder.build()
 

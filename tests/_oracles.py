@@ -4,7 +4,8 @@ Everything here forms full N x N covariances and goes through scipy's
 multivariate normal or plain np.linalg calls.  The package never takes
 these routes (it works with Cholesky factors of M x M and block-sized
 matrices), so agreement between the two is a real check, not a
-tautology.
+tautology.  The set-up oracles likewise build the full difference
+arrays the package's initializers avoid.
 """
 
 import numpy as np
@@ -144,3 +145,49 @@ def dense_gp_predict(x_train, y_train, x_test, state, include_noise: bool):
     if include_noise:
         var = var + s2
     return mean, var
+
+
+def median_distance_oracle(x: np.ndarray) -> float:
+    """Median of the pairwise distances, from the (N, N, D) difference array."""
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    iu = np.triu_indices(x.shape[0], k=1)
+    return float(np.median(dist[iu]))
+
+
+def kmeans_oracle(x: np.ndarray, num_inducing: int, seed: int = 0,
+                  max_iter: int = 100, tol: float = 1e-6):
+    """k-means++ seeding and Lloyd iterations written the direct way.
+
+    Distances come from the (N, M, D) difference array and each center
+    is the mean of its members; an empty cluster keeps its center.
+    Returns the final centers and, for every iteration, the centers it
+    started from and the assignment it made against them.
+    """
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((num_inducing, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for k in range(1, num_inducing):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[k] = x[rng.integers(n)]
+        else:
+            centers[k] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((x - centers[k]) ** 2, axis=1))
+    history = []
+    for _ in range(max_iter):
+        dist = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        assign = dist.argmin(axis=1)
+        history.append((centers, assign))
+        new_centers = centers.copy()
+        for k in range(num_inducing):
+            members = x[assign == k]
+            if members.shape[0]:
+                new_centers[k] = members.mean(axis=0)
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, history

@@ -1,10 +1,14 @@
 """CSV loading, standardization, splitting, and initialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import kmeans_oracle, median_distance_oracle
 from blockgp.data import (
+    _nearest_center,
     DataFormatError,
     Dataset,
     DegenerateColumnError,
@@ -169,6 +173,122 @@ def test_kmeans_with_m_equal_n_returns_the_points():
     data = Dataset(x=x, y=np.zeros(7))
     z = init_inducing_kmeans(data, 7, seed=0)
     assert np.allclose(np.sort(z, axis=0), np.sort(x, axis=0), atol=1e-12)
+
+
+def _benchmark_inputs(n, dim):
+    """A benchmark workload's standardized training inputs: uniform on
+    [-2, 2]^dim from the constant generator perfbench/workloads.py uses."""
+    x = np.random.default_rng((20250702, n, dim)).uniform(-2.0, 2.0, size=(n, dim))
+    return standardize(Dataset(x=x, y=x[:, 0])).x
+
+
+def _repeated_rows(rng, distinct, copies, dim):
+    x = np.repeat(rng.standard_normal((distinct, dim)), copies, axis=0)
+    return x[rng.permutation(x.shape[0])]
+
+
+# (inputs, num_inducing, bitwise): the benchmark's three training sets with
+# their M, random sets over a range of D, duplicate rows, a start with more
+# centers than distinct points (k-means++ then repeats a point, and the
+# repeat's cluster stays empty) and M = N.  bitwise marks the cases whose
+# centers must equal the oracle's exactly; with D = 1 the oracle's column
+# mean sums by pairs, bincount in row order.
+_KMEANS_CASES = {
+    "btsgpr-lbfgs": (lambda: _benchmark_inputs(2000, 4), 32, True),
+    "tpep-fine-blocks": (lambda: _benchmark_inputs(1000, 2), 8, True),
+    "btsgpr-minibatch": (lambda: _benchmark_inputs(6000, 2), 8, True),
+    **{
+        f"random-d{d}": (
+            lambda d=d: np.random.default_rng(60 + d).standard_normal((500, d)), 24, d > 1
+        )
+        for d in (1, 2, 4, 9, 12)
+    },
+    "random-m128": (lambda: np.random.default_rng(68).standard_normal((2000, 4)), 128, True),
+    "duplicate-rows": (lambda: _repeated_rows(np.random.default_rng(61), 60, 3, 3), 10, True),
+    "empty-cluster": (lambda: _repeated_rows(np.random.default_rng(62), 4, 5, 2), 5, True),
+    "m-equals-n": (lambda: np.random.default_rng(63).standard_normal((40, 3)), 40, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_KMEANS_CASES))
+def test_kmeans_matches_the_difference_array_oracle(case):
+    make, m, bitwise = _KMEANS_CASES[case]
+    x = make()
+    z = init_inducing_kmeans(Dataset(x=x, y=np.zeros(x.shape[0])), m, seed=0)
+    expected, history = kmeans_oracle(x, m, seed=0)
+    # every assignment the oracle made, from the centers it made it against
+    for centers, assign in history:
+        assert np.array_equal(_nearest_center(x, centers), assign)
+    assert np.max(np.abs(z - expected)) <= 1e-12 * np.max(np.abs(x))
+    if bitwise:
+        assert np.array_equal(z, expected)
+    if case == "empty-cluster":
+        assert np.bincount(history[-1][1], minlength=m).min() == 0
+
+
+def _traced_peak(fun):
+    tracemalloc.start()
+    try:
+        fun()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_memory_does_not_grow_with_n_times_m():
+    # the (N, M, D) difference array would be 61 MB at N = 2e4 and 307 MB
+    # at N = 1e5; what may grow is a few length-N vectors
+    peaks, sizes = [], []
+    for n in (20_000, 100_000):
+        x = np.random.default_rng(64).uniform(-2.0, 2.0, size=(n, 4))
+        data = Dataset(x=x, y=np.zeros(n))
+        peaks.append(_traced_peak(lambda: init_inducing_kmeans(data, 128, max_iter=2)))
+        sizes.append(x.nbytes)
+    assert peaks[1] - peaks[0] < sizes[1]
+
+
+def test_median_lengthscale_memory_stays_under_16_mb():
+    # the (1000, 1000, 16) difference array alone would be 122 MB
+    x = np.random.default_rng(65).standard_normal((3000, 16))
+    data = Dataset(x=x, y=np.zeros(3000))
+    assert _traced_peak(lambda: init_lengthscales_median(data)) < 16 * 2**20
+
+
+def _median_case(case):
+    rng = np.random.default_rng(66)
+    if case == "below-subsample":
+        return rng.standard_normal((400, 3))
+    if case == "above-subsample":
+        return rng.standard_normal((1500, 3))
+    if case == "duplicate-points":
+        return _repeated_rows(rng, 150, 2, 3)
+    return np.tile(rng.standard_normal(3), (30, 1))  # identical points
+
+
+@pytest.mark.parametrize(
+    "case", ["below-subsample", "above-subsample", "duplicate-points", "identical-points"]
+)
+def test_median_lengthscale_matches_the_difference_array_oracle(case):
+    x = _median_case(case)
+    sub = x
+    if x.shape[0] > 1000:
+        sub = x[np.random.default_rng(0).choice(x.shape[0], 1000, replace=False)]
+    med = median_distance_oracle(sub)
+    if case == "identical-points":
+        assert med == 0.0
+        med = 1.0
+    params = init_lengthscales_median(Dataset(x=x, y=np.zeros(x.shape[0])))
+    assert np.array_equal(params.log_lengthscales, np.full(3, np.log(med)))
+
+
+def test_median_lengthscale_from_eight_or_more_columns_within_rounding():
+    # from D = 8 on numpy sums each squared distance by pairs and pdist in
+    # column order, so a distance, and the median, can move by rounding
+    d = 12
+    x = np.random.default_rng(67).standard_normal((300, d))
+    params = init_lengthscales_median(Dataset(x=x, y=np.zeros(300)))
+    expected = np.log(median_distance_oracle(x))
+    assert_allclose(params.log_lengthscales, expected, rtol=0, atol=d * np.finfo(float).eps)
 
 
 def test_subset_init_draws_data_rows():

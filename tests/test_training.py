@@ -250,6 +250,37 @@ def test_lbfgs_trace_reuses_the_line_search_value(monkeypatch):
         assert trace.objective[0] == evaluate_bound(x, y, fitted, spec, part).total
 
 
+def test_adam_trace_reuses_the_next_steps_value(monkeypatch):
+    # each Adam step makes one value-and-gradient call, whose value is the
+    # trace entry of the step before; only the last point is evaluated
+    # once more, value only, and every entry is bitwise the value-only
+    # evaluation at its point
+    import blockgp.training as training
+
+    rng = np.random.default_rng(3)
+    x, y, state = small_instance(rng)
+    real_eval = training.evaluate_bound
+    for spec, part in ((BoundSpec(method="SGPR"), None),
+                       (BoundSpec(method="T-PEP", alpha=0.5, num_blocks=4),
+                        make_partition(y.shape[0], 4, seed=0))):
+        start = state.with_(log_m_scale=0.0) if spec.is_pep else state
+        calls = []
+
+        def counting(x, y, point, *args, **kwargs):
+            calls.append((kwargs.get("gradient", False), point))
+            return real_eval(x, y, point, *args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_bound", counting)
+        cfg = TrainConfig(objective=spec, optimizer="adam", epochs=5, learning_rate=0.01)
+        fitted, trace = fit_collapsed(x, y, start, cfg, part)
+        monkeypatch.undo()
+        assert [g for g, _ in calls] == [True] * 5 + [False], spec.method
+        assert np.array_equal(calls[-1][1].inducing, fitted.inducing)
+        after_each_step = [point for _, point in calls[1:]]
+        fresh = [evaluate_bound(x, y, p, spec, part).total for p in after_each_step]
+        assert np.array_equal(trace.objective, fresh), spec.method
+
+
 def test_fit_collapsed_adam_takes_exactly_epochs_steps():
     rng = np.random.default_rng(4)
     x, y, state = small_instance(rng)
@@ -302,7 +333,7 @@ def test_fit_stochastic_single_block_matches_handrolled_adam():
     part = make_partition(n, 1)
     spec = BoundSpec(method="BT-SGPR", num_blocks=1)
     cfg = TrainConfig(objective=spec, optimizer="adam", epochs=5, seed=0,
-                      learning_rate=0.01)
+                      learning_rate=0.01, gradient_mode="fd")
     q0 = GaussianQU(
         mean=np.zeros(state.num_inducing),
         cov_chol=chol(kernel_matrix(state.inducing, state.inducing, state.kernel)),
