@@ -12,14 +12,15 @@ C_bb = m * D_bb, and the objective charges log-det penalties:
 m = 1 recovers plain power EP; alpha -> 0 recovers the variational
 log-det family; alpha = 1 leaves only the Gaussian fit term.
 
-Besides the closed forms this module has the actual fixed-point
-machinery: projected Gaussian site factors, a damped cavity /
-moment-matching sweep, and the EP energy assembled from normalizer
-and cavity terms.  At convergence the energy equals the collapsed
-objective, which the tests enforce; the site closed form is checked
-against an independent dense recomputation.  The collapsed forms'
-gradients come from bounds_vi's reverse-mode pass over the blocks at
-the optimal q(u), where the uncollapsed objective meets them.
+Besides the closed forms this module has the fixed-point machinery:
+projected Gaussian site factors, set in closed form (with a Gaussian
+likelihood block b's site is its own likelihood at the block noise),
+and the EP energy assembled from normalizer and cavity terms.  At the
+fixed point that cavity energy equals the collapsed objective, which
+the tests enforce; the site closed form is checked against an
+independent dense recomputation.  The collapsed forms' gradients come
+from bounds_vi's reverse-mode pass over the blocks at the optimal q(u),
+where the uncollapsed objective meets them.
 """
 
 from __future__ import annotations
@@ -47,16 +48,12 @@ from .model import GaussianQU, ModelState, Partition
 
 @dataclass(frozen=True)
 class PepConfig:
-    """Power-EP settings: the power alpha, the scalar gap scale m, the
-    block partition, and the damped-iteration knobs (only pep_iterate
-    reads the last three)."""
+    """Power-EP settings: the power alpha, the block partition and the
+    scalar gap scale m."""
 
     alpha: float
     partition: Partition
     m_scale: float = 1.0
-    damping: float = 0.5
-    tol: float = 1e-8
-    max_sweeps: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -67,14 +64,10 @@ class PepConfig:
             raise ValueError(
                 f"need 1 + alpha (m - 1) > 0; alpha={self.alpha}, m={self.m_scale}"
             )
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 # Desk-scale caps: the dense oracle and the fixed-point check refuse
-# above 200 points rather than silently going cubic; the EP iteration
-# stops at 500.
+# above 200 points rather than silently going cubic; pep_iterate, which
+# holds A^T densely and loops over blocks, refuses above 500.
 ORACLE_CAP = 200
 ITERATE_CAP = 500
 
@@ -93,9 +86,6 @@ class PepResult:
     qu: GaussianQU
     sites: List[SiteFactor]
     energy: float
-    converged: bool
-    sweeps: int
-    max_delta: float
 
 
 @dataclass(frozen=True)
@@ -298,7 +288,7 @@ def verify_site_fixed_point(
 ) -> FixedPointReport:
     """Check the claimed optimal sites against a dense recomputation.
 
-    The closed form says the converged site for block b has precision
+    The closed form says the fixed-point site for block b has precision
     (a C_bb + sigma2 I)^-1 and pseudo-observation y_b, with C = m D.
     The dense route rebuilds that precision by diagonalizing C_bb and
     inverting the shifted spectrum 1 / (a lam_i + sigma2), so it never
@@ -347,39 +337,24 @@ def verify_site_fixed_point(
     return report
 
 
-class _SiteState:
-    """Projected natural parameters (precision, shift) for every block."""
-
-    def __init__(self, partition: Partition):
-        self.prec = [np.zeros((b.size, b.size)) for b in partition.blocks]
-        self.shift = [np.zeros(b.size) for b in partition.blocks]
-
-
 def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
-    """Damped power-EP message passing to the sites' fixed point.
+    """Power-EP sites in closed form, and the energy from their cavities.
 
-    Sites live in projected form t_b(u) = N(A_b u; g_b, v_b), stored as
-    naturals (P_b, r_b) and initialized flat.  A visit to block b would
-    remove the alpha-powered site from q(u), moment-match the tilted
-    distribution through the gradient shortcuts of its log normalizer
-    (m_new = m_cav + S_cav A^T d1 with d1 = G^-1 (y_b - m_h), and
-    S_new = S_cav - S_cav A^T G^-1 A S_cav, where G is the tilted
-    marginal covariance Sig_b + A S_cav A^T), and read the implied site
-    off the matched moments.  For a Gaussian likelihood the Woodbury
-    identity collapses that read-off to naturals that do not involve
-    the cavity at all,
+    Sites live in projected form t_b(u) = N(A_b u; g_b, v_b), with
+    naturals (P_b, r_b) = (v_b^-1, v_b^-1 g_b).  A visit to block b
+    removes the alpha-powered site from q(u), moment-matches the tilted
+    distribution and reads the implied site off the matched moments.
+    For a Gaussian likelihood the Woodbury identity collapses that
+    read-off to a site that does not involve the cavity at all: block
+    b's own likelihood at the block noise (Bui, Yan & Turner 2017),
 
-        P_b <- (1/a) Sig_b^-1,   r_b <- P_b y_b,
-        Sig_b = m D_bb + sigma2 / a I,
+        g_b = y_b,   v_b = R_b = a m D_bb + sigma2 I,
 
-    so the loop below skips the dead cavity work and is a damped path
-    straight to the closed-form fixed point; the cavities are still
-    computed where they are actually consumed, in the energy.  Sweeps
-    stop when the largest natural-parameter change drops below cfg.tol;
-    hitting cfg.max_sweeps first leaves converged False on the result.
-
-    The returned energy is assembled from the converged normalizers and
-    cavities; at the fixed point it equals the collapsed objective.
+    so each site is set once to that fixed point and q(u) is assembled
+    from the naturals P_b = R_b^-1, r_b = P_b y_b.  The energy is
+    assembled from the normalizers and cavities at those sites; that it
+    equals the collapsed objective, and q(u) the collapsed optimum, is
+    the fixed-point claim the tests and verify check.
     """
     prep = prepare(x, y, state)
     _check_partition(prep, cfg.partition)
@@ -394,42 +369,20 @@ def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
     mm = state.num_inducing
 
     at = prep.projector_t()  # A^T, (M, N)
-    kuu_inv = prep.luu.solve(np.eye(mm))
-    sig = [m * prep.block_gap(idx) + (s2 / a) * np.eye(idx.size) for idx in blocks]
-
-    sites = _SiteState(cfg.partition)
-    targets = []
-    for idx, sig_b in zip(blocks, sig):
-        p_star = chol(sig_b).solve(np.eye(idx.size)) / a
-        p_star = 0.5 * (p_star + p_star.T)
-        targets.append((p_star, p_star @ prep.y[idx]))
-
-    def assemble():
-        lam = kuu_inv.copy()
-        eta = np.zeros(mm)
-        for idx, p, r in zip(blocks, sites.prec, sites.shift):
-            atb = at[:, idx]
-            lam += atb @ p @ atb.T
-            eta += atb @ r
-        return 0.5 * (lam + lam.T), eta
-
-    max_delta = np.inf
-    sweeps = 0
-    for sweep in range(cfg.max_sweeps):
-        sweeps = sweep + 1
-        max_delta = 0.0
-        for b, idx in enumerate(blocks):
-            p_new, r_new = targets[b]
-            dp = cfg.damping * (p_new - sites.prec[b])
-            dr = cfg.damping * (r_new - sites.shift[b])
-            sites.prec[b] = sites.prec[b] + dp
-            sites.shift[b] = sites.shift[b] + dr
-            max_delta = max(max_delta, np.abs(dp).max(), np.abs(dr).max())
-        if max_delta < cfg.tol:
-            break
-    converged = max_delta < cfg.tol
-
-    lam, eta = assemble()
+    noise = [(a * m) * prep.block_gap(idx) + s2 * np.eye(idx.size) for idx in blocks]
+    lam = prep.luu.solve(np.eye(mm))
+    eta = np.zeros(mm)
+    prec, shift = [], []
+    for idx, r_b in zip(blocks, noise):
+        p = chol(r_b).solve(np.eye(idx.size))
+        p = 0.5 * (p + p.T)
+        r = p @ prep.y[idx]
+        atb = at[:, idx]
+        prec.append(p)
+        shift.append(r)
+        lam += atb @ p @ atb.T
+        eta += atb @ r
+    lam = 0.5 * (lam + lam.T)
     llam = chol(lam)
     mean = llam.solve(eta)
     cov = llam.solve(np.eye(mm))
@@ -446,12 +399,12 @@ def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
     energy = g_q - g_p
     for b, idx in enumerate(blocks):
         atb = at[:, idx]
-        lam_cav = lam - a * (atb @ sites.prec[b] @ atb.T)
-        eta_cav = eta - a * (atb @ sites.shift[b])
+        lam_cav = lam - a * (atb @ prec[b] @ atb.T)
+        eta_cav = eta - a * (atb @ shift[b])
         lcav = chol(0.5 * (lam_cav + lam_cav.T))
         m_cav = lcav.solve(eta_cav)
         v_h = atb.T @ lcav.solve(atb)
-        lg = chol(sig[b] + v_h)
+        lg = chol(noise[b] / a + v_h)
         resid = lg.half_solve(prep.y[idx] - atb.T @ m_cav)
         nb = idx.size
         log_zt = (
@@ -461,16 +414,8 @@ def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
         log_zq = 0.5 * nb * (a * np.log(m) - np.log1p(a * (m - 1.0)))
         energy += (log_zt + log_partition(lcav, eta_cav) - g_q + log_zq) / a
 
-    site_list = []
-    for b, idx in enumerate(blocks):
-        lp = chol(sites.prec[b])
-        v = lp.solve(np.eye(idx.size))
-        site_list.append(SiteFactor(block=b, g=v @ sites.shift[b], v=0.5 * (v + v.T)))
-    return PepResult(
-        qu=qu,
-        sites=site_list,
-        energy=float(energy),
-        converged=bool(converged),
-        sweeps=sweeps,
-        max_delta=float(max_delta),
-    )
+    sites = [
+        SiteFactor(block=b, g=prep.y[idx].copy(), v=r_b)
+        for b, (idx, r_b) in enumerate(zip(blocks, noise))
+    ]
+    return PepResult(qu=qu, sites=sites, energy=float(energy))

@@ -84,6 +84,9 @@ def _looks_like_header(row: List[str]) -> bool:
 def _read_numeric_table(path: str):
     """Shared CSV guts: header autodetect, cell parsing, shape checks.
 
+    A cell that does not parse, or parses to nan or inf, raises
+    DataFormatError naming its row and column.
+
     Returns (values, names, start) with names None for headerless
     files and start the first data row's 1-based line number.
     """
@@ -114,6 +117,13 @@ def _read_numeric_table(path: str):
                     f"{path}: row {start + i + 1}, column {j + 1}: "
                     f"cannot parse {cell.strip()!r} as a number"
                 ) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(
+            f"{path}: row {start + i + 1}, column {j + 1}: "
+            f"{body[i][j].strip()!r} is not a finite number"
+        )
     if names is not None and len(names) != width:
         raise DataFormatError(
             f"{path}: header has {len(names)} names for {width} columns"
@@ -132,8 +142,8 @@ def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
 
     Header row is auto-detected (any non-numeric cell in the first
     row).  The target is the named column if given, else the last one.
-    Constant feature columns are dropped with a warning.  Malformed
-    cells raise DataFormatError naming the row and column.
+    Constant feature columns are dropped with a warning.  Malformed or
+    non-finite cells raise DataFormatError naming the row and column.
     """
     values, names, _ = _read_numeric_table(path)
     width = values.shape[1]
@@ -237,7 +247,13 @@ def init_lengthscales_median(data: Dataset, subsample: int = 1000, seed: int = 0
     if x.shape[0] > subsample:
         idx = np.random.default_rng(seed).choice(x.shape[0], subsample, replace=False)
         x = x[idx]
-    med = float(np.median(pdist(x)))
+    dist = pdist(x)
+    # np.median's value from one partition at k: for an even count the
+    # lower middle value is the largest entry left of k.  np.median
+    # partitions at both middle indices, which is several times slower.
+    k = dist.size // 2
+    dist.partition(k)
+    med = float(dist[k] if dist.size % 2 else (dist[:k].max() + dist[k]) / 2.0)
     if med <= 0.0:
         med = 1.0
     return KernelParams(

@@ -515,29 +515,23 @@ class _AdamState:
 
 
 def maximize_adam(
-    fun: Callable,
+    fun: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     theta0: np.ndarray,
     steps: int,
     learning_rate: float = 0.005,
-    fd_step: float = 1e-5,
     on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
-    jac: bool = False,
 ) -> np.ndarray:
-    """Maximize fun with Adam; gradients from fun itself (jac) or central FD.
+    """Maximize fun, which returns (value, gradient), with Adam.
 
-    With jac, fun returns (value, gradient); a failed or non-finite one
-    raises EvaluationFailed.  on_step(theta, value) sees each new point
-    once the next step has evaluated it, with the value that call
-    returned (None without jac); the last point comes with None, since
-    no step evaluates it.
+    A failed or non-finite value or gradient raises EvaluationFailed.
+    on_step(theta, value) sees each new point once the next step has
+    evaluated it, with the value that call returned; the last point
+    comes with None, since no step evaluates it.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     adam = _AdamState(theta.size, learning_rate)
     for step in range(steps):
-        if jac:
-            value, grad = _eval_with_gradient(fun, theta)
-        else:
-            value, grad = None, finite_difference_gradient(fun, theta, fd_step)
+        value, grad = _eval_with_gradient(fun, theta)
         if step and on_step is not None:
             on_step(theta, value)
         theta = adam.step(theta, grad)
@@ -606,7 +600,6 @@ def fit_collapsed(
         steps=cfg.epochs,
         learning_rate=cfg.learning_rate,
         on_step=on_step,
-        jac=True,
     )
     return pack.unpack_state(theta), builder.build()
 

@@ -1,4 +1,4 @@
-"""Power-EP energies, their limits, and the message-passing loop.
+"""Power-EP energies, their limits, and the closed-form sites.
 
 Dense oracles live in _oracles.py; the limit tests exercise the
 documented connections to the variational bounds at small alpha, to
@@ -27,6 +27,7 @@ from blockgp.bounds_vi import (
     btsgpr_collapsed,
     btsgpr_optimal_scales,
     exact_lml,
+    prepare,
     sgpr_collapsed,
     spherical_collapsed,
     spherical_optimal_scale,
@@ -222,12 +223,16 @@ def test_message_passing_converges_to_collapsed_solution():
         part = random_blocks(rng, y.shape[0])
         cfg = _cfg(alpha, part, m)
         res = pep_iterate(x, y, state, cfg)
-        assert res.converged, (alpha, m, res.sweeps, res.max_delta)
+        prep = prepare(x, y, state)
+        assert [site.block for site in res.sites] == list(range(part.num_blocks))
+        for site, idx in zip(res.sites, part.blocks):
+            noise = alpha * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
+            assert_allclose(site.g, y[idx], rtol=1e-12, atol=0)
+            assert_allclose(site.v, noise, rtol=1e-12, atol=0)
         q_star = tpep_optimal_qu(x, y, state, cfg)
         assert_allclose(res.qu.mean, q_star.mean, rtol=1e-6, atol=1e-8)
         assert_allclose(res.qu.cov, q_star.cov, rtol=1e-6, atol=1e-8)
         assert_allclose(res.energy, tpep_collapsed(x, y, state, cfg).total, rtol=1e-6)
-        assert len(res.sites) == part.num_blocks
 
 
 def test_energies_exact_when_inducing_cover_inputs():
@@ -249,10 +254,6 @@ def test_config_validation():
         PepConfig(alpha=1.2, partition=part)
     with pytest.raises(ValueError):
         PepConfig(alpha=0.5, partition=part, m_scale=-1.0)
-    with pytest.raises(ValueError):
-        PepConfig(alpha=0.5, partition=part, damping=0.0)
-    with pytest.raises(ValueError):
-        PepConfig(alpha=0.5, partition=part, max_sweeps=0)
 
 
 def test_partition_size_mismatch_is_rejected():

@@ -195,6 +195,19 @@ def test_predict_rejects_wrong_width(tmp_path, capsys):
     assert "feature columns" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_non_finite_csv_cell(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    table = np.column_stack([rng.uniform(-2, 2, (60, 2)), rng.standard_normal(60)])
+    lines = ["a,b,y"] + [",".join(repr(float(v)) for v in row) for row in table]
+    lines[8] = "nan" + lines[8][lines[8].index(","):]
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(lines) + "\n")
+    cfg_path, _ = _write_config(tmp_path, method="SGPR", dataset=str(data))
+    assert main(["fit", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 9, column 1" in err
+
+
 def test_missing_files_exit_nonzero(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2
     assert main(["predict", "--model", str(tmp_path / "no.json"),

@@ -62,6 +62,20 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
     assert "row 3" in msg and "column 2" in msg and "oops" in msg
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("column", [1, 3])  # a feature, the target
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):
+    row = ["3", "4", "1.5"]
+    row[column - 1] = cell
+    text = "a,b,y\n1,0,0\n2,2,0.5\n" + ",".join(row) + "\n4,6,2\n"
+    path = _write(tmp_path, "nf.csv", text)
+    for load in (load_csv, load_features):
+        with pytest.raises(DataFormatError) as err:
+            load(path)
+        msg = str(err.value)
+        assert f"row 4, column {column}" in msg and repr(cell) in msg
+
+
 def test_load_csv_empty_and_header_only(tmp_path):
     empty = _write(tmp_path, "e.csv", "")
     header_only = _write(tmp_path, "f.csv", "a,b\n")
@@ -262,11 +276,15 @@ def _median_case(case):
         return rng.standard_normal((1500, 3))
     if case == "duplicate-points":
         return _repeated_rows(rng, 150, 2, 3)
+    if case == "odd-count":
+        return rng.standard_normal((30, 3))  # 435 distances
     return np.tile(rng.standard_normal(3), (30, 1))  # identical points
 
 
 @pytest.mark.parametrize(
-    "case", ["below-subsample", "above-subsample", "duplicate-points", "identical-points"]
+    "case",
+    ["below-subsample", "above-subsample", "duplicate-points", "odd-count",
+     "identical-points"],
 )
 def test_median_lengthscale_matches_the_difference_array_oracle(case):
     x = _median_case(case)

@@ -114,8 +114,9 @@ def test_lbfgs_survives_infeasible_regions():
 def test_adam_is_deterministic_and_climbs():
     c = np.array([0.3, -0.6, 1.1])
     fun = lambda t: -np.sum((t - c) ** 2)
-    one = maximize_adam(fun, np.zeros(3), steps=50, learning_rate=0.05)
-    two = maximize_adam(fun, np.zeros(3), steps=50, learning_rate=0.05)
+    value_and_gradient = lambda t: (fun(t), -2.0 * (t - c))
+    one = maximize_adam(value_and_gradient, np.zeros(3), steps=50, learning_rate=0.05)
+    two = maximize_adam(value_and_gradient, np.zeros(3), steps=50, learning_rate=0.05)
     assert np.array_equal(one, two)
     assert fun(one) > fun(np.zeros(3))
 
