@@ -29,6 +29,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import (
+    QUIET,
     kernel_diag,
     kernel_matrix,
     kernel_matrix_adjoint,
@@ -390,8 +391,9 @@ def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
         raise ValueError("q(u) dimension does not match the inducing set")
     half = luu.half_solve(q.cov_chol.lower)
     a = luu.half_solve(q.mean)
-    trace = float(np.sum(half * half))
-    kl = 0.5 * (trace + float(a @ a) - q.dim + luu.logdet() - q.cov_chol.logdet())
+    with np.errstate(**QUIET):  # a diverged q(u) overflows here to a non-finite KL
+        trace = float(np.sum(half * half))
+        kl = 0.5 * (trace + float(a @ a) - q.dim + luu.logdet() - q.cov_chol.logdet())
     return kl, half, a
 
 
@@ -698,6 +700,8 @@ def _estimate(
     reg = whole - w * pen
     if not gradient:
         return BlockEstimate(value=value), reg, jit
+    if not np.isfinite(value):  # its adjoints would overflow on the way
+        raise FloatingPointError(f"objective is {value}, so it has no gradient")
 
     if penalty in ("trace", "diag", "spherical"):
         dd[prep.clamped] = 0.0

@@ -126,7 +126,8 @@ def kernel_matrix_adjoint(
     w_x2 = w @ x2
     d_x1 = (w_x2 - rows[:, None] * x1) * inv
     d_x2 = (w.T @ x1 - cols[:, None] * x2) * inv
-    d_ell = (rows @ (x1 * x1) + cols @ (x2 * x2) - 2.0 * np.sum(x1 * w_x2, axis=0)) * inv
+    with np.errstate(**QUIET):
+        d_ell = (rows @ (x1 * x1) + cols @ (x2 * x2) - 2.0 * np.sum(x1 * w_x2, axis=0)) * inv
     return d_ell, float(w.sum()), d_x1, d_x2
 
 

@@ -6,7 +6,12 @@ gap scale, when the state carries one) on a collapsed objective.
 fit_stochastic moves hyperparameters and an explicit q(u) together,
 taking one gradient step per block while cycling blocks in a seeded
 shuffled order each epoch; with a single block it degenerates to
-full-batch training of the uncollapsed bound.
+full-batch training of the uncollapsed bound.  Both run their Adam
+steps through maximize_adam, and both traces record the value each
+step's own call returned, so a step makes one pass (one prepared state,
+or one block); only an Adam run's last point costs one more, value-only,
+pass.  A stochastic trace row is therefore the estimate at theta_t on
+the block the next step draws.
 
 Gradients.  fit_collapsed takes the value and the gradient in every
 coordinate (hyperparameters, inducing inputs, and log m when the state
@@ -44,7 +49,7 @@ from .bounds_vi import (
     tsgpr_collapsed,
     vi_stochastic,
 )
-from .kernels import KernelParams, NoiseParam, kernel_matrix
+from .kernels import QUIET, KernelParams, NoiseParam, kernel_matrix
 from .linalg import CholeskyFactor, NotPositiveDefiniteError, chol
 from .model import (
     ORACLE_METHODS,
@@ -276,7 +281,8 @@ class ParameterPack:
         il = np.tril_indices(m)
         lower[il] = vals
         diag = np.arange(m)
-        lower[diag, diag] = np.exp(lower[diag, diag])
+        with np.errstate(**QUIET):
+            lower[diag, diag] = np.exp(lower[diag, diag])
         return GaussianQU(mean=mean, cov_chol=CholeskyFactor(lower=lower, jitter_used=0.0))
 
     def pack_estimate_gradient(
@@ -361,8 +367,11 @@ def evaluate_bound(
 
 # What an objective raises where it cannot be evaluated: a factorization that
 # failed, or parameters whose exp overflows (the kernel, noise and gap-scale
-# accessors raise FloatingPointError for those).
-_EVALUATION_ERRORS = (NotPositiveDefiniteError, np.linalg.LinAlgError, FloatingPointError)
+# accessors raise FloatingPointError for those, and Python float arithmetic
+# on such values, a power say, raises OverflowError).
+_EVALUATION_ERRORS = (
+    NotPositiveDefiniteError, np.linalg.LinAlgError, FloatingPointError, OverflowError
+)
 
 
 def _eval(fun: Callable[[np.ndarray], float], theta: np.ndarray) -> float:
@@ -556,11 +565,10 @@ def fit_collapsed(
     cfg.gradient_mode says.  The trace records each accepted step with
     the value the optimizer's own call there returned; only Adam's last
     point costs one more, value-only, evaluation.  An L-BFGS trace also
-    keeps scipy's stop message and evaluation count.  A non-finite
-    objective at an accepted step raises Diverged (EvaluationFailed
-    where Adam's next gradient call meets it first), and an L-BFGS run
-    that stops where the objective or its gradient cannot be evaluated
-    raises EvaluationFailed.
+    keeps scipy's stop message and evaluation count.  An Adam step that
+    lands where the objective or its gradient cannot be evaluated or is
+    not finite raises EvaluationFailed, and so does an L-BFGS run that
+    stops at such a point.
     """
     spec = cfg.objective
     if spec.method in ORACLE_METHODS:
@@ -585,8 +593,8 @@ def fit_collapsed(
     def on_step(theta, value):
         theta = np.asarray(theta, dtype=float)
         if value is None:
-            value = objective(theta)
-        builder.append(float(value), pack.unpack_state(theta))
+            value = _eval(objective, theta)
+        builder.append(value, pack.unpack_state(theta))
 
     if cfg.optimizer == "lbfgs":
         result = maximize_lbfgs(
@@ -659,9 +667,16 @@ def fit_stochastic(
     the gradient in every coordinate (hyperparameters, inducing inputs,
     log m when the state tracks it, q(u)) from one block_estimate call,
     whose cost does not grow with N; "fd" differences the same value in
-    all of them.  The trace records the block's estimate after each
-    step.  Only block-separable objectives are accepted; q defaults to
-    the prior at the initial state.
+    all of them.  The block schedule, epochs seeded permutations, is
+    drawn before the first step, and maximize_adam runs the steps.  The
+    trace row of each point theta_t is the value the next step's call
+    returned there, the estimate on the block step t+1 draws; the last
+    point, which no step evaluates, costs one value-only pass on the
+    last scheduled block.  So a step costs one block pass ("analytic")
+    or 2P+1 ("fd").  A point where the estimate or its gradient cannot
+    be evaluated or is not finite raises EvaluationFailed.  Only
+    block-separable objectives are accepted; q defaults to the prior at
+    the initial state.
     """
     spec = cfg.objective
     if spec.method not in STOCHASTIC_METHODS:
@@ -678,6 +693,10 @@ def fit_stochastic(
     pack = ParameterPack.for_state(state, with_q=True)
     theta = pack.pack(state, q)
 
+    rng = np.random.default_rng(cfg.seed)
+    order = [int(b) for _ in range(cfg.epochs) for b in rng.permutation(part.num_blocks)]
+    blocks = iter(order)
+
     def block_value(theta_vec, b):
         st = pack.unpack_state(theta_vec)
         qu = pack.unpack_q(theta_vec)
@@ -686,25 +705,26 @@ def fit_stochastic(
             return tpep_stochastic(x, y, st, pcfg, qu, b)
         return vi_stochastic(x, y, st, part, qu, b, penalty=_VI_PENALTY[spec.method])
 
-    def block_gradient(theta_vec, b):
+    def value_and_gradient(theta_vec):
+        b = next(blocks)
         if cfg.gradient_mode == "fd":
-            return finite_difference_gradient(
+            return block_value(theta_vec, b), finite_difference_gradient(
                 lambda t: block_value(t, b), theta_vec, cfg.fd_step
             )
-        st = pack.unpack_state(theta_vec)
         qu = pack.unpack_q(theta_vec)
-        try:
-            est = stochastic_estimate(x, y, st, part, qu, b, spec, gradient=True)
-        except _EVALUATION_ERRORS as exc:
-            raise EvaluationFailed(str(exc)) from exc
-        return pack.pack_estimate_gradient(qu, est)
+        est = stochastic_estimate(
+            x, y, pack.unpack_state(theta_vec), part, qu, b, spec, gradient=True
+        )
+        return est.value, pack.pack_estimate_gradient(qu, est)
 
-    rng = np.random.default_rng(cfg.seed)
-    adam = _AdamState(theta.size, cfg.learning_rate)
     builder = _TraceBuilder(state.kernel.input_dim)
-    for _ in range(cfg.epochs):
-        for b in rng.permutation(part.num_blocks):
-            b = int(b)
-            theta = adam.step(theta, block_gradient(theta, b))
-            builder.append(float(block_value(theta, b)), pack.unpack_state(theta))
+
+    def on_step(theta_vec, value):
+        if value is None:  # the last point, which no step evaluates
+            value = _eval(lambda t: block_value(t, order[-1]), theta_vec)
+        builder.append(value, pack.unpack_state(theta_vec))
+
+    theta = maximize_adam(
+        value_and_gradient, theta, len(order), cfg.learning_rate, on_step=on_step
+    )
     return pack.unpack_state(theta), pack.unpack_q(theta), builder.build()

@@ -74,6 +74,22 @@ def test_fit_stochastic_path(tmp_path):
     assert report["objective_uncollapsed"] <= report["objective"] + 1e-9
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(trainer="stochastic", blocks=4, epochs=3),
+        # one step, so only the trace's value at the last point meets the overflow
+        dict(trainer="collapsed", epochs=1),
+    ],
+)
+def test_a_diverging_adam_fit_exits_1_with_an_error_line(tmp_path, capsys, overrides):
+    cfg_path, _ = _write_config(
+        tmp_path, optimizer="adam", learning_rate=3000, **overrides
+    )
+    assert main(["fit", "--config", cfg_path]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_configs_exit_2_and_name_the_field(tmp_path, capsys):
     cases = [
         ({"method": "BT-SGPR"}, "blocks"),

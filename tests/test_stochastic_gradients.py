@@ -186,9 +186,14 @@ def test_analytic_step_builds_the_same_kernel_entries_at_any_n(monkeypatch, meth
         state = _with_scale(state, method)
         part = make_partition(n, n // 50, seed=0)
         q = random_qu(rng, state.num_inducing)
-        cfg = TrainConfig(objective=_spec(method, part.num_blocks), optimizer="adam",
-                          epochs=1, gradient_mode="analytic")
-        entries[0] = 0
-        _, _, trace = fit_stochastic(x, y, state, part, cfg, q=q)
-        per_step.append(entries[0] / len(trace))
+        counts = []
+        for epochs in (1, 2):
+            cfg = TrainConfig(objective=_spec(method, part.num_blocks), optimizer="adam",
+                              epochs=epochs, gradient_mode="analytic")
+            entries[0] = 0
+            fit_stochastic(x, y, state, part, cfg, q=q)
+            counts.append(entries[0])
+        # the second epoch's steps alone: the run's one value-only pass
+        # at its last point cancels
+        per_step.append((counts[1] - counts[0]) / part.num_blocks)
     assert per_step[0] == per_step[1]

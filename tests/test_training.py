@@ -19,10 +19,12 @@ from blockgp.bounds_vi import (
     uncollapsed_qu_gradient,
     vi_stochastic,
 )
+from blockgp import training
 from blockgp.linalg import NotPositiveDefiniteError, chol
 from blockgp.kernels import kernel_matrix
 from blockgp.model import BoundSpec, GaussianQU, make_partition
 from blockgp.training import (
+    STOCHASTIC_METHODS,
     Diverged,
     EvaluationFailed,
     ParameterPack,
@@ -33,6 +35,7 @@ from blockgp.training import (
     fit_stochastic,
     maximize_adam,
     maximize_lbfgs,
+    stochastic_estimate,
 )
 from blockgp.verify import random_blocks, random_qu, small_instance
 
@@ -378,6 +381,123 @@ def test_fit_stochastic_rejects_unsupported_setups():
                 objective=BoundSpec(method="BT-SGPR", num_blocks=2), optimizer="lbfgs"
             ),
         )
+
+
+def _prior_qu(state):
+    return GaussianQU(
+        mean=np.zeros(state.num_inducing),
+        cov_chol=chol(kernel_matrix(state.inducing, state.inducing, state.kernel)),
+    )
+
+
+def test_fit_stochastic_trace_rows_are_the_next_blocks_estimate():
+    rng = np.random.default_rng(12)
+    x, y, state = small_instance(rng)
+    part = make_partition(y.shape[0], 3, seed=1)
+    spec = BoundSpec(method="BT-SGPR", num_blocks=3)
+    cfg = TrainConfig(objective=spec, optimizer="adam", epochs=2, seed=4,
+                      learning_rate=0.01)
+    q0 = _prior_qu(state)
+    fitted, q, trace = fit_stochastic(x, y, state, part, cfg, q=q0)
+
+    # replay: the seeded schedule, analytic block gradients, Adam by hand
+    schedule = np.random.default_rng(cfg.seed)
+    order = [int(b) for _ in range(cfg.epochs) for b in schedule.permutation(3)]
+    pack = ParameterPack.for_state(state, with_q=True)
+    theta = pack.pack(state, q0)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = np.zeros(theta.size)
+    v = np.zeros(theta.size)
+    iterates = []
+    for t, b in enumerate(order, start=1):
+        qu = pack.unpack_q(theta)
+        est = stochastic_estimate(x, y, pack.unpack_state(theta), part, qu, b, spec,
+                                  gradient=True)
+        grad = pack.pack_estimate_gradient(qu, est)
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        iterates.append(theta)
+    # row t is theta_t on the block step t + 1 draws; the last on the last block
+    values = [
+        vi_stochastic(x, y, pack.unpack_state(th), part, pack.unpack_q(th), b,
+                      penalty="logdet")
+        for th, b in zip(iterates, order[1:] + order[-1:])
+    ]
+    assert np.array_equal(trace.objective, np.array(values))
+    assert np.array_equal(fitted.inducing, pack.unpack_state(theta).inducing)
+    assert np.array_equal(q.mean, pack.unpack_q(theta).mean)
+
+
+@pytest.mark.parametrize("method", ["BT-SGPR", "T-PEP"])
+def test_a_stochastic_step_makes_one_block_pass(monkeypatch, method):
+    calls = {"with_gradient": 0, "value_only": 0}
+    real_estimate = training.block_estimate
+
+    def counting_estimate(*args, **kwargs):
+        calls["with_gradient" if kwargs.get("gradient") else "value_only"] += 1
+        return real_estimate(*args, **kwargs)
+
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls["value_only"] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training, "block_estimate", counting_estimate)
+    for name in ("vi_stochastic", "tpep_stochastic"):
+        monkeypatch.setattr(training, name, counting(getattr(training, name)))
+    rng = np.random.default_rng(13)
+    x, y, state = small_instance(rng)
+    if method == "T-PEP":
+        state = state.with_(log_m_scale=np.log(1.2))
+        spec = BoundSpec(method=method, alpha=0.5, num_blocks=3)
+    else:
+        spec = BoundSpec(method=method, num_blocks=3)
+    part = make_partition(y.shape[0], 3, seed=0)
+    cfg = TrainConfig(objective=spec, optimizer="adam", epochs=2, learning_rate=0.01)
+    _, _, trace = fit_stochastic(x, y, state, part, cfg, q=_prior_qu(state))
+    assert len(trace) == 6
+    # one value-and-gradient pass a step, one value-only pass at the last point
+    assert calls == {"with_gradient": 6, "value_only": 1}
+
+
+def _stochastic_spec(method, num_blocks):
+    if method in ("PEP", "T-PEP"):
+        return BoundSpec(method=method, alpha=0.5, num_blocks=num_blocks)
+    if method == "BT-SGPR":
+        return BoundSpec(method=method, num_blocks=num_blocks)
+    return BoundSpec(method=method)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("learning_rate", [300.0, 3000.0])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
+def test_a_diverging_stochastic_run_raises_evaluation_failed(method, learning_rate, mode):
+    # steps this long carry the kernel, q(u) or the gap scale to where they
+    # overflow; that is a named error, not a bare FloatingPointError, a
+    # RuntimeWarning or a parameter vector of NaNs
+    x, y, state = small_instance(np.random.default_rng(6))
+    if method == "T-PEP":
+        state = state.with_(log_m_scale=0.0)
+    part = make_partition(y.shape[0], 3, seed=0)
+    cfg = TrainConfig(objective=_stochastic_spec(method, 3), optimizer="adam", epochs=3,
+                      learning_rate=learning_rate, gradient_mode=mode)
+    with pytest.raises(EvaluationFailed):
+        fit_stochastic(x, y, state, part, cfg)
+
+
+def test_a_python_float_overflow_is_evaluation_failed():
+    # the noise variance grows past 1e154, where the SGPR adjoint's s2**2,
+    # a Python float, raises OverflowError
+    x, y, state = small_instance(np.random.default_rng(1))
+    part = make_partition(y.shape[0], 3, seed=0)
+    cfg = TrainConfig(objective=BoundSpec(method="SGPR"), optimizer="adam", epochs=3,
+                      learning_rate=300.0)
+    with pytest.raises(EvaluationFailed):
+        fit_stochastic(x, y, state, part, cfg)
 
 
 def test_analytic_qu_gradients_match_finite_differences():
