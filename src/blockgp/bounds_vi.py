@@ -263,8 +263,7 @@ def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List
     _check_partition(prep, partition)
     scales = {}
     for ix, lower, _ in _scale_stacks(prep, partition):
-        inv_l = np.linalg.solve(lower, np.eye(ix.shape[1]))
-        scales.update(zip(ix[:, 0], np.swapaxes(inv_l, -1, -2) @ inv_l))
+        scales.update(zip(ix[:, 0], stack_inverse(lower)))
     return [scales[idx[0]] for idx in partition.blocks]
 
 
@@ -643,16 +642,19 @@ def _estimate(
     if penalty == "trace":
         pen = 0.5 * float(np.sum(gap)) / s2
         dd[:] = -0.5 * w / s2
-        g_s2 += 0.5 * w * float(np.sum(gap)) / s2**2
+        if gradient:
+            g_s2 += 0.5 * w * float(np.sum(gap)) / s2**2
     elif penalty == "diag":
         pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
         dd[:] = -0.5 * w / (s2 + gap)
-        g_s2 += 0.5 * w * float(np.sum(gap / (s2 * (s2 + gap))))
+        if gradient:
+            g_s2 += 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
     elif penalty == "spherical":
         mean_gap = float(np.mean(gap))
         pen = 0.5 * n * float(np.log1p(mean_gap / s2))
         dd[:] = -0.5 * w / (s2 + mean_gap)
-        g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
+        if gradient:
+            g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
     elif penalty == "shared":
         lb, avg = _shared_factor(prep, groups)
         num_blocks = sum(ix.shape[0] for ix in groups)
@@ -703,47 +705,51 @@ def _estimate(
     if not np.isfinite(value):  # its adjoints would overflow on the way
         raise FloatingPointError(f"objective is {value}, so it has no gradient")
 
-    if penalty in ("trace", "diag", "spherical"):
-        dd[prep.clamped] = 0.0
-        np.multiply(at, -dd, out=at_q)
-    # KL term: adjoints of Kuu, the q(u) mean and its factor; the data
-    # term adds those of A^T, w (q.mean rho^T - L_q g^T), and of the
-    # q(u) mean and factor.
-    luu, lq = prep.luu, q.cov_chol.lower
-    p_mean = luu.half_solve_t(w_mean)  # Kuu^-1 q.mean
-    p_lq = luu.half_solve_t(half)  # Kuu^-1 L_q
-    g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
-    at_rho, at_g = at @ rho, at @ g
-    d_mean = w * at_rho - p_mean
-    d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
-    # Q and A = Kfu Kuu^-1 pass their adjoints on to Kuu and Kuf.  Kuf's,
-    # 2 A^T Q_bar + Kuu^-1 A_bar^T, is built in A^T Q_bar's array, and the
-    # other M x N arrays are freed as soon as they are spent.
-    g_uu -= at_q @ at.T + w * (np.outer(at_rho, p_mean) - at_g @ p_lq.T)
-    g_uu = 0.5 * (g_uu + g_uu.T)
-    del at
-    g_uf = at_q
-    g_uf *= 2.0
-    g_uf += (w * p_mean)[:, None] * rho
-    g_uf -= (w * p_lq) @ g.T
-    del g, h
-    z = prep.state.inducing
-    d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
-    e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, prep.x, kern, prep.kuf, g_uf)
-    if pep:
-        g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
-    # K's diagonal, the signal variance, is D's diagonal's other part
-    d_ls2 += e_ls2 + kbb_s2 + kern.signal_variance * float(np.sum(dd))
-    est = BlockEstimate(
-        value=value,
-        d_log_lengthscales=d_ell + e_ell + kbb_ell,
-        d_log_signal_variance=d_ls2,
-        d_log_noise_variance=s2 * g_s2,
-        d_inducing=d_z1 + d_z2 + e_z,
-        d_log_m_scale=m * g_m,
-        d_mean=d_mean,
-        d_lower=np.tril(d_lower),
-    )
+    # A finite value can still have adjoints past the float range (Kuu^-1 L_q
+    # at a huge q(u) factor, say); that is a FloatingPointError here, not a
+    # warning and an infinite gradient.
+    with np.errstate(over="raise", invalid="raise"):
+        if penalty in ("trace", "diag", "spherical"):
+            dd[prep.clamped] = 0.0
+            np.multiply(at, -dd, out=at_q)
+        # KL term: adjoints of Kuu, the q(u) mean and its factor; the data
+        # term adds those of A^T, w (q.mean rho^T - L_q g^T), and of the
+        # q(u) mean and factor.
+        luu, lq = prep.luu, q.cov_chol.lower
+        p_mean = luu.half_solve_t(w_mean)  # Kuu^-1 q.mean
+        p_lq = luu.half_solve_t(half)  # Kuu^-1 L_q
+        g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
+        at_rho, at_g = at @ rho, at @ g
+        d_mean = w * at_rho - p_mean
+        d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
+        # Q and A = Kfu Kuu^-1 pass their adjoints on to Kuu and Kuf.  Kuf's,
+        # 2 A^T Q_bar + Kuu^-1 A_bar^T, is built in A^T Q_bar's array, and the
+        # other M x N arrays are freed as soon as they are spent.
+        g_uu -= at_q @ at.T + w * (np.outer(at_rho, p_mean) - at_g @ p_lq.T)
+        g_uu = 0.5 * (g_uu + g_uu.T)
+        del at
+        g_uf = at_q
+        g_uf *= 2.0
+        g_uf += (w * p_mean)[:, None] * rho
+        g_uf -= (w * p_lq) @ g.T
+        del g, h
+        z = prep.state.inducing
+        d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
+        e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, prep.x, kern, prep.kuf, g_uf)
+        if pep:
+            g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
+        # K's diagonal, the signal variance, is D's diagonal's other part
+        d_ls2 += e_ls2 + kbb_s2 + kern.signal_variance * float(np.sum(dd))
+        est = BlockEstimate(
+            value=value,
+            d_log_lengthscales=d_ell + e_ell + kbb_ell,
+            d_log_signal_variance=d_ls2,
+            d_log_noise_variance=s2 * g_s2,
+            d_inducing=d_z1 + d_z2 + e_z,
+            d_log_m_scale=m * g_m,
+            d_mean=d_mean,
+            d_lower=np.tril(d_lower),
+        )
     return est, reg, jit
 
 

@@ -9,7 +9,11 @@ log-density of a Gaussian whose covariance is "low rank plus block noise",
 evaluated through the matrix inversion and determinant lemmas so the
 N x N covariance is never formed.  Cost is O(N M^2 + sum_b Nb^3 + M^3);
 the per-block work is batched by block size, one factorization and one
-triangular solve for each stack of equal-size blocks.
+triangular solve for each stack of equal-size blocks.  Solves against a
+triangular factor do triangular work only, O(n^2) a right-hand side for
+a block of n points: small blocks by forward substitution vectorized over
+the stack, large ones by LAPACK's trtrs one block at a time
+(stack_half_solve); no LU factorization is ever made of a triangle.
 """
 
 from __future__ import annotations
@@ -116,18 +120,51 @@ def stack_logdet(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(lower, 0, 1, 2))))
 
 
-# Blocks up to this size are inverted in one batched call; larger ones go
-# one at a time through LAPACK's potri.  With one BLAS thread on a 2-core
-# Xeon, stacks of 2^16 entries: batched 0.44, 4.3, 16.2 and 27 us a block
-# at 4, 16, 32 and 40 points, potri 8.8, 10.7, 16.6 and 21 us; the two
-# meet at 32 points, and potri is 2.4 times faster at 200.
+# Blocks up to this size are solved by forward substitution vectorized over
+# the stack (n steps, each one batched row-times-solution product); larger
+# ones go one at a time through LAPACK's trtrs.  With one BLAS thread on a
+# 2-core Xeon, stacks of 2^16 entries, one right-hand side: substitution
+# 2.3, 5.9 and 11 us a block at 24, 32 and 40 points, trtrs 3.8, 4.0 and
+# 4.4 us; 32 right-hand sides: substitution 10, 17 and 27 us, trtrs 16, 20
+# and 24 us.  A factor's solves come in such pairs (W and y in
+# LowRankGaussian), which cost the same either way at 32 points; trtrs is
+# 5 times faster at 200.
+SUBSTITUTION_MAX = 32
+
+
+def stack_half_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L_b^-1 b_b for a (B, n, n) stack of lower factors and (B, n, k) b."""
+    n = lower.shape[-1]
+    x = np.empty(b.shape)
+    if n <= SUBSTITUTION_MAX:
+        for i in range(n):
+            done = lower[:, i : i + 1, :i] @ x[:, :i]  # (B, 1, k)
+            x[:, i] = (b[:, i] - done[:, 0]) / lower[:, i, i, None]
+        return x
+    for j, low in enumerate(lower):
+        # low.T is L^T in Fortran order, so trtrs solves with L without a copy
+        x[j], info = lapack.dtrtrs(low.T, b[j], lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed on block {j} (info {info})")
+    return x
+
+
+# Blocks up to this size are inverted batched, L_b^-1 by stack_half_solve
+# on the identity; larger ones go one at a time through LAPACK's potri.
+# With one BLAS thread on a 2-core Xeon, stacks of 2^16 entries, a batched
+# LU inverse took 0.44, 4.3, 16.2 and 27 us a block at 4, 16, 32 and 40
+# points, potri 8.8, 10.7, 16.6 and 21 us: they met at 32 points, and potri
+# is 2.4 times faster at 200.  Substitution takes 0.5 to 0.7 of the LU
+# inverse's time at 4 to 32 points (measured on a loaded host), so the
+# crossover may now lie higher.
 BATCHED_INVERSE_MAX = 32
 
 
 def stack_inverse(lower: np.ndarray) -> np.ndarray:
     """(L_b L_b^T)^-1 for a (B, n, n) stack of lower factors, symmetric."""
     if lower.shape[-1] <= BATCHED_INVERSE_MAX:
-        inv_l = np.linalg.inv(lower)
+        eye = np.broadcast_to(np.eye(lower.shape[-1]), lower.shape)
+        inv_l = stack_half_solve(lower, eye)
         return np.swapaxes(inv_l, -1, -2) @ inv_l
     out = np.empty(lower.shape)
     for b, low in enumerate(lower):
@@ -169,7 +206,9 @@ class BlockFactors:
     Each entry of the partition, one block or a stack of equal-size
     blocks, is factored by chol_stack in one call; iid noise has
     L = sqrt(sigma2) I.  ``logdet`` is sum_b log det R_b and
-    ``jitter_used`` the largest jitter a block needed.
+    ``jitter_used`` the largest jitter a block needed.  ``half_solve``
+    applies blkdiag(L_b)^-1 by stack_half_solve, O(n_s^2 k) a block of
+    n_s points for k right-hand sides.
     """
 
     def __init__(self, noise: BlockNoise, n: int):
@@ -194,12 +233,12 @@ class BlockFactors:
             self.jitter_used = max(self.jitter_used, float(jitter.max()))
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """blkdiag(L_b)^-1 b for b of shape (N, k), one batched solve per stack."""
+        """blkdiag(L_b)^-1 b for b of shape (N, k), one stack_half_solve per stack."""
         if not self.stacks:
             return b / np.sqrt(self.sigma2)
         out = np.empty(b.shape)
         for ix, lower in self.stacks:
-            out[ix] = np.linalg.solve(lower, b[ix])
+            out[ix] = stack_half_solve(lower, b[ix])
         return out
 
 

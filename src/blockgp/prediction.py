@@ -6,7 +6,18 @@ q(u) = N(mean, S) over the inducing values, so prediction is shared:
     mean(x*) = k*u Kuu^-1 mean
     var(x*)  = k** - k*u Kuu^-1 ku* + a*^T S a*,   a* = Kuu^-1 ku*
 
-plus the noise variance when predicting observations.
+plus the noise variance when predicting observations.  With Kuu = Lu Lu^T,
+S = L_S L_S^T and v* = Lu^-1 ku*, the only solve a test point needs is v*:
+
+    mean(x*) = (Lu^-1 mean)^T v*
+    var(x*)  = k** - |v*|^2 + |G v*|^2,   G = (Lu^-1 L_S)^T,
+
+so after O(M^3) set-up a test point costs one kernel column, one triangular
+solve and one product with G, O(M^2).  The test points are streamed in
+chunks of PREDICT_CHUNK_ENTRIES // M, so the temporaries are a few
+M x chunk arrays whatever N* is, and memory beyond the inputs and the two
+outputs does not grow with N*.  The triangular solve runs from the right on
+the transposed kernel block, which BLAS takes without a copy.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .kernels import kernel_diag, kernel_matrix
 from .linalg import chol
@@ -23,6 +35,13 @@ from .model import GaussianQU, ModelState
 # Round-off can push a variance a hair below zero; anything worse than
 # this (relative to the kernel variance) earns a warning.
 _NEGATIVE_VAR_TOL = 1e-10
+
+# Entries of the M x chunk cross term and its solve in one chunk of test
+# points, 256 kB an array.  With one BLAS thread on a 2-core Xeon (4 MB L2),
+# for 2^14, 2^15 and 2^16 entries and unchunked: 4.6, 4.2, 5.9 and 5.5 ms
+# for 5000 points at M=32, D=4; 0.83, 0.83, 0.78 and 0.77 ms at M=8, D=2;
+# 82, 73, 71 and 88 ms for 20 000 points at M=128, D=4.
+PREDICT_CHUNK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -42,22 +61,36 @@ def predict(
     x_test = np.asarray(x_test, dtype=float)
     if q.dim != state.num_inducing:
         raise ValueError("q(u) dimension does not match the inducing set")
-    luu = chol(kernel_matrix(state.inducing, state.inducing, state.kernel))
-    v = luu.half_solve(kernel_matrix(state.inducing, x_test, state.kernel))
-    # a*^T S a* with a* = Kuu^-1 ku*: whiten S's factor through Kuu.
-    w = luu.half_solve_t(v)  # (M, N*) columns are a*
-    mean = w.T @ q.mean
-    h = q.cov_chol.lower.T @ w
-    var = kernel_diag(x_test, state.kernel) - np.sum(v * v, axis=0) + np.sum(h * h, axis=0)
-    bad = int(np.sum(var < -_NEGATIVE_VAR_TOL * state.kernel.signal_variance))
+    kern = state.kernel
+    luu = chol(kernel_matrix(state.inducing, state.inducing, kern))
+    mean_w = luu.half_solve(q.mean)  # Lu^-1 mean
+    g = luu.half_solve(q.cov_chol.lower).T  # (Lu^-1 L_S)^T
+    var = kernel_diag(x_test, kern)  # checks x_test's shape, even with no rows
+    mean = np.empty(var.shape)
+    step = max(1, PREDICT_CHUNK_ENTRIES // state.num_inducing)
+    bad = 0
+    for lo in range(0, x_test.shape[0], step):
+        xs = x_test[lo : lo + step]
+        # v = Lu^-1 Ku*, solved from the right as v^T = K*u Lu^-T on the
+        # transposed kernel block, which is already in LAPACK's column order
+        v = blas.dtrsm(
+            1.0, luu.lower, kernel_matrix(state.inducing, xs, kern).T,
+            side=1, lower=1, trans_a=1, overwrite_b=1,
+        ).T
+        gv = g @ v
+        mean[lo : lo + step] = mean_w @ v
+        chunk = var[lo : lo + step]
+        chunk -= np.einsum("ij,ij->j", v, v)
+        chunk += np.einsum("ij,ij->j", gv, gv)
+        bad += int(np.sum(chunk < -_NEGATIVE_VAR_TOL * kern.signal_variance))
     if bad:
         warnings.warn(
             f"{bad} predictive variances below round-off tolerance were clamped",
             RuntimeWarning,
         )
-    var = np.maximum(var, 0.0)
+    np.maximum(var, 0.0, out=var)
     if include_noise:
-        var = var + state.noise.noise_variance
+        var += state.noise.noise_variance
     return PredictiveGaussian(mean=mean, variance=var, clamped=bad)
 
 

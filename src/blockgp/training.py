@@ -515,11 +515,22 @@ class _AdamState:
         self.v = np.zeros(size)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The next point; EvaluationFailed if the second moment overflows.
+
+        A gradient entry near 1e154 or above overflows grad * grad, and an
+        infinite second moment would silently make that coordinate's step 0.
+        """
         self.t += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        with np.errstate(over="ignore"):
+            self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+            v_hat = self.v / (1.0 - self.beta2**self.t)
+        if not np.all(np.isfinite(v_hat)):
+            raise EvaluationFailed(
+                f"Adam's second moment overflows at gradient entries up to "
+                f"{float(np.max(np.abs(grad))):g}"
+            )
         m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
         return theta + self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

@@ -9,9 +9,11 @@ arrays the package's initializers avoid.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from blockgp.kernels import kernel_matrix
+from blockgp.linalg import chol
 from blockgp.model import ModelState, Partition
 
 
@@ -145,6 +147,25 @@ def dense_gp_predict(x_train, y_train, x_test, state, include_noise: bool):
     if include_noise:
         var = var + s2
     return mean, var
+
+
+def two_solve_predict(x_test, state, q, include_noise: bool):
+    """Sparse predictive moments with a* = Kuu^-1 ku* formed whole.
+
+    Two M x N* triangular solves, v = Lu^-1 Kuf* and a* = Lu^-T v, then
+    mean = a*^T mean and var = k** - |v|^2 + |L_S^T a*|^2, all test points
+    at once.  Kuu is factored by the package's chol, so a jittered Kuu
+    (duplicate inducing points) is the same matrix on both sides.
+    """
+    z, kern = state.inducing, state.kernel
+    luu = chol(kernel_matrix(z, z, kern)).lower
+    v = solve_triangular(luu, kernel_matrix(z, x_test, kern), lower=True)
+    a = solve_triangular(luu.T, v, lower=False)
+    h = q.cov_chol.lower.T @ a
+    var = np.maximum(kern.signal_variance - np.sum(v * v, axis=0) + np.sum(h * h, axis=0), 0.0)
+    if include_noise:
+        var = var + state.noise.noise_variance
+    return a.T @ q.mean, var
 
 
 def median_distance_oracle(x: np.ndarray) -> float:

@@ -29,6 +29,7 @@ from blockgp.bounds_vi import (
     general_c_oracle,
     kl_qu,
     optimal_qu,
+    prepare,
     sgpr_collapsed,
     sharedblock_collapsed,
     sharedblock_optimal_scale,
@@ -39,7 +40,9 @@ from blockgp.bounds_vi import (
     vi_stochastic,
     vi_uncollapsed,
 )
-from blockgp.model import make_partition, singleton_partition
+from blockgp.kernels import KernelParams, NoiseParam
+from blockgp.linalg import BATCHED_INVERSE_MAX
+from blockgp.model import ModelState, Partition, make_partition, singleton_partition
 from blockgp.verify import (
     equal_blocks,
     random_blocks,
@@ -152,6 +155,28 @@ def test_optimal_scales_closed_forms():
         assert_allclose(mb, dense, rtol=1e-6, atol=1e-10)
         evals = np.linalg.eigvalsh(mb)
         assert evals.min() > 0.0 and evals.max() <= 1.0 + 1e-12
+
+
+def test_optimal_block_scales_on_both_inverse_paths():
+    # blocks of up to BATCHED_INVERSE_MAX points are inverted batched, larger
+    # ones by potri; both match a plain inverse of I + D_bb / sigma2
+    rng = np.random.default_rng(12)
+    sizes = [1, 10, 10, BATCHED_INVERSE_MAX, BATCHED_INVERSE_MAX + 1, 45]
+    n, d = sum(sizes), 2
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    state = ModelState(
+        kernel=KernelParams(log_lengthscales=np.zeros(d), log_signal_variance=0.0),
+        noise=NoiseParam(log_noise_variance=np.log(0.5)),
+        inducing=rng.uniform(-2.0, 2.0, (6, d)),
+    )
+    y = rng.standard_normal(n)
+    cuts = np.cumsum([0] + sizes)
+    perm = rng.permutation(n)
+    part = Partition([np.sort(perm[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+    prep = prepare(x, y, state)
+    for ix, mb in zip(part.blocks, btsgpr_optimal_scales(x, y, state, part)):
+        ref = np.linalg.inv(np.eye(ix.size) + prep.block_gap(ix) / prep.sigma2)
+        assert np.max(np.abs(mb - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_parametric_block_bound_peaks_at_optimal_scales():

@@ -9,15 +9,19 @@ those routes share code with the package.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from blockgp.linalg import (
+    BlockFactors,
     BlockNoise,
     CholeskyFactor,
     LowRankGaussian,
     BATCHED_INVERSE_MAX,
+    SUBSTITUTION_MAX,
     NotPositiveDefiniteError,
     chol,
+    stack_half_solve,
     stack_inverse,
 )
 
@@ -197,3 +201,63 @@ def test_stack_inverse_matches_numpy_on_both_paths(n):
     inv = stack_inverse(np.linalg.cholesky(a))
     assert_allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
     assert_allclose(inv, np.swapaxes(inv, 1, 2), rtol=1e-12, atol=1e-14)
+
+
+def _per_block_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([solve_triangular(low, rhs, lower=True) for low, rhs in zip(lower, b)])
+
+
+def _assert_close_relative(got: np.ndarray, ref: np.ndarray, rtol: float = 1e-12):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize(
+    "n", [1, 2, SUBSTITUTION_MAX - 1, SUBSTITUTION_MAX, SUBSTITUTION_MAX + 1, 40]
+)
+def test_stack_half_solve_matches_per_block_lapack_on_both_paths(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    lower = np.linalg.cholesky(np.stack([_random_spd(rng, n) for _ in range(4)]))
+    b = rng.standard_normal((4, n, k))
+    _assert_close_relative(stack_half_solve(lower, b), _per_block_solve(lower, b))
+
+
+@pytest.mark.parametrize("n", [3, SUBSTITUTION_MAX + 4])
+def test_block_factors_solve_a_jittered_stack_block_by_block(n):
+    # rank-one blocks a round-off below positive semi-definite, as a gap
+    # block can come out, are not positive definite at a tiny sigma2, so the
+    # stack goes through chol's ladder; the solve uses the jittered factors
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((5, n))
+    blocks = w[:, :, None] * w[:, None, :] - 1e-12 * np.eye(n)
+    ix = np.arange(5 * n).reshape(5, n)
+    noise = BlockNoise(sigma2=1e-14, partition=[ix], blocks=[blocks])
+    factors = BlockFactors(noise, 5 * n)
+    assert factors.jitter_used > 0.0
+    ((_, lower),) = factors.stacks
+    b = rng.standard_normal((5 * n, 3))
+    out = factors.half_solve(b)
+    _assert_close_relative(out[ix], _per_block_solve(lower, b[ix]))
+
+
+def test_block_factors_solve_mixed_sizes_against_the_dense_factor():
+    # one-point blocks, a substitution stack and a LAPACK stack in one noise
+    rng = np.random.default_rng(11)
+    sizes = [1, 1, 4, 4, SUBSTITUTION_MAX + 1]
+    cuts = np.cumsum([0] + sizes)
+    perm = rng.permutation(cuts[-1])
+    blocks = [perm[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    partition = [np.stack(blocks[0:2]), np.stack(blocks[2:4]), blocks[4]]
+    covs = [0.1 * np.ones((2, 1, 1)), np.stack([_random_spd(rng, 4) for _ in range(2)]),
+            _random_spd(rng, sizes[-1])]
+    noise = BlockNoise(sigma2=0.3, partition=partition, blocks=covs)
+    factors = BlockFactors(noise, cuts[-1])
+    b = rng.standard_normal((cuts[-1], 6))
+    dense = np.zeros((cuts[-1], cuts[-1]))
+    for ix, lower in factors.stacks:
+        for rows, low in zip(ix, lower):
+            dense[np.ix_(rows, rows)] = low
+    ref = solve_triangular(dense[np.ix_(perm, perm)], b[perm], lower=True)
+    out = factors.half_solve(b)
+    _assert_close_relative(out[perm], ref)

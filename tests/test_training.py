@@ -489,6 +489,38 @@ def test_a_diverging_stochastic_run_raises_evaluation_failed(method, learning_ra
         fit_stochastic(x, y, state, part, cfg)
 
 
+@pytest.mark.parametrize("method", ["T-SGPR", "BT-SGPR", "PEP"])
+def test_an_overflowing_adam_second_moment_is_evaluation_failed(method):
+    # the gradient grows past 1e154, where grad * grad overflows; an infinite
+    # second moment would make that coordinate's step silently 0
+    x, y, state = small_instance(np.random.default_rng(0))
+    part = make_partition(y.shape[0], 3, seed=0)
+    cfg = TrainConfig(objective=_stochastic_spec(method, 3), optimizer="adam", epochs=3,
+                      learning_rate=100.0, gradient_mode="analytic")
+    with pytest.raises(EvaluationFailed, match="second moment"):
+        fit_stochastic(x, y, state, part, cfg)
+
+
+def test_adam_rejects_a_gradient_whose_square_overflows():
+    with pytest.raises(EvaluationFailed, match="second moment"):
+        maximize_adam(lambda t: (0.0, np.array([1.0, 1e160])), np.zeros(2), steps=1)
+
+
+@pytest.mark.parametrize(
+    "method, learning_rate, mode",
+    [("T-SGPR", 300.0, "analytic"), ("T-SGPR", 300.0, "fd"), ("SGPR", 100.0, "analytic")],
+)
+def test_overflowing_block_adjoints_are_evaluation_failed(method, learning_rate, mode):
+    # the per-point penalty's sigma2 adjoint and Kuu^-1 L_q (L_q^T Kuu^-1)
+    # overflow at finite values; no RuntimeWarning may escape on the way
+    x, y, state = small_instance(np.random.default_rng(3))
+    part = make_partition(y.shape[0], 3, seed=0)
+    cfg = TrainConfig(objective=_stochastic_spec(method, 3), optimizer="adam", epochs=3,
+                      learning_rate=learning_rate, gradient_mode=mode)
+    with pytest.raises(EvaluationFailed):
+        fit_stochastic(x, y, state, part, cfg)
+
+
 def test_a_python_float_overflow_is_evaluation_failed():
     # the noise variance grows past 1e154, where the SGPR adjoint's s2**2,
     # a Python float, raises OverflowError
