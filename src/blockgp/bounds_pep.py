@@ -18,9 +18,13 @@ likelihood block b's site is its own likelihood at the block noise),
 and the EP energy assembled from normalizer and cavity terms.  At the
 fixed point that cavity energy equals the collapsed objective, which
 the tests enforce; the site closed form is checked against an
-independent dense recomputation.  The collapsed forms' gradients come
-from bounds_vi's reverse-mode pass over the blocks at the optimal q(u),
-where the uncollapsed objective meets them.
+independent dense recomputation.  Each evaluation builds and factors
+the block noise R_b once (PreparedBound.gap_factors): the fit term, the
+log-det penalty, the optimal q(u) and the gradient all read those
+factors.  The collapsed forms' gradients come from bounds_vi's
+reverse-mode pass over the blocks at the optimal q(u), where the
+uncollapsed objective meets them.  The dense oracle, the fixed-point
+check and pep_iterate keep their own one-block code, as references.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ from .bounds_vi import (
     _check_partition,
     _collapsed,
     _estimate,
-    _pep_gap_penalty,
     _pep_whole_terms,
     block_estimate,
     prepare,
 )
-from .linalg import BlockNoise, CholeskyFactor, chol
+from .linalg import CholeskyFactor, LowRankGaussian, chol
 from .model import GaussianQU, ModelState, Partition
 
 
@@ -107,18 +110,38 @@ class FixedPointMismatch(RuntimeError):
         )
 
 
+def _noise_stacks(prep: PreparedBound, cfg: PepConfig):
+    """The gap stacks with the factors of R_b = a m D_bb + sigma2 I, as built."""
+    _check_partition(prep, cfg.partition)
+    return prep.gap_factors(cfg.partition.groups, cfg.alpha * cfg.m_scale)
+
+
+def _noise_gaussian(prep: PreparedBound, stacks) -> LowRankGaussian:
+    """N(0, Q + blkdiag(R_b)) on the factors of gap_factors' stacks."""
+    return LowRankGaussian(
+        prep.luu, prep.v, prep.sigma2,
+        ((ix, lower, jitter) for ix, _, _, lower, jitter in stacks),
+    )
+
+
 def _scaled_objective(
     prep: PreparedBound, cfg: PepConfig, gradient: bool
 ) -> BoundBreakdown:
     """Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I) plus the block
     log-det penalty and the whole-dataset terms, with each block gap built
-    and each R_b factored once; with gradient, also its gradient."""
-    _check_partition(prep, cfg.partition)
+    and each R_b factored once; with gradient, also its gradient, whose
+    pass reads the same stacks, so they are held until it has run."""
     a, m = cfg.alpha, cfg.m_scale
-    gauss = prep.fit_gaussian(tpep_noise(prep, cfg, m))
-    reg = _pep_gap_penalty(a, gauss.logdet_noise, prep.n, prep.sigma2)
+    stacks = _noise_stacks(prep, cfg)
+    if gradient:
+        stacks = list(stacks)
+    gauss = _noise_gaussian(prep, stacks)
+    # R_b = sigma2 (I + a m D_bb / sigma2), so each block's log det in the
+    # penalty is log det R_b - N_b log sigma2; the jitter ladder is relative
+    # to the mean diagonal, so it scales by the same sigma2
+    reg = -(1.0 - a) / (2.0 * a) * (gauss.logdet_noise - prep.n * np.log(prep.sigma2))
     reg += _pep_whole_terms(prep.n, a, m)
-    envelope = dict(groups=cfg.partition.groups, penalty="pep", alpha=a, m=m)
+    envelope = dict(stacks=stacks, penalty="pep", alpha=a, m=m)
     return _collapsed(prep, gauss, reg, 0.0, envelope if gradient else None)
 
 
@@ -143,20 +166,10 @@ def tpep_collapsed(
     return _scaled_objective(prepare(x, y, state), cfg, gradient)
 
 
-def tpep_noise(prep: PreparedBound, cfg: PepConfig, m: float) -> BlockNoise:
-    """The per-block likelihood noise R_b = a m D_bb + sigma2 I, stacked by block size."""
-    groups = cfg.partition.groups
-    blocks = [(cfg.alpha * m) * gaps for gaps in prep.block_gaps(groups)]
-    return BlockNoise(sigma2=prep.sigma2, partition=groups, blocks=blocks)
-
-
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:
     """The q(u) at which the uncollapsed objective meets the collapsed one."""
     prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
-    mean, cov_chol = prep.fit_gaussian(tpep_noise(prep, cfg, cfg.m_scale)).posterior(
-        prep.y
-    )
+    mean, cov_chol = _noise_gaussian(prep, _noise_stacks(prep, cfg)).posterior(prep.y)
     return GaussianQU(mean=mean, cov_chol=cov_chol)
 
 
@@ -170,9 +183,8 @@ def tpep_uncollapsed(
             + the same three gap penalties as the collapsed form.
     """
     prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
     est, reg, jit = _estimate(
-        prep, q, cfg.partition.groups, "pep", 1.0, alpha=cfg.alpha, m=cfg.m_scale
+        prep, q, _noise_stacks(prep, cfg), "pep", 1.0, alpha=cfg.alpha, m=cfg.m_scale
     )
     return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
@@ -212,8 +224,7 @@ def tpep_qu_gradient(
         )
     else:
         prep = prepare(x, y, state)
-        _check_partition(prep, cfg.partition)
-        est = _estimate(prep, q, cfg.partition.groups, "pep", 1.0,
+        est = _estimate(prep, q, _noise_stacks(prep, cfg), "pep", 1.0,
                         alpha=cfg.alpha, m=cfg.m_scale, gradient=True)[0]
     return est.d_mean, est.d_lower
 
@@ -264,9 +275,11 @@ def general_pep_oracle(
     c = droot @ mfull @ droot
     c = 0.5 * (c + c.T)
 
-    blocks = [a * c[np.ix_(idx, idx)] for idx in partition.blocks]
-    noise = BlockNoise(sigma2=prep.sigma2, partition=partition.blocks, blocks=blocks)
-    gauss = prep.fit_gaussian(noise)
+    factors = []  # (ix, lower, jitter) of each block's noise, one block a stack
+    for idx in partition.blocks:
+        lr = chol(prep.sigma2 * np.eye(idx.size) + a * c[np.ix_(idx, idx)])
+        factors.append((idx[None], lr.lower[None], lr.jitter_used))
+    gauss = LowRankGaussian(prep.luu, prep.v, prep.sigma2, factors)
     fit = gauss.logpdf(prep.y)
     jit = gauss.jitter_used
 

@@ -24,7 +24,7 @@ conditional covariance backs the optimality claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .kernels import (
     kernel_stack_adjoint,
 )
 from .linalg import (
-    BlockNoise,
     CholeskyFactor,
     LowRankGaussian,
     chol,
@@ -81,7 +80,10 @@ class PreparedBound:
     came out exactly 0).
     Dense D blocks are built on demand, a whole stack of equal-size
     blocks at a time; the full N x N gap is never built by the bounds
-    themselves.
+    themselves.  gap_factors is the one place a gap stack is factored:
+    the log-det penalty of BT-SGPR and the block noise of power EP are
+    both a scaling of D_bb plus a multiple of I, and every value,
+    optimum and gradient of theirs reads that one factor.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, state: ModelState):
@@ -123,16 +125,29 @@ class PreparedBound:
             vb = np.moveaxis(self.v[:, ix], 0, -2)
             yield ix, kbb, _gap_block(kbb, vb, self.gap_diag[ix])
 
-    def block_gaps(self, groups: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        """The gap stacks D_bb of gap_stacks alone."""
-        return (gaps for _, _, gaps in self.gap_stacks(groups))
+    def gap_factors(
+        self, groups: Sequence[np.ndarray], alpha_m: Optional[float] = None
+    ) -> Iterator[tuple]:
+        """(ix, K_bb, D_bb, lower, jitter): gap_stacks' stacks with chol_stack's
+        factors and jitters of power EP's block noise R_b = alpha_m D_bb +
+        sigma2 I, or with no alpha_m of BT-SGPR's I + D_bb / sigma2 (R_b /
+        sigma2 at alpha_m = 1; D_bb is divided by sigma2, as the one-block
+        references divide it, so the ladder picks the same jitter), built
+        and factored as consumed."""
+        s2 = self.sigma2
+        for ix, kbb, gaps in self.gap_stacks(groups):
+            eye = np.eye(ix.shape[1])
+            # the matrix factored is a temporary, freed before the yield: one
+            # more stack held across it made glibc trim and re-fault about
+            # 7.5 MB of heap a BT-SGPR gradient on btsgpr-lbfgs
+            lower, jitter = chol_stack(
+                gaps / s2 + eye if alpha_m is None else alpha_m * gaps + s2 * eye
+            )
+            yield ix, kbb, gaps, lower, jitter
 
     def block_gap(self, idx: np.ndarray) -> np.ndarray:
         """Dense conditional-gap block D[idx, idx] with the clamped diagonal."""
-        return next(self.block_gaps([np.asarray(idx)[None]]))[0]
-
-    def fit_gaussian(self, noise: BlockNoise) -> LowRankGaussian:
-        return LowRankGaussian(self.luu, self.v, noise)
+        return next(self.gap_stacks([np.asarray(idx)[None]]))[2][0]
 
     def projector_t(self) -> np.ndarray:
         """A^T = Kuu^-1 Kuf, shape (M, N); A maps u to the prior mean of f."""
@@ -202,12 +217,12 @@ def _collapsed(
 ) -> BoundBreakdown:
     """The collapsed bound log N(y; gauss) + regularizer.
 
-    gradient, if given, holds the _estimate arguments (groups, penalty,
+    gradient, if given, holds the _estimate arguments (stacks, penalty,
     alpha, m) of the matching uncollapsed bound; its gradient at the q(u)
     gauss's posterior gives, over all blocks at weight 1, the collapsed
     bound's (the envelope theorem), from this one prepare.  A regularizer
-    of None is taken, with its jitter, from that pass, which builds and
-    factors the same gap blocks.
+    of None is taken, with its jitter, from that pass, which reads the
+    same gap blocks and factors.
     """
     fit = gauss.logpdf(prep.y)
     jit = max(gauss.jitter_used, jitter)
@@ -230,8 +245,8 @@ def _vi_collapsed(
     gauss = _plain_gaussian(prep)
     if not gradient:
         return _collapsed(prep, gauss, *_gap_regularizer(prep, partition, penalty))
-    groups = None if partition is None else partition.groups
-    return _collapsed(prep, gauss, None, gradient=dict(groups=groups, penalty=penalty))
+    stacks = None if partition is None else _penalty_stacks(prep, partition.groups, penalty)
+    return _collapsed(prep, gauss, None, gradient=dict(stacks=stacks, penalty=penalty))
 
 
 def sgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
@@ -262,7 +277,7 @@ def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
     scales = {}
-    for ix, lower, _ in _scale_stacks(prep, partition):
+    for ix, _, _, lower, _ in prep.gap_factors(partition.groups):
         scales.update(zip(ix[:, 0], stack_inverse(lower)))
     return [scales[idx[0]] for idx in partition.blocks]
 
@@ -298,7 +313,7 @@ def btsgpr_parametric(
 
 def _plain_gaussian(prep: PreparedBound) -> LowRankGaussian:
     """N(0, Q + sigma2 I), the variational bounds' fit term."""
-    return prep.fit_gaussian(BlockNoise(sigma2=prep.sigma2))
+    return LowRankGaussian(prep.luu, prep.v, prep.sigma2)
 
 
 def sharedblock_collapsed(
@@ -312,7 +327,7 @@ def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> 
     """The shared optimal scale (I + mean_b D_bb / sigma2)^-1."""
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    lb, _ = _shared_factor(prep, partition.groups)
+    lb, _, _ = _shared_factor(prep, prep.gap_stacks(partition.groups))
     return lb.solve(np.eye(lb.size))
 
 
@@ -365,16 +380,14 @@ def general_c_optimum(x, y, state: ModelState) -> np.ndarray:
     return 0.5 * (cstar + cstar.T)
 
 
-def optimal_qu(x, y, state: ModelState, noise: Optional[BlockNoise] = None) -> GaussianQU:
-    """The q(u) maximizing the uncollapsed bound whose likelihood noise is R.
+def optimal_qu(x, y, state: ModelState) -> GaussianQU:
+    """The q(u) maximizing the variational uncollapsed bounds.
 
-    q(u) is the exact posterior of u under y = A u + e, e ~ N(0, R),
-    with A = Kfu Kuu^-1 and prior u ~ N(0, Kuu).  Default R = sigma2 I.
+    q(u) is the exact posterior of u under y = A u + e, e ~ N(0, sigma2 I),
+    with A = Kfu Kuu^-1 and prior u ~ N(0, Kuu).
     """
     prep = prepare(x, y, state)
-    if noise is None:
-        noise = BlockNoise(sigma2=prep.sigma2)
-    mean, cov_chol = prep.fit_gaussian(noise).posterior(prep.y)
+    mean, cov_chol = _plain_gaussian(prep).posterior(prep.y)
     return GaussianQU(mean=mean, cov_chol=cov_chol)
 
 
@@ -407,20 +420,26 @@ def _check_partition(prep: PreparedBound, partition: Partition):
         )
 
 
-def _scale_stacks(prep: PreparedBound, partition: Partition):
-    """Index stack, factors and jitters of I + D_bb / sigma2, a stack at a time."""
-    for ix, gaps in zip(partition.groups, prep.block_gaps(partition.groups)):
-        gaps /= prep.sigma2
-        yield (ix, *chol_stack(gaps + np.eye(ix.shape[1])))
+def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
+    """Factor of I + mean_b D_bb / sigma2 over the (ix, K_bb, D_bb) stacks
+    of equal-size blocks, the mean and the number of blocks."""
+    total, count = 0, 0
+    for ix, _, gaps in stacks:
+        if count and ix.shape[1] != total.shape[0]:
+            raise ValueError("SharedBlock requires equal block sizes")
+        total = total + gaps.sum(axis=0)
+        count += ix.shape[0]
+    avg = total / count
+    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg, count
 
 
-def _shared_factor(prep: PreparedBound, groups: Sequence[np.ndarray]):
-    """Factor of I + mean_b D_bb / sigma2 over equal-size blocks, and the mean."""
-    if len({ix.shape[1] for ix in groups}) != 1:
-        raise ValueError("SharedBlock requires equal block sizes")
-    total = sum(gaps.sum(axis=0) for gaps in prep.block_gaps(groups))
-    avg = total / sum(ix.shape[0] for ix in groups)
-    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg
+def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha_m=None):
+    """The gap stacks _estimate reads for a penalty, built as consumed:
+    gap_stacks' for "shared", gap_factors' for "logdet" and (at alpha_m)
+    "pep", and none for the diagonal penalties."""
+    if penalty == "shared":
+        return prep.gap_stacks(groups)
+    return prep.gap_factors(groups, alpha_m) if penalty in ("logdet", "pep") else None
 
 
 def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalty: str):
@@ -433,10 +452,10 @@ def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalt
     if penalty == "spherical":
         return -0.5 * prep.n * float(np.log1p(float(np.mean(prep.gap_diag)) / s2)), 0.0
     if penalty == "shared":
-        lb, _ = _shared_factor(prep, partition.groups)
+        lb, _, _ = _shared_factor(prep, prep.gap_stacks(partition.groups))
         return -0.5 * partition.num_blocks * lb.logdet(), lb.jitter_used
     logdet, jit = 0.0, 0.0
-    for _, lower, jitter in _scale_stacks(prep, partition):
+    for _, _, _, lower, jitter in prep.gap_factors(partition.groups):
         logdet += stack_logdet(lower)
         jit = max(jit, float(jitter.max()))
     return -0.5 * logdet, jit
@@ -465,7 +484,8 @@ def vi_uncollapsed(
         raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
     prep = prepare(x, y, state)
     _check_partition(prep, partition)
-    est, reg, jit = _estimate(prep, q, partition.groups, penalty, 1.0)
+    stacks = _penalty_stacks(prep, partition.groups, penalty)
+    est, reg, jit = _estimate(prep, q, stacks, penalty, 1.0)
     return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
 
@@ -494,17 +514,6 @@ class BlockEstimate:
 
 
 _BLOCK_PENALTIES = _SEPARABLE_PENALTIES + ("pep",)
-
-
-def _pep_gap_penalty(alpha: float, logdet_noise: float, n: int, sigma2: float) -> float:
-    """-(1-a)/(2a) sum_b log det(I + a m D_bb / sigma2), from the R_b factors.
-
-    R_b = sigma2 (I + a m D_bb / sigma2), so each block's log det is
-    log det R_b - N_b log sigma2 (logdet_noise sums log det R_b over
-    blocks covering n points); the jitter ladder is relative to the
-    mean diagonal, so it scales by the same sigma2.
-    """
-    return -(1.0 - alpha) / (2.0 * alpha) * (logdet_noise - n * np.log(sigma2))
 
 
 def _pep_whole_terms(n: int, alpha: float, m: float) -> float:
@@ -564,8 +573,10 @@ def block_estimate(
         raise ValueError(f"partition covers {partition.n} points but data has {n}")
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
+    alpha_m = alpha * m_scale if pep else None
+    stacks = _penalty_stacks(prep, [np.arange(idx.size)[None]], penalty, alpha_m)
     return _estimate(
-        prep, q, [np.arange(idx.size)[None]], penalty, float(partition.num_blocks),
+        prep, q, stacks, penalty, float(partition.num_blocks),
         alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
     )[0]
 
@@ -573,7 +584,7 @@ def block_estimate(
 def _estimate(
     prep: PreparedBound,
     q: GaussianQU,
-    groups: Optional[Sequence[np.ndarray]],
+    stacks: Optional[Iterable[tuple]],
     penalty: str,
     weight: float,
     alpha: Optional[float] = None,
@@ -583,17 +594,18 @@ def _estimate(
 ) -> Tuple[BlockEstimate, float, float]:
     """-KL[q || p] + weight * sum_b (E_b - penalty_b) + whole, over prep's points.
 
-    The blocks are those of the (B_s, n_s) index stacks groups, into
-    prep's points, which they cover; the diagonal penalties ("trace",
-    "diag", "spherical") need none.  E_b, penalty_b and whole are
-    block_estimate's, whole counting n_total points (default prep's),
-    plus "shared" (one log det(I + mean_b D_bb / sigma2) / 2 for each
-    block) and "spherical" (N log(1 + mean_n d_nn / sigma2) / 2), which
-    couple every block.  Blocks are built and factored a stack at a
-    time; their adjoints reach K_bb by one stacked kernel adjoint a
-    stack, and Kuf and Kuu by one kernel_matrix_adjoint each.  Returns
-    the estimate, its regularizer whole - weight * sum_b penalty_b and
-    the largest jitter a gap factor needed.
+    The blocks are those of stacks, _penalty_stacks' for the penalty,
+    into prep's points, which they cover; the diagonal penalties
+    ("trace", "diag", "spherical") need none.  E_b, penalty_b and whole
+    are block_estimate's, whole counting n_total points (default
+    prep's), plus "shared" (one log det(I + mean_b D_bb / sigma2) / 2 for
+    each block) and "spherical" (N log(1 + mean_n d_nn / sigma2) / 2),
+    which couple every block.  The stacks are read a stack at a time, as
+    they come; the pass factors none of them.  Their adjoints reach K_bb
+    by one stacked kernel adjoint a stack, and Kuf and Kuu by one
+    kernel_matrix_adjoint each.  Returns the estimate, its regularizer
+    whole - weight * sum_b penalty_b and the largest jitter a gap factor
+    needed.
     """
     s2 = prep.sigma2
     n = prep.n
@@ -656,20 +668,18 @@ def _estimate(
         if gradient:
             g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
     elif penalty == "shared":
-        lb, avg = _shared_factor(prep, groups)
-        num_blocks = sum(ix.shape[0] for ix in groups)
+        stacks = list(stacks) if gradient else stacks  # the adjoint reads K_bb again
+        lb, avg, num_blocks = _shared_factor(prep, stacks)
         pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
         if gradient:
             cinv = lb.solve(np.eye(lb.size))
             g_s2 += 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
-            for ix in groups:
+            for ix, kbb, _ in stacks:
                 d_bar = np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0)
-                pull(ix, kernel_stack(prep.x[ix], kern), d_bar)
+                pull(ix, kbb, d_bar)
     else:  # "logdet" and "pep": one factor per block, a stack at a time
-        for ix, kbb, gaps in prep.gap_stacks(groups):
-            eye = np.eye(ix.shape[1])
+        for ix, kbb, gaps, lower, jitter in stacks:
             if pep:
-                lower, jitter = chol_stack((alpha * m) * gaps + s2 * eye)
                 logdet_r = stack_logdet(lower)
                 rinv = stack_inverse(lower)
                 rho_s = (rinv @ resid[ix][..., None])[..., 0]
@@ -689,7 +699,6 @@ def _estimate(
                 g_m += alpha * float(np.sum(r_bar * gaps))
                 pull(ix, kbb, (alpha * m) * r_bar)
             else:
-                lower, jitter = chol_stack(gaps / s2 + eye)
                 pen += 0.5 * stack_logdet(lower)
                 jit = max(jit, float(jitter.max()))
                 if not gradient:

@@ -4,25 +4,27 @@ Three things live here: a Cholesky wrapper with an escalating diagonal
 jitter ladder, its batched form for stacks of equal-size blocks, and the
 log-density of a Gaussian whose covariance is "low rank plus block noise",
 
-    N(y; 0, Kfu Kuu^-1 Kuf + blkdiag(A_1, ..., A_B) + sigma2 * I),
+    N(y; 0, Kfu Kuu^-1 Kuf + blkdiag(R_1, ..., R_B)),
 
 evaluated through the matrix inversion and determinant lemmas so the
-N x N covariance is never formed.  Cost is O(N M^2 + sum_b Nb^3 + M^3);
-the per-block work is batched by block size, one factorization and one
-triangular solve for each stack of equal-size blocks.  Solves against a
-triangular factor do triangular work only, O(n^2) a right-hand side for
-a block of n points: small blocks by forward substitution vectorized over
-the stack, large ones by LAPACK's trtrs one block at a time
-(stack_half_solve); no LU factorization is ever made of a triangle.
+N x N covariance is never formed.  The noise comes as sigma2 I or as the
+factors of its blocks, a (B_s, n_s, n_s) stack of equal-size blocks at a
+time, as chol_stack gives them; the objectives factor each block once
+and hand the same factors on.  Cost is O(N M^2 + sum_b Nb^3 + M^3).
+Solves against a triangular factor do triangular work only, O(n^2) a
+right-hand side for a block of n points: small blocks by forward
+substitution vectorized over the stack, large ones by LAPACK's trtrs one
+block at a time (stack_half_solve), a single factor by BLAS trsm from the
+right; no LU factorization is ever made of a triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 # Jitter ladder: relative to the mean diagonal, multiplied by
 # JITTER_GROWTH on each failed attempt until JITTER_CAP.
@@ -50,13 +52,23 @@ class CholeskyFactor:
         """log det(A + jitter_used * I), via the factor diagonal."""
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
+    # A matrix b is solved from the right, (L^-1 b)^T = b^T L^-T, by BLAS
+    # trsm on b^T and L^T: for C-ordered b and L both are in BLAS's column
+    # order, where a left-side solve would first copy b to it.  With one
+    # BLAS thread on a 2-core Xeon, L^-1 b at M=32, N=2000 took 340 us
+    # against 918 us, and 153 against 553 us at M=8, N=6000.
+
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b."""
-        return solve_triangular(self.lower, b, lower=True)
+        if np.ndim(b) == 1:
+            return solve_triangular(self.lower, b, lower=True)
+        return blas.dtrsm(1.0, self.lower.T, np.transpose(b), side=1, lower=0).T
 
     def half_solve_t(self, b: np.ndarray) -> np.ndarray:
         """L^-T b."""
-        return solve_triangular(self.lower.T, b, lower=False)
+        if np.ndim(b) == 1:
+            return solve_triangular(self.lower.T, b, lower=False)
+        return blas.dtrsm(1.0, self.lower.T, np.transpose(b), side=1, lower=0, trans_a=1).T
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A + jitter_used * I)^-1 b."""
@@ -150,14 +162,13 @@ def stack_half_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Blocks up to this size are inverted batched, L_b^-1 by stack_half_solve
-# on the identity; larger ones go one at a time through LAPACK's potri.
-# With one BLAS thread on a 2-core Xeon, stacks of 2^16 entries, a batched
-# LU inverse took 0.44, 4.3, 16.2 and 27 us a block at 4, 16, 32 and 40
-# points, potri 8.8, 10.7, 16.6 and 21 us: they met at 32 points, and potri
-# is 2.4 times faster at 200.  Substitution takes 0.5 to 0.7 of the LU
-# inverse's time at 4 to 32 points (measured on a loaded host), so the
-# crossover may now lie higher.
-BATCHED_INVERSE_MAX = 32
+# on the identity and one batched product; larger ones go one at a time
+# through LAPACK's potri.  With one BLAS thread on a 2-core Xeon, stacks of
+# 2^16 entries, 10 alternating repeats, median us a block, batched against
+# potri: 30/49 at 32 points, 33/60 at 40, 53/84 at 48, 74/96 at 64 (the
+# batched path won 10 of 10 at each), 210/204 at 96 (6 of 10) and 424/382
+# at 128 (3 of 10).
+BATCHED_INVERSE_MAX = 64
 
 
 def stack_inverse(lower: np.ndarray) -> np.ndarray:
@@ -176,80 +187,19 @@ def stack_inverse(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockNoise:
-    """Noise covariance sigma2 * I plus an optional block-diagonal part.
-
-    ``partition`` holds index arrays into 0..N-1, each one block or a
-    (B_s, n_s) stack of equal-size blocks, and ``blocks`` the matching
-    dense PSD matrices, (n_s, n_s) or (B_s, n_s, n_s); an entry may be
-    None for a pure sigma2 * I block.  With no partition the noise is
-    plain iid.
-    """
-
-    sigma2: float
-    partition: Optional[Sequence[np.ndarray]] = None
-    blocks: Optional[Sequence[Optional[np.ndarray]]] = None
-
-    def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2!r}")
-        if (self.blocks is None) != (self.partition is None):
-            raise ValueError("partition and blocks must be given together")
-        if self.partition is not None and len(self.partition) != len(self.blocks):
-            raise ValueError("partition and blocks must have equal length")
-
-
-class BlockFactors:
-    """Factors L_b of the blocks R_b = sigma2 I + A_b of a BlockNoise.
-
-    Each entry of the partition, one block or a stack of equal-size
-    blocks, is factored by chol_stack in one call; iid noise has
-    L = sqrt(sigma2) I.  ``logdet`` is sum_b log det R_b and
-    ``jitter_used`` the largest jitter a block needed.  ``half_solve``
-    applies blkdiag(L_b)^-1 by stack_half_solve, O(n_s^2 k) a block of
-    n_s points for k right-hand sides.
-    """
-
-    def __init__(self, noise: BlockNoise, n: int):
-        self.sigma2 = noise.sigma2
-        self.stacks = []  # (index stack (B_s, n_s), lower factors (B_s, n_s, n_s))
-        self.jitter_used = 0.0
-        self.logdet = n * np.log(noise.sigma2)
-        if noise.partition is None:
-            return
-        covered = np.concatenate([np.ravel(ix) for ix in noise.partition])
-        if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
-            raise ValueError("noise partition must cover each of the N indices once")
-        self.logdet = 0.0
-        for ix, a in zip(noise.partition, noise.blocks):
-            ix = np.atleast_2d(np.asarray(ix, dtype=int))
-            shape = (ix.shape[0], ix.shape[1], ix.shape[1])
-            a = 0.0 if a is None else np.reshape(a, shape)
-            r = noise.sigma2 * np.eye(ix.shape[1]) + a
-            lower, jitter = chol_stack(np.broadcast_to(r, shape))
-            self.stacks.append((ix, lower))
-            self.logdet += stack_logdet(lower)
-            self.jitter_used = max(self.jitter_used, float(jitter.max()))
-
-    def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """blkdiag(L_b)^-1 b for b of shape (N, k), one stack_half_solve per stack."""
-        if not self.stacks:
-            return b / np.sqrt(self.sigma2)
-        out = np.empty(b.shape)
-        for ix, lower in self.stacks:
-            out[ix] = stack_half_solve(lower, b[ix])
-        return out
-
-
 class LowRankGaussian:
-    """N(0, V^T V scaled back + R) where the low-rank part is Q = Kfu Kuu^-1 Kuf.
+    """N(0, Q + R) with the low-rank part Q = Kfu Kuu^-1 Kuf.
 
     Built from the Cholesky factor Lu of Kuu and the whitened cross
-    term V = Lu^-1 Kuf, so Q = V^T V.  R comes from a BlockNoise.  The
-    core quantities are the block factors L_b of R_b (BlockFactors),
+    term V = Lu^-1 Kuf, so Q = V^T V, and from the noise R: sigma2 I, or
+    blkdiag(R_b) given by its factors.  ``stacks`` then holds
+    (ix, lower, jitter) for each (B_s, n_s) index stack ix of equal-size
+    blocks, with the (B_s, n_s, n_s) lower factors L_b of the R_b and the
+    jitters they needed, as chol_stack returns them; the stacks cover
+    each of the N indices once.  The core quantities are
     W = blkdiag(L_b)^-1 V^T, whose block rows are the projected blocks
-    U_b^T = L_b^-1 V_b^T, and the capacitance B = I + W^T W:
+    U_b^T = L_b^-1 V_b^T (stack_half_solve, O(n_s^2 M) a block of n_s
+    points), and the capacitance B = I + W^T W:
 
         log det(Q + R) = log det B + sum_b log det R_b
         y^T (Q + R)^-1 y = |t|^2 - |L_B^-1 c|^2,
@@ -257,26 +207,50 @@ class LowRankGaussian:
 
     ``posterior`` returns mean and covariance of p(u) N(y; A u, R)
     renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T, m = Lu B^-1 c.
-    ``logdet_noise`` is sum_b log det R_b, from the factors L_b.
+    ``logdet_noise`` is sum_b log det R_b, from the factors L_b, and
+    ``jitter_used`` the largest jitter Lu, an L_b or B's factor needed.
     """
 
-    def __init__(self, kuu_chol: CholeskyFactor, v: np.ndarray, noise: BlockNoise):
+    def __init__(
+        self, kuu_chol: CholeskyFactor, v: np.ndarray, sigma2: float, stacks: Iterable = ()
+    ):
         m, n = v.shape
         if kuu_chol.size != m:
             raise ValueError("Kuu factor and V disagree on the number of inducing points")
+        if sigma2 <= 0.0:
+            raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
         self._lu = kuu_chol
         self._n = n
-        self._rfac = BlockFactors(noise, n)
-        self._w = self._rfac.half_solve(v.T)
+        self._sigma2 = sigma2
+        self._stacks = []  # (index stack (B_s, n_s), lower factors (B_s, n_s, n_s))
+        self.logdet_noise = 0.0
+        jitter_used = 0.0
+        for ix, lower, jitter in stacks:
+            self._stacks.append((ix, lower))
+            self.logdet_noise += stack_logdet(lower)
+            jitter_used = max(jitter_used, float(np.max(jitter)))
+        if not self._stacks:
+            self.logdet_noise = n * np.log(sigma2)
+        else:
+            covered = np.concatenate([ix.ravel() for ix, _ in self._stacks])
+            if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
+                raise ValueError("noise stacks must cover each of the N indices once")
+        self._w = self._noise_half_solve(v.T)
         self._bchol = chol(np.eye(m) + self._w.T @ self._w)
-        self.logdet_noise = self._rfac.logdet
-        self.jitter_used = max(
-            kuu_chol.jitter_used, self._rfac.jitter_used, self._bchol.jitter_used
-        )
+        self.jitter_used = max(kuu_chol.jitter_used, jitter_used, self._bchol.jitter_used)
+
+    def _noise_half_solve(self, b: np.ndarray) -> np.ndarray:
+        """blkdiag(L_b)^-1 b for b of shape (N, k), one stack_half_solve a stack."""
+        if not self._stacks:
+            return b / np.sqrt(self._sigma2)
+        out = np.empty(b.shape)
+        for ix, lower in self._stacks:
+            out[ix] = stack_half_solve(lower, b[ix])
+        return out
 
     def _whiten_y(self, y: np.ndarray):
         """t = blkdiag(L_b)^-1 y and the projected vector c = W^T t."""
-        t = self._rfac.half_solve(y[:, None])[:, 0]
+        t = self._noise_half_solve(y[:, None])[:, 0]
         return t, self._w.T @ t
 
     def logpdf(self, y: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from blockgp.bounds_pep import (
     PepConfig,
     pep_collapsed,
     tpep_collapsed,
-    tpep_noise,
     tpep_optimal_qu,
     tpep_qu_gradient,
     tpep_uncollapsed,
@@ -34,7 +33,6 @@ from blockgp.bounds_vi import (
 )
 from blockgp.kernels import KernelParams, NoiseParam, kernel_matrix, kernel_stack
 from blockgp.linalg import (
-    BlockNoise,
     LowRankGaussian,
     NotPositiveDefiniteError,
     chol,
@@ -114,7 +112,7 @@ def _noise_blocks(prep, part, alpha, m):
 def test_stacked_gaps_match_kernel_matrix_blocks():
     for _, x, y, state, part in _instances(40):
         prep = prepare(x, y, state)
-        for ix, gaps in zip(part.groups, prep.block_gaps(part.groups)):
+        for ix, _, gaps in prep.gap_stacks(part.groups):
             for idx, gap in zip(ix, gaps):
                 kbb = kernel_matrix(x[idx], x[idx], state.kernel)
                 vb = prep.v[:, idx]
@@ -202,11 +200,13 @@ def test_block_noise_gaussian_matches_the_one_block_path(alpha, m, cut):
         prep = prepare(x, y, state)
         rs = _noise_blocks(prep, part, alpha, m)
         fit, logdet_noise, jit, mean, cov = _per_block_fit(prep, part.blocks, rs)
-        noise = tpep_noise(prep, cfg, m)
-        for ix, stack in zip(noise.partition, noise.blocks):
-            for idx, block in zip(ix, stack):
-                _close(block, alpha * m * prep.block_gap(idx))
-        gauss = prep.fit_gaussian(noise)
+        stacks = list(prep.gap_factors(part.groups, alpha * m))
+        for ix, _, gaps, lower, _ in stacks:
+            for idx, gap, low in zip(ix, gaps, lower):
+                _close(gap, prep.block_gap(idx))
+                _close(low, chol(alpha * m * gap + prep.sigma2 * np.eye(idx.size)).lower)
+        factors = [(ix, lower, jitter) for ix, _, _, lower, jitter in stacks]
+        gauss = LowRankGaussian(prep.luu, prep.v, prep.sigma2, factors)
         _close(gauss.logpdf(prep.y), fit)
         _close(gauss.logdet_noise, logdet_noise)
         assert gauss.jitter_used == jit
@@ -256,35 +256,43 @@ def test_tpep_uncollapsed_and_qu_gradient_match_the_one_block_path(alpha, m, cut
 
 
 def _duplicate_instance():
-    """Tiny noise and one block of three points, two of them the same."""
+    """Tiny noise, and every block of three points one point three times.
+
+    Such a block's I + D_bb / sigma2 or a m D_bb + sigma2 I is singular
+    to working precision; whether Cholesky fails on it, so that the
+    ladder adds jitter, turns on the last bits of D_bb, so there are
+    several such blocks for each form to meet the ladder in.
+    """
     rng = np.random.default_rng(47)
     x, y, state = random_instance(rng)
     n = y.shape[0]
     part = _unequal_partition(rng, n)
-    dup = next(b for b in part.blocks if b.size == 3)
+    dups = [b for b in part.blocks if b.size == 3]
     x = x.copy()
-    x[dup[1]] = x[dup[0]]
+    for dup in dups:
+        x[dup] = x[dup[0]]
     state = state.with_(noise=NoiseParam(log_noise_variance=-40.0))
-    return x, y, state, part, dup
+    return x, y, state, part, dups
 
 
 def test_duplicate_inputs_get_the_per_block_jitter(cut):
-    x, y, state, part, dup = _duplicate_instance()
+    x, y, state, part, dups = _duplicate_instance()
     prep = prepare(x, y, state)
     s2 = prep.sigma2
-    seen = 0
-    for scale, shift in ((1.0 / s2, 1.0), (0.5 * 1.3, s2)):
-        for ix, gaps in zip(part.groups, prep.block_gaps(part.groups)):
-            stack = scale * gaps + shift * np.eye(ix.shape[1])
-            lower, jitter = chol_stack(stack)
+    # BT-SGPR's I + D_bb / sigma2 and T-PEP's a m D_bb + sigma2 I
+    seen = {None: 0, 0.5 * 1.3: 0}
+    for alpha_m in seen:
+        for ix, _, gaps, lower, jitter in prep.gap_factors(part.groups, alpha_m):
+            eye = np.eye(ix.shape[1])
+            stack = gaps / s2 + eye if alpha_m is None else alpha_m * gaps + s2 * eye
             ref = [chol(a) for a in stack]
             assert list(jitter) == [f.jitter_used for f in ref]
             assert np.array_equal(lower, np.stack([f.lower for f in ref]))
             for idx, jit in zip(ix, jitter):
-                if np.array_equal(idx, dup):
-                    assert jit > 0.0
-                    seen += 1
-    assert seen == 2
+                if jit > 0.0:
+                    assert any(np.array_equal(idx, dup) for dup in dups)
+                    seen[alpha_m] += 1
+    assert min(seen.values()) > 0
     # the bound reports the largest jitter the one-block ladder gives
     cfg = PepConfig(alpha=0.5, partition=part, m_scale=1.3)
     state = state.with_(log_m_scale=float(np.log(1.3)))
@@ -292,7 +300,7 @@ def test_duplicate_inputs_get_the_per_block_jitter(cut):
     assert tpep_collapsed(x, y, state, cfg).jitter_used == jit > 0.0
     factors = [chol(np.eye(b.size) + prep.block_gap(b) / s2) for b in part.blocks]
     ours = btsgpr_collapsed(x, y, state, part).jitter_used
-    iid = prep.fit_gaussian(BlockNoise(sigma2=s2)).jitter_used
+    iid = LowRankGaussian(prep.luu, prep.v, s2).jitter_used
     assert ours == max(iid, max(f.jitter_used for f in factors)) > 0.0
 
 
@@ -303,10 +311,10 @@ def test_a_stack_past_the_ladder_raises_by_name():
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite at jitter"):
         chol_stack(stack)
     v = np.random.default_rng(48).standard_normal((2, 6))
-    noise = BlockNoise(sigma2=0.5, partition=[np.arange(3), np.arange(3, 6)],
-                       blocks=[None, np.diag([1.0, 1.0, -5.0])])
+    noise = 0.5 * np.eye(3) + np.stack([np.zeros((3, 3)), np.diag([1.0, 1.0, -5.0])])
     with pytest.raises(NotPositiveDefiniteError):
-        LowRankGaussian(chol(np.eye(2)), v, noise)
+        ix = np.arange(6).reshape(2, 3)
+        LowRankGaussian(chol(np.eye(2)), v, 0.5, [(ix, *chol_stack(noise))])
 
 
 def test_a_stack_past_the_ladder_fails_the_fit(monkeypatch):
@@ -316,12 +324,13 @@ def test_a_stack_past_the_ladder_fails_the_fit(monkeypatch):
     x, y, state = random_instance(rng)
     state = state.with_(log_m_scale=0.0)
     part = _unequal_partition(rng, y.shape[0])
-    real = PreparedBound.block_gaps
+    real = PreparedBound.gap_stacks
 
     def indefinite(self, groups):
-        return [g + 1e3 * (1.0 - np.eye(g.shape[-1])) for g in real(self, groups)]
+        for ix, kbb, g in real(self, groups):
+            yield ix, kbb, g + 1e3 * (1.0 - np.eye(g.shape[-1]))
 
-    monkeypatch.setattr(PreparedBound, "block_gaps", indefinite)
+    monkeypatch.setattr(PreparedBound, "gap_stacks", indefinite)
     cfg = PepConfig(alpha=0.5, partition=part)
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite at jitter"):
         tpep_collapsed(x, y, state, cfg)
@@ -345,4 +354,4 @@ def test_stacked_kernel_overflow_raises(log_ell, log_s2):
                      noise=state.noise, inducing=state.inducing)
     prep.state = far
     with pytest.raises(FloatingPointError):
-        list(prep.block_gaps(make_partition(y.shape[0], 4).groups))
+        list(prep.gap_stacks(make_partition(y.shape[0], 4).groups))

@@ -266,11 +266,14 @@ def test_partition_size_mismatch_is_rejected():
 
 def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
     # the blocks are built and factored a size group at a time, and the
-    # log-det penalty is read off the factors of R_b: one evaluation passes
-    # each block once through the stacked gap builder and once through the
-    # stacked factorization, one call per size group, and on the happy path
-    # chol runs only for Kuu and the capacitance
+    # log-det penalty is read off the factors of R_b: one evaluation, with
+    # or without its gradient, passes each block once through the stacked
+    # gap builder and once through the stacked factorization, one call per
+    # size group (SharedBlock factors only the average of its blocks); on
+    # the happy path chol runs only for Kuu, the capacitance, the shared
+    # average and, with a gradient, the q(u) factor at the optimum
     from blockgp import bounds_pep, bounds_vi, linalg
+    from blockgp.bounds_vi import sharedblock_collapsed
     from blockgp.model import Partition
 
     calls = {"gap_rows": 0, "gap_calls": 0, "factor_rows": 0, "factor_calls": 0,
@@ -294,8 +297,9 @@ def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
         return real_chol(*args, **kwargs)
 
     monkeypatch.setattr(bounds_vi, "kernel_stack", counting_stack)
-    monkeypatch.setattr(linalg, "chol_stack", counting_chol_stack)
     for mod in (linalg, bounds_vi, bounds_pep):
+        if hasattr(mod, "chol_stack"):
+            monkeypatch.setattr(mod, "chol_stack", counting_chol_stack)
         monkeypatch.setattr(mod, "chol", counting_chol)
     rng = np.random.default_rng(30)
     x, y, state = small_instance(rng)
@@ -303,13 +307,26 @@ def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
     # sizes 1, 2 and 3, with a size group that holds a single block
     cuts = [1, 3, 5, 8, 11] + list(range(14, n, 3))
     part = Partition([np.sort(b) for b in np.split(rng.permutation(n), cuts)])
-    groups = len(part.groups)
-    assert groups >= 3
-    for fn, m in ((pep_collapsed, 1.0), (tpep_collapsed, 1.3)):
-        for key in calls:
-            calls[key] = 0
-        fn(x, y, state, _cfg(0.5, part, m))
-        assert calls == {
-            "gap_rows": part.num_blocks, "gap_calls": groups,
-            "factor_rows": part.num_blocks, "factor_calls": groups, "chol": 2,
-        }, fn.__name__
+    assert len(part.groups) >= 3
+    # SharedBlock needs equal sizes: pairs, on an even number of points
+    n2 = n // 2 * 2
+    pairs = Partition([np.sort(b) for b in np.split(rng.permutation(n2), n2 // 2)])
+    energies = (
+        ("PEP", lambda g: pep_collapsed(x, y, state, _cfg(0.5, part), g), part),
+        ("T-PEP", lambda g: tpep_collapsed(x, y, state, _cfg(0.5, part, 1.3), g), part),
+        ("BT-SGPR", lambda g: btsgpr_collapsed(x, y, state, part, g), part),
+        ("SharedBlock",
+         lambda g: sharedblock_collapsed(x[:n2], y[:n2], state, pairs, g), pairs),
+    )
+    for name, fn, blocks in energies:
+        shared = name == "SharedBlock"
+        for gradient in (False, True):
+            for key in calls:
+                calls[key] = 0
+            fn(gradient)
+            assert calls == {
+                "gap_rows": blocks.num_blocks, "gap_calls": len(blocks.groups),
+                "factor_rows": 0 if shared else blocks.num_blocks,
+                "factor_calls": 0 if shared else len(blocks.groups),
+                "chol": 2 + shared + gradient,
+            }, (name, gradient)

@@ -13,14 +13,13 @@ from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from blockgp.linalg import (
-    BlockFactors,
-    BlockNoise,
     CholeskyFactor,
     LowRankGaussian,
     BATCHED_INVERSE_MAX,
     SUBSTITUTION_MAX,
     NotPositiveDefiniteError,
     chol,
+    chol_stack,
     stack_half_solve,
     stack_inverse,
 )
@@ -96,15 +95,6 @@ def test_chol_empty_matrix():
     assert factor.logdet() == 0.0
 
 
-def test_block_noise_validation():
-    with pytest.raises(ValueError):
-        BlockNoise(sigma2=0.0)
-    with pytest.raises(ValueError):
-        BlockNoise(sigma2=1.0, partition=[np.array([0])], blocks=None)
-    with pytest.raises(ValueError):
-        BlockNoise(sigma2=1.0, partition=[np.array([0])], blocks=[None, None])
-
-
 def _random_lowrank(rng, n: int, m: int):
     z = rng.uniform(-2, 2, size=(m, 1))
     x = rng.uniform(-2, 2, size=(n, 1))
@@ -113,9 +103,32 @@ def _random_lowrank(rng, n: int, m: int):
     return kfu, kuu
 
 
-def _lowrank_logpdf(y, kfu, kuu, noise):
+def _lowrank_logpdf(y, kfu, kuu, sigma2, stacks=()):
     luu = chol(kuu)
-    return LowRankGaussian(luu, luu.half_solve(kfu.T), noise).logpdf(y)
+    return LowRankGaussian(luu, luu.half_solve(kfu.T), sigma2, stacks).logpdf(y)
+
+
+def _factored(sigma2, partition, blocks):
+    """(ix, lower, jitter) of sigma2 I + A for each index stack ix and its
+    blocks A, (n, n) or (B, n, n), or None for sigma2 I alone."""
+    stacks = []
+    for ix, a in zip(partition, blocks):
+        ix = np.atleast_2d(ix)
+        n = ix.shape[1]
+        r = sigma2 * np.eye(n) + (0.0 if a is None else np.reshape(a, (-1, n, n)))
+        stacks.append((ix, *chol_stack(np.broadcast_to(r, (ix.shape[0], n, n)))))
+    return stacks
+
+
+def test_block_noise_validation():
+    rng = np.random.default_rng(7)
+    kfu, kuu = _random_lowrank(rng, 6, 2)
+    for sigma2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            _lowrank_logpdf(np.zeros(6), kfu, kuu, sigma2)
+    twice = _factored(0.5, [np.array([[0, 1, 2], [2, 3, 4]]), np.array([5])], [None, None])
+    with pytest.raises(ValueError, match="cover each of the N indices once"):
+        _lowrank_logpdf(np.zeros(6), kfu, kuu, 0.5, twice)
 
 
 def test_lowrank_logpdf_iid_matches_dense():
@@ -127,7 +140,7 @@ def test_lowrank_logpdf_iid_matches_dense():
         y = rng.standard_normal(n)
         cov = kfu @ np.linalg.solve(kuu, kfu.T) + sigma2 * np.eye(n)
         dense = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(y)
-        ours = _lowrank_logpdf(y, kfu, kuu, BlockNoise(sigma2=sigma2))
+        ours = _lowrank_logpdf(y, kfu, kuu, sigma2)
         assert_allclose(ours, dense, rtol=1e-9)
 
 
@@ -146,8 +159,7 @@ def test_lowrank_logpdf_block_noise_matches_dense():
             if a is not None:
                 cov[np.ix_(ix, ix)] += a
         dense = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(y)
-        noise = BlockNoise(sigma2=sigma2, partition=idx, blocks=blocks)
-        ours = _lowrank_logpdf(y, kfu, kuu, noise)
+        ours = _lowrank_logpdf(y, kfu, kuu, sigma2, _factored(sigma2, idx, blocks))
         assert_allclose(ours, dense, rtol=1e-9)
 
 
@@ -161,7 +173,7 @@ def test_lowrank_posterior_matches_precision_space_formula():
 
         luu = chol(kuu)
         v = luu.half_solve(kfu.T)
-        mean, factor = LowRankGaussian(luu, v, BlockNoise(sigma2=sigma2)).posterior(y)
+        mean, factor = LowRankGaussian(luu, v, sigma2).posterior(y)
 
         a = np.linalg.solve(kuu, kfu.T).T  # projector Kfu Kuu^-1
         prec = np.linalg.inv(kuu) + a.T @ a / sigma2
@@ -175,16 +187,14 @@ def test_lowrank_rejects_mismatched_shapes():
     kfu, kuu = _random_lowrank(rng, 8, 3)
     luu = chol(kuu)
     v = luu.half_solve(kfu.T)
-    lik = LowRankGaussian(luu, v, BlockNoise(sigma2=0.5))
+    lik = LowRankGaussian(luu, v, 0.5)
     with pytest.raises(ValueError):
         lik.logpdf(np.zeros(9))
     with pytest.raises(ValueError):
-        LowRankGaussian(chol(np.eye(4)), v, BlockNoise(sigma2=0.5))
-    bad = BlockNoise(
-        sigma2=0.5, partition=[np.arange(0, 4)], blocks=[None]
-    )  # covers 4 of 8 indices
-    with pytest.raises(ValueError):
-        LowRankGaussian(luu, v, bad)
+        LowRankGaussian(chol(np.eye(4)), v, 0.5)
+    bad = _factored(0.5, [np.arange(0, 4)], [None])  # covers 4 of 8 indices
+    with pytest.raises(ValueError, match="cover each of the N indices once"):
+        LowRankGaussian(luu, v, 0.5, bad)
 
 
 def test_cholesky_factor_is_frozen():
@@ -194,8 +204,14 @@ def test_cholesky_factor_is_frozen():
     assert isinstance(factor, CholeskyFactor)
 
 
-@pytest.mark.parametrize("n", [1, 4, BATCHED_INVERSE_MAX, BATCHED_INVERSE_MAX + 1, 40])
+@pytest.mark.parametrize(
+    "n",
+    [1, 4, SUBSTITUTION_MAX, SUBSTITUTION_MAX + 1, 40, BATCHED_INVERSE_MAX,
+     BATCHED_INVERSE_MAX + 1],
+)
 def test_stack_inverse_matches_numpy_on_both_paths(n):
+    # the batched path solves by substitution up to SUBSTITUTION_MAX points
+    # and by trtrs above it; potri takes over past BATCHED_INVERSE_MAX
     rng = np.random.default_rng(n)
     a = np.stack([_random_spd(rng, n) for _ in range(3)])
     inv = stack_inverse(np.linalg.cholesky(a))
@@ -223,6 +239,12 @@ def test_stack_half_solve_matches_per_block_lapack_on_both_paths(n, k):
     _assert_close_relative(stack_half_solve(lower, b), _per_block_solve(lower, b))
 
 
+def _noise_gaussian(stacks, n):
+    """A LowRankGaussian on the noise stacks with a one-column V."""
+    v = np.random.default_rng(n).standard_normal((1, n))
+    return LowRankGaussian(chol(np.eye(1)), v, 0.3, stacks)
+
+
 @pytest.mark.parametrize("n", [3, SUBSTITUTION_MAX + 4])
 def test_block_factors_solve_a_jittered_stack_block_by_block(n):
     # rank-one blocks a round-off below positive semi-definite, as a gap
@@ -232,12 +254,12 @@ def test_block_factors_solve_a_jittered_stack_block_by_block(n):
     w = rng.standard_normal((5, n))
     blocks = w[:, :, None] * w[:, None, :] - 1e-12 * np.eye(n)
     ix = np.arange(5 * n).reshape(5, n)
-    noise = BlockNoise(sigma2=1e-14, partition=[ix], blocks=[blocks])
-    factors = BlockFactors(noise, 5 * n)
-    assert factors.jitter_used > 0.0
-    ((_, lower),) = factors.stacks
+    stacks = _factored(1e-14, [ix], [blocks])
+    gauss = _noise_gaussian(stacks, 5 * n)
+    assert gauss.jitter_used > 0.0
+    ((_, lower, _),) = stacks
     b = rng.standard_normal((5 * n, 3))
-    out = factors.half_solve(b)
+    out = gauss._noise_half_solve(b)
     _assert_close_relative(out[ix], _per_block_solve(lower, b[ix]))
 
 
@@ -251,13 +273,13 @@ def test_block_factors_solve_mixed_sizes_against_the_dense_factor():
     partition = [np.stack(blocks[0:2]), np.stack(blocks[2:4]), blocks[4]]
     covs = [0.1 * np.ones((2, 1, 1)), np.stack([_random_spd(rng, 4) for _ in range(2)]),
             _random_spd(rng, sizes[-1])]
-    noise = BlockNoise(sigma2=0.3, partition=partition, blocks=covs)
-    factors = BlockFactors(noise, cuts[-1])
+    stacks = _factored(0.3, partition, covs)
+    gauss = _noise_gaussian(stacks, cuts[-1])
     b = rng.standard_normal((cuts[-1], 6))
     dense = np.zeros((cuts[-1], cuts[-1]))
-    for ix, lower in factors.stacks:
+    for ix, lower, _ in stacks:
         for rows, low in zip(ix, lower):
             dense[np.ix_(rows, rows)] = low
     ref = solve_triangular(dense[np.ix_(perm, perm)], b[perm], lower=True)
-    out = factors.half_solve(b)
+    out = gauss._noise_half_solve(b)
     _assert_close_relative(out[perm], ref)
