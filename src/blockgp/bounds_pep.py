@@ -41,6 +41,7 @@ from .bounds_vi import (
     _check_partition,
     _collapsed,
     _estimate,
+    _penalty_stacks,
     _pep_whole_terms,
     block_estimate,
     prepare,
@@ -113,7 +114,7 @@ class FixedPointMismatch(RuntimeError):
 def _noise_stacks(prep: PreparedBound, cfg: PepConfig):
     """The gap stacks with the factors of R_b = a m D_bb + sigma2 I, as built."""
     _check_partition(prep, cfg.partition)
-    return prep.gap_factors(cfg.partition.groups, cfg.alpha * cfg.m_scale)
+    return _penalty_stacks(prep, cfg.partition.groups, "pep", cfg.alpha, cfg.m_scale)
 
 
 def _noise_gaussian(prep: PreparedBound, stacks) -> LowRankGaussian:

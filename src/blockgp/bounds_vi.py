@@ -126,12 +126,12 @@ class PreparedBound:
             yield ix, kbb, _gap_block(kbb, vb, self.gap_diag[ix])
 
     def gap_factors(
-        self, groups: Sequence[np.ndarray], alpha_m: Optional[float] = None
+        self, groups: Sequence[np.ndarray], alpha: Optional[float] = None, m: float = 1.0
     ) -> Iterator[tuple]:
         """(ix, K_bb, D_bb, lower, jitter): gap_stacks' stacks with chol_stack's
-        factors and jitters of power EP's block noise R_b = alpha_m D_bb +
-        sigma2 I, or with no alpha_m of BT-SGPR's I + D_bb / sigma2 (R_b /
-        sigma2 at alpha_m = 1; D_bb is divided by sigma2, as the one-block
+        factors and jitters of power EP's block noise R_b = alpha m D_bb +
+        sigma2 I, or with no alpha of BT-SGPR's I + D_bb / sigma2 (R_b /
+        sigma2 at alpha m = 1; D_bb is divided by sigma2, as the one-block
         references divide it, so the ladder picks the same jitter), built
         and factored as consumed."""
         s2 = self.sigma2
@@ -141,7 +141,7 @@ class PreparedBound:
             # more stack held across it made glibc trim and re-fault about
             # 7.5 MB of heap a BT-SGPR gradient on btsgpr-lbfgs
             lower, jitter = chol_stack(
-                gaps / s2 + eye if alpha_m is None else alpha_m * gaps + s2 * eye
+                gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
             )
             yield ix, kbb, gaps, lower, jitter
 
@@ -433,13 +433,18 @@ def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
     return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg, count
 
 
-def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha_m=None):
+def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha=None, m=1.0):
     """The gap stacks _estimate reads for a penalty, built as consumed:
-    gap_stacks' for "shared", gap_factors' for "logdet" and (at alpha_m)
-    "pep", and none for the diagonal penalties."""
+    gap_stacks' for "shared", gap_factors' for "logdet" and, at the alpha
+    and m the pass is given too, "pep", and none for the diagonal
+    penalties."""
+    if penalty == "pep":
+        if alpha is None:
+            raise ValueError("the power-EP block noise needs alpha")
+        return prep.gap_factors(groups, alpha, m)
     if penalty == "shared":
         return prep.gap_stacks(groups)
-    return prep.gap_factors(groups, alpha_m) if penalty in ("logdet", "pep") else None
+    return prep.gap_factors(groups) if penalty == "logdet" else None
 
 
 def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalty: str):
@@ -573,8 +578,7 @@ def block_estimate(
         raise ValueError(f"partition covers {partition.n} points but data has {n}")
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
-    alpha_m = alpha * m_scale if pep else None
-    stacks = _penalty_stacks(prep, [np.arange(idx.size)[None]], penalty, alpha_m)
+    stacks = _penalty_stacks(prep, [np.arange(idx.size)[None]], penalty, alpha, m_scale)
     return _estimate(
         prep, q, stacks, penalty, float(partition.num_blocks),
         alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
@@ -668,13 +672,19 @@ def _estimate(
         if gradient:
             g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
     elif penalty == "shared":
-        stacks = list(stacks) if gradient else stacks  # the adjoint reads K_bb again
-        lb, avg, num_blocks = _shared_factor(prep, stacks)
+        kept = []  # the adjoint reads each K_bb again, not its D_bb
+
+        def keep(stacks):
+            for ix, kbb, gaps in stacks:
+                kept.append((ix, kbb))
+                yield ix, kbb, gaps
+
+        lb, avg, num_blocks = _shared_factor(prep, keep(stacks) if gradient else stacks)
         pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
         if gradient:
             cinv = lb.solve(np.eye(lb.size))
             g_s2 += 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
-            for ix, kbb, _ in stacks:
+            for ix, kbb in kept:
                 d_bar = np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0)
                 pull(ix, kbb, d_bar)
     else:  # "logdet" and "pep": one factor per block, a stack at a time

@@ -14,8 +14,8 @@ and hand the same factors on.  Cost is O(N M^2 + sum_b Nb^3 + M^3).
 Solves against a triangular factor do triangular work only, O(n^2) a
 right-hand side for a block of n points: small blocks by forward
 substitution vectorized over the stack, large ones by LAPACK's trtrs one
-block at a time (stack_half_solve), a single factor by BLAS trsm from the
-right; no LU factorization is ever made of a triangle.
+block at a time (stack_half_solve); no LU factorization is ever made of a
+triangle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 # Jitter ladder: relative to the mean diagonal, multiplied by
 # JITTER_GROWTH on each failed attempt until JITTER_CAP.
@@ -52,23 +52,13 @@ class CholeskyFactor:
         """log det(A + jitter_used * I), via the factor diagonal."""
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
-    # A matrix b is solved from the right, (L^-1 b)^T = b^T L^-T, by BLAS
-    # trsm on b^T and L^T: for C-ordered b and L both are in BLAS's column
-    # order, where a left-side solve would first copy b to it.  With one
-    # BLAS thread on a 2-core Xeon, L^-1 b at M=32, N=2000 took 340 us
-    # against 918 us, and 153 against 553 us at M=8, N=6000.
-
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b."""
-        if np.ndim(b) == 1:
-            return solve_triangular(self.lower, b, lower=True)
-        return blas.dtrsm(1.0, self.lower.T, np.transpose(b), side=1, lower=0).T
+        return solve_triangular(self.lower, b, lower=True)
 
     def half_solve_t(self, b: np.ndarray) -> np.ndarray:
         """L^-T b."""
-        if np.ndim(b) == 1:
-            return solve_triangular(self.lower.T, b, lower=False)
-        return blas.dtrsm(1.0, self.lower.T, np.transpose(b), side=1, lower=0, trans_a=1).T
+        return solve_triangular(self.lower.T, b, lower=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A + jitter_used * I)^-1 b."""

@@ -200,7 +200,7 @@ def test_block_noise_gaussian_matches_the_one_block_path(alpha, m, cut):
         prep = prepare(x, y, state)
         rs = _noise_blocks(prep, part, alpha, m)
         fit, logdet_noise, jit, mean, cov = _per_block_fit(prep, part.blocks, rs)
-        stacks = list(prep.gap_factors(part.groups, alpha * m))
+        stacks = list(prep.gap_factors(part.groups, alpha, m))
         for ix, _, gaps, lower, _ in stacks:
             for idx, gap, low in zip(ix, gaps, lower):
                 _close(gap, prep.block_gap(idx))
@@ -256,43 +256,36 @@ def test_tpep_uncollapsed_and_qu_gradient_match_the_one_block_path(alpha, m, cut
 
 
 def _duplicate_instance():
-    """Tiny noise, and every block of three points one point three times.
-
-    Such a block's I + D_bb / sigma2 or a m D_bb + sigma2 I is singular
-    to working precision; whether Cholesky fails on it, so that the
-    ladder adds jitter, turns on the last bits of D_bb, so there are
-    several such blocks for each form to meet the ladder in.
-    """
+    """Tiny noise and one block of three points, two of them the same."""
     rng = np.random.default_rng(47)
     x, y, state = random_instance(rng)
     n = y.shape[0]
     part = _unequal_partition(rng, n)
-    dups = [b for b in part.blocks if b.size == 3]
+    dup = next(b for b in part.blocks if b.size == 3)
     x = x.copy()
-    for dup in dups:
-        x[dup] = x[dup[0]]
+    x[dup[1]] = x[dup[0]]
     state = state.with_(noise=NoiseParam(log_noise_variance=-40.0))
-    return x, y, state, part, dups
+    return x, y, state, part, dup
 
 
 def test_duplicate_inputs_get_the_per_block_jitter(cut):
-    x, y, state, part, dups = _duplicate_instance()
+    x, y, state, part, dup = _duplicate_instance()
     prep = prepare(x, y, state)
     s2 = prep.sigma2
+    seen = 0
     # BT-SGPR's I + D_bb / sigma2 and T-PEP's a m D_bb + sigma2 I
-    seen = {None: 0, 0.5 * 1.3: 0}
-    for alpha_m in seen:
-        for ix, _, gaps, lower, jitter in prep.gap_factors(part.groups, alpha_m):
+    for alpha, m in ((None, 1.0), (0.5, 1.3)):
+        for ix, _, gaps, lower, jitter in prep.gap_factors(part.groups, alpha, m):
             eye = np.eye(ix.shape[1])
-            stack = gaps / s2 + eye if alpha_m is None else alpha_m * gaps + s2 * eye
+            stack = gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
             ref = [chol(a) for a in stack]
             assert list(jitter) == [f.jitter_used for f in ref]
             assert np.array_equal(lower, np.stack([f.lower for f in ref]))
             for idx, jit in zip(ix, jitter):
-                if jit > 0.0:
-                    assert any(np.array_equal(idx, dup) for dup in dups)
-                    seen[alpha_m] += 1
-    assert min(seen.values()) > 0
+                if np.array_equal(idx, dup):
+                    assert jit > 0.0
+                    seen += 1
+    assert seen == 2
     # the bound reports the largest jitter the one-block ladder gives
     cfg = PepConfig(alpha=0.5, partition=part, m_scale=1.3)
     state = state.with_(log_m_scale=float(np.log(1.3)))

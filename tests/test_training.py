@@ -492,10 +492,8 @@ def test_a_diverging_stochastic_run_raises_evaluation_failed(method, learning_ra
 @pytest.mark.parametrize("method", ["T-SGPR", "BT-SGPR", "PEP"])
 def test_an_overflowing_adam_second_moment_is_evaluation_failed(method):
     # the gradient grows past 1e154, where grad * grad overflows; an infinite
-    # second moment would make that coordinate's step silently 0.  Which
-    # guard stops a diverging run first turns on rounding; on this instance
-    # it is this one for all three methods
-    x, y, state = small_instance(np.random.default_rng(5))
+    # second moment would make that coordinate's step silently 0
+    x, y, state = small_instance(np.random.default_rng(0))
     part = make_partition(y.shape[0], 3, seed=0)
     cfg = TrainConfig(objective=_stochastic_spec(method, 3), optimizer="adam", epochs=3,
                       learning_rate=100.0, gradient_mode="analytic")
