@@ -125,13 +125,28 @@ def _noise_gaussian(prep: PreparedBound, stacks) -> LowRankGaussian:
     )
 
 
-def _scaled_objective(
-    prep: PreparedBound, cfg: PepConfig, gradient: bool
+def pep_collapsed(
+    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
 ) -> BoundBreakdown:
-    """Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I) plus the block
-    log-det penalty and the whole-dataset terms, with each block gap built
-    and each R_b factored once; with gradient, also its gradient, whose
-    pass reads the same stacks, so they are held until it has run."""
+    """Collapsed power-EP objective with the unscaled gap (m pinned at 1)."""
+    if cfg.m_scale != 1.0:
+        raise ValueError("pep_collapsed is the m = 1 objective; use tpep_collapsed")
+    return tpep_collapsed(x, y, state, cfg, gradient)
+
+
+def tpep_collapsed(
+    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
+) -> BoundBreakdown:
+    """Collapsed power-EP objective with the scalar-scaled gap C = m D.
+
+    Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I) plus the block
+    log-det penalty and two whole-dataset terms, -N/(2a) log(1 + a(m-1))
+    + N/2 log m, which vanish at m = 1 and at alpha = 1 exactly.  Each
+    block gap is built and each R_b factored once; with gradient, the
+    gradient's pass reads the same stacks, so they are held until it
+    has run.
+    """
+    prep = prepare(x, y, state)
     a, m = cfg.alpha, cfg.m_scale
     stacks = _noise_stacks(prep, cfg)
     if gradient:
@@ -144,27 +159,6 @@ def _scaled_objective(
     reg += _pep_whole_terms(prep.n, a, m)
     envelope = dict(stacks=stacks, penalty="pep", alpha=a, m=m)
     return _collapsed(prep, gauss, reg, 0.0, envelope if gradient else None)
-
-
-def pep_collapsed(
-    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
-) -> BoundBreakdown:
-    """Collapsed power-EP objective with the unscaled gap (m pinned at 1)."""
-    if cfg.m_scale != 1.0:
-        raise ValueError("pep_collapsed is the m = 1 objective; use tpep_collapsed")
-    return _scaled_objective(prepare(x, y, state), cfg, gradient)
-
-
-def tpep_collapsed(
-    x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
-) -> BoundBreakdown:
-    """Collapsed power-EP objective with the scalar-scaled gap C = m D.
-
-    Relative to the m = 1 objective this adds two whole-dataset terms,
-    -N/(2a) log(1 + a(m-1)) + N/2 log m; both vanish at m = 1 and at
-    alpha = 1 exactly.
-    """
-    return _scaled_objective(prepare(x, y, state), cfg, gradient)
 
 
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:

@@ -3,13 +3,13 @@
 All bounds here share one structure: a Gaussian fit term that uses the
 low-rank surrogate Q = Kfu Kuu^-1 Kuf in place of Kff, minus a penalty
 that charges for the conditional gap D = Kff - Q.  The family differs
-only in how much of D the penalty keeps:
+only in how much of D the penalty keeps, named in model.METHODS:
 
-    SGPR         trace penalty, diag(D) / (2 sigma2)
-    Spherical    one shared scalar scale on D's diagonal
-    T-SGPR       one scale per point (log(1 + d_nn / sigma2) penalty)
-    SharedBlock  one scale matrix shared across equal-size blocks
-    BT-SGPR      one scale matrix per block (log det penalty)
+    SGPR         "trace"      sum_n d_nn / (2 sigma2): scale fixed at 1
+    Spherical    "spherical"  one shared scalar scale on D's diagonal
+    T-SGPR       "diag"       one scale per point: sum_n log(1 + d_nn / sigma2) / 2
+    SharedBlock  "shared"     one scale matrix shared across equal-size blocks
+    BT-SGPR      "logdet"     one scale matrix per block (log det penalty)
 
 Each collapsed form equals the corresponding uncollapsed evidence lower
 bound at the optimal Gaussian q(u); both routes are implemented and the
@@ -236,10 +236,18 @@ def _collapsed(
     return BoundBreakdown(fit + regularizer, fit, regularizer, jit, grad)
 
 
-def _vi_collapsed(
-    prep: PreparedBound, partition: Optional[Partition], penalty: str, gradient: bool
+def vi_collapsed(
+    x, y, state: ModelState, penalty: str, partition: Optional[Partition] = None,
+    gradient: bool = False,
 ) -> BoundBreakdown:
-    """A collapsed variational bound: log N(y; 0, Q + sigma2 I) minus a gap penalty."""
+    """A collapsed variational bound: log N(y; 0, Q + sigma2 I) minus the gap
+    penalty, one of the _PENALTIES; "shared" and "logdet" read the
+    partition's blocks, the others need none."""
+    if penalty not in _PENALTIES:
+        raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
+    if partition is None and penalty in ("shared", "logdet"):
+        raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
+    prep = prepare(x, y, state)
     if partition is not None:
         _check_partition(prep, partition)
     gauss = _plain_gaussian(prep)
@@ -251,12 +259,12 @@ def _vi_collapsed(
 
 def sgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with the plain trace penalty sum_n d_nn / (2 sigma2)."""
-    return _vi_collapsed(prepare(x, y, state), None, "trace", gradient)
+    return vi_collapsed(x, y, state, "trace", None, gradient)
 
 
 def tsgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with a per-point scale, penalty sum_n log(1 + d_nn/sigma2)/2."""
-    return _vi_collapsed(prepare(x, y, state), None, "diag", gradient)
+    return vi_collapsed(x, y, state, "diag", None, gradient)
 
 
 def tsgpr_optimal_scales(x, y, state: ModelState) -> np.ndarray:
@@ -269,7 +277,7 @@ def btsgpr_collapsed(
     x, y, state: ModelState, partition: Partition, gradient: bool = False
 ) -> BoundBreakdown:
     """Collapsed bound with one scale matrix per block, log-det penalty."""
-    return _vi_collapsed(prepare(x, y, state), partition, "logdet", gradient)
+    return vi_collapsed(x, y, state, "logdet", partition, gradient)
 
 
 def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List[np.ndarray]:
@@ -320,7 +328,7 @@ def sharedblock_collapsed(
     x, y, state: ModelState, partition: Partition, gradient: bool = False
 ) -> BoundBreakdown:
     """Collapsed bound with one scale matrix shared by all equal-size blocks."""
-    return _vi_collapsed(prepare(x, y, state), partition, "shared", gradient)
+    return vi_collapsed(x, y, state, "shared", partition, gradient)
 
 
 def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> np.ndarray:
@@ -333,7 +341,7 @@ def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> 
 
 def spherical_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
     """Collapsed bound with a single scalar scale; SharedBlock at block size 1."""
-    return _vi_collapsed(prepare(x, y, state), None, "spherical", gradient)
+    return vi_collapsed(x, y, state, "spherical", None, gradient)
 
 
 def spherical_optimal_scale(x, y, state: ModelState) -> float:

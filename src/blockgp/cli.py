@@ -40,6 +40,7 @@ from .data import (
 from .kernels import KernelParams, NoiseParam
 from .linalg import CholeskyFactor, NotPositiveDefiniteError
 from .model import (
+    METHODS,
     BoundSpec,
     GaussianQU,
     ModelState,
@@ -49,10 +50,8 @@ from .model import (
 )
 from .prediction import PredictiveGaussian, metrics, predict
 from .training import (
-    _VI_PENALTY,
     Diverged,
     EvaluationFailed,
-    STOCHASTIC_METHODS,
     TrainConfig,
     TrainTrace,
     evaluate_bound,
@@ -60,10 +59,6 @@ from .training import (
     fit_stochastic,
 )
 from .verify import format_report, run_all
-
-TRAINABLE_METHODS = ("SGPR", "T-SGPR", "BT-SGPR", "SharedBlock", "Spherical", "PEP", "T-PEP")
-_PEP_FAMILY = ("PEP", "T-PEP")
-_BLOCK_REQUIRED = ("BT-SGPR", "SharedBlock")
 
 # Every recognized config key with its default; unknown keys are rejected.
 CONFIG_DEFAULTS = {
@@ -200,18 +195,24 @@ def _as_choice(cfg: dict, field: str, choices: Sequence[str]) -> str:
     return v
 
 
+def _trainable(test=lambda row: True) -> Tuple[str, ...]:
+    # the bounds with a gap penalty whose row passes test, in table order
+    return tuple(n for n, row in METHODS.items() if row.penalty is not None and test(row))
+
+
 def _run_methods(cfg: dict, compare: bool) -> List[str]:
+    trainable = _trainable()
     if not compare:
-        return [_as_choice(cfg, "method", TRAINABLE_METHODS)]
+        return [_as_choice(cfg, "method", trainable)]
     methods = cfg["methods"]
     if not isinstance(methods, list) or len(methods) < 2:
         raise ConfigError("methods", "compare needs a list of at least two methods")
     if len(set(methods)) != len(methods):
         raise ConfigError("methods", "duplicate method names")
     for name in methods:
-        if name not in TRAINABLE_METHODS:
+        if name not in trainable:
             raise ConfigError(
-                "methods", f"{name!r} is not trainable; pick from {list(TRAINABLE_METHODS)}"
+                "methods", f"{name!r} is not trainable; pick from {list(trainable)}"
             )
     return list(methods)
 
@@ -231,17 +232,19 @@ def _validate_config(cfg: dict, compare: bool) -> List[str]:
     if not 0.0 <= _as_number(cfg, "test_fraction") < 1.0:
         raise ConfigError("test_fraction", "must lie in [0, 1)")
     methods = _run_methods(cfg, compare)
+    rows = [METHODS[m] for m in methods]
 
-    if any(m in _PEP_FAMILY for m in methods):
+    if any(row.alpha for row in rows):
         if cfg["alpha"] is None:
-            raise ConfigError("alpha", "required for PEP and T-PEP")
+            needing = _trainable(lambda row: row.alpha)
+            raise ConfigError("alpha", f"required for {' and '.join(needing)}")
         if not 0.0 < _as_number(cfg, "alpha") <= 1.0:
             raise ConfigError("alpha", "must lie in (0, 1]")
-    need_blocks = any(m in _BLOCK_REQUIRED for m in methods)
     if cfg["blocks"] is not None and _as_int(cfg, "blocks") < 1:
         raise ConfigError("blocks", "must be a positive block count")
-    if need_blocks and cfg["blocks"] is None:
-        raise ConfigError("blocks", "required for BT-SGPR and SharedBlock")
+    if any(row.partition == "required" for row in rows) and cfg["blocks"] is None:
+        needing = _trainable(lambda row: row.partition == "required")
+        raise ConfigError("blocks", f"required for {' and '.join(needing)}")
 
     if _as_int(cfg, "num_inducing") < 1:
         raise ConfigError("num_inducing", "need at least one inducing input")
@@ -269,11 +272,11 @@ def _validate_config(cfg: dict, compare: bool) -> List[str]:
         if cfg["blocks"] is None:
             raise ConfigError("blocks", "stochastic training needs a block count")
         for name in methods:
-            if name not in STOCHASTIC_METHODS:
+            if not METHODS[name].stochastic:
                 raise ConfigError(
                     "method" if not compare else "methods",
                     f"{name!r} has no stochastic estimator; "
-                    f"pick from {list(STOCHASTIC_METHODS)}",
+                    f"pick from {list(_trainable(lambda row: row.stochastic))}",
                 )
     return methods
 
@@ -310,24 +313,12 @@ def _prepare_data(cfg: dict) -> Tuple[Dataset, Dataset]:
 
 
 def _spec_for(cfg: dict, method: str) -> BoundSpec:
-    alpha = float(cfg["alpha"]) if method in _PEP_FAMILY else None
-    if method in _BLOCK_REQUIRED:
-        num_blocks = int(cfg["blocks"])
-    elif method in _PEP_FAMILY and cfg["blocks"] is not None:
-        num_blocks = int(cfg["blocks"])
-    else:
-        num_blocks = None
+    """The spec at the config's alpha and block count, where the method takes them."""
+    row = METHODS[method]
+    alpha = float(cfg["alpha"]) if row.alpha else None
+    takes_blocks = row.partition != "rejected" and cfg["blocks"] is not None
+    num_blocks = int(cfg["blocks"]) if takes_blocks else None
     return BoundSpec(method=method, alpha=alpha, num_blocks=num_blocks)
-
-
-def _posterior_qu(
-    train: Dataset, state: ModelState, spec: BoundSpec, partition: Optional[Partition]
-) -> GaussianQU:
-    if spec.is_pep:
-        part = partition if partition is not None else singleton_partition(train.n)
-        pep = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
-        return tpep_optimal_qu(train.x, train.y, state, pep)
-    return optimal_qu(train.x, train.y, state)
 
 
 @dataclass(frozen=True)
@@ -364,21 +355,24 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
 
     uncollapsed = None
     if cfg["trainer"] == "stochastic":
-        part = partition
-        if part is None:
-            part = make_partition(train.n, int(cfg["blocks"]), seed=seed)
-        state, q, trace = fit_stochastic(train.x, train.y, state0, part, train_cfg)
-        partition = part
+        if partition is None:
+            partition = make_partition(train.n, int(cfg["blocks"]), seed=seed)
+        state, q, trace = fit_stochastic(train.x, train.y, state0, partition, train_cfg)
         if spec.is_pep:
-            pep = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
+            pep = PepConfig(alpha=spec.alpha, partition=partition, m_scale=state.m_scale)
             uncollapsed = tpep_uncollapsed(train.x, train.y, state, pep, q).total
         else:
             uncollapsed = vi_uncollapsed(
-                train.x, train.y, state, part, q, penalty=_VI_PENALTY[spec.method]
+                train.x, train.y, state, partition, q, penalty=spec.row.penalty
             ).total
     else:
         state, trace = fit_collapsed(train.x, train.y, state0, train_cfg, partition)
-        q = _posterior_qu(train, state, spec, partition)
+        if spec.is_pep:
+            part = partition if partition is not None else singleton_partition(train.n)
+            pep = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
+            q = tpep_optimal_qu(train.x, train.y, state, pep)
+        else:
+            q = optimal_qu(train.x, train.y, state)
 
     final = evaluate_bound(train.x, train.y, state, spec, partition)
     return RunResult(
@@ -396,13 +390,13 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
     )
 
 
-def _initial_state_for(cfg: dict, train: Dataset, method: str) -> ModelState:
+def _initial_state_for(cfg: dict, train: Dataset, with_m: bool) -> ModelState:
     return initial_state(
         train,
         int(cfg["num_inducing"]),
         seed=int(cfg["seed"]),
         inducing=cfg["inducing_init"],
-        with_m=(method == "T-PEP"),
+        with_m=with_m,
     )
 
 
@@ -556,7 +550,7 @@ def cmd_fit(args) -> int:
     cfg_hash = _config_hash(cfg)
     train, test = _prepare_data(cfg)
     method = cfg["method"]
-    state0 = _initial_state_for(cfg, train, method)
+    state0 = _initial_state_for(cfg, train, METHODS[method].gap_scale)
     run = _run_method(cfg, train, state0, method)
 
     eval_data, eval_on = (test, "test") if test.n else (train, "train")
@@ -590,11 +584,11 @@ def cmd_compare(args) -> int:
 
     # One shared initialization: every method starts from the same
     # hyperparameters, inducing inputs, and data split.
-    base = _initial_state_for(cfg, train, method="SGPR")
+    base = _initial_state_for(cfg, train, with_m=False)
     out = _ensure_out(cfg["out"])
     rows = []
     for method in methods:
-        state0 = base.with_(log_m_scale=0.0) if method == "T-PEP" else base
+        state0 = base.with_(log_m_scale=0.0) if METHODS[method].gap_scale else base
         run = _run_method(cfg, train, state0, method)
         m = _eval_metrics(cfg, eval_data, run.state, run.q)
         row = {

@@ -16,19 +16,48 @@ import numpy as np
 from .kernels import QUIET, KernelParams, NoiseParam
 from .linalg import CholeskyFactor
 
-# Method names accepted everywhere (BoundSpec, CLI, reports).
-VI_METHODS = ("SGPR", "T-SGPR", "BT-SGPR", "SharedBlock", "Spherical")
-PEP_METHODS = ("PEP", "T-PEP", "GeneralPEP-Oracle")
-ORACLE_METHODS = ("GeneralC-Oracle", "GeneralPEP-Oracle")
-METHODS = ("Exact",) + VI_METHODS + ("PEP", "T-PEP") + ORACLE_METHODS
-
 # Most matrix entries (B_s n_s^2) in one stack of equal-size blocks, so each
 # (B_s, n_s, n_s) temporary of the batched block work stays near 0.5 MB;
 # a block that fills a stack alone costs far more than the call around it.
 STACK_ENTRIES = 2**16
 
-# Methods whose objective carries a block partition.
-BLOCK_METHODS = ("BT-SGPR", "SharedBlock", "PEP", "T-PEP", "GeneralPEP-Oracle")
+
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table.
+
+    penalty: the gap penalty the collapsed bound charges on top of the
+    Gaussian fit ("pep": power EP's block noise), None for Exact and the
+    oracles.  partition: "required", "optional" (power EP defaults to one
+    point per block) or "rejected".  alpha: the power is required, else
+    rejected.  stochastic: the penalty is block-separable, so
+    fit_stochastic can cycle blocks.  gap_scale: the state carries the
+    gap scale m.  oracle: takes explicit scale matrices to check the
+    others; never trained.
+    """
+
+    penalty: Optional[str]
+    partition: str
+    alpha: bool
+    stochastic: bool
+    gap_scale: bool
+    oracle: bool
+
+
+# Every method name accepted anywhere, in the order error messages list them.
+METHODS = {
+    #                           penalty      partition   alpha  stoch. gap_m  oracle
+    "Exact":             Method(None,        "rejected", False, False, False, False),
+    "SGPR":              Method("trace",     "rejected", False, True,  False, False),
+    "T-SGPR":            Method("diag",      "rejected", False, True,  False, False),
+    "BT-SGPR":           Method("logdet",    "required", False, True,  False, False),
+    "SharedBlock":       Method("shared",    "required", False, False, False, False),
+    "Spherical":         Method("spherical", "rejected", False, False, False, False),
+    "PEP":               Method("pep",       "optional", True,  True,  False, False),
+    "T-PEP":             Method("pep",       "optional", True,  True,  True,  False),
+    "GeneralC-Oracle":   Method(None,        "rejected", False, False, False, True),
+    "GeneralPEP-Oracle": Method(None,        "optional", True,  False, False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -36,7 +65,7 @@ class ModelState:
     kernel: KernelParams
     noise: NoiseParam
     inducing: np.ndarray  # shape (M, D)
-    log_m_scale: Optional[float] = None  # scalar scale for T-PEP, None elsewhere
+    log_m_scale: Optional[float] = None  # the gap scale m, for methods with gap_scale
 
     def __post_init__(self):
         z = np.asarray(self.inducing, dtype=float)
@@ -144,10 +173,9 @@ def merge_pairs(partition: Partition) -> Partition:
 class BoundSpec:
     """Which objective to evaluate, plus its structural knobs.
 
-    alpha is required for the power-EP family and rejected elsewhere;
-    num_blocks is required for BT-SGPR and SharedBlock, optional
-    (default: one point per block) for the power-EP family, and
-    rejected for the rest.
+    The method's row in METHODS says which knobs it takes: alpha is
+    required where the row's alpha is set and rejected elsewhere, and
+    num_blocks is required, optional or rejected as its partition says.
     """
 
     method: str
@@ -159,28 +187,39 @@ class BoundSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
-        needs_alpha = self.method in PEP_METHODS
-        if needs_alpha and self.alpha is None:
+        row = self.row
+        if row.alpha and self.alpha is None:
             raise ValueError(f"method {self.method} requires alpha")
-        if not needs_alpha and self.alpha is not None:
+        if not row.alpha and self.alpha is not None:
             raise ValueError(f"method {self.method} does not take alpha")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.num_blocks is not None:
-            if self.method not in BLOCK_METHODS:
+            if row.partition == "rejected":
                 raise ValueError(f"method {self.method} does not take num_blocks")
             if self.num_blocks < 1:
                 raise ValueError("num_blocks must be at least 1")
-        elif self.method in ("BT-SGPR", "SharedBlock"):
+        elif row.partition == "required":
             raise ValueError(f"method {self.method} requires num_blocks")
 
     @property
+    def row(self) -> Method:
+        return METHODS[self.method]
+
+    @property
     def is_pep(self) -> bool:
-        return self.method in PEP_METHODS
+        return self.row.alpha
 
     @property
     def uses_partition(self) -> bool:
-        return self.method in BLOCK_METHODS
+        return self.row.partition != "rejected"
+
+    def check_state(self, state: ModelState) -> None:
+        """Raise unless state carries the gap scale m exactly where the
+        method has one, so no method silently ignores m or trains it."""
+        if self.row.gap_scale != (state.log_m_scale is not None):
+            needs = "needs" if self.row.gap_scale else "does not take"
+            raise ValueError(f"method {self.method} {needs} a state with the gap scale m")
 
 
 @dataclass(frozen=True)

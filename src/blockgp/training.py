@@ -36,23 +36,19 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from .bounds_pep import PepConfig, pep_collapsed, tpep_collapsed, tpep_stochastic
+from .bounds_pep import PepConfig, tpep_collapsed, tpep_stochastic
 from .bounds_vi import (
     BlockEstimate,
     BoundBreakdown,
     block_estimate,
-    btsgpr_collapsed,
     exact_lml,
-    sgpr_collapsed,
-    sharedblock_collapsed,
-    spherical_collapsed,
-    tsgpr_collapsed,
+    vi_collapsed,
     vi_stochastic,
 )
 from .kernels import QUIET, KernelParams, NoiseParam, kernel_matrix
 from .linalg import CholeskyFactor, NotPositiveDefiniteError, chol
 from .model import (
-    ORACLE_METHODS,
+    METHODS,
     BoundSpec,
     GaussianQU,
     ModelState,
@@ -62,12 +58,6 @@ from .model import (
 
 _OPTIMIZERS = ("lbfgs", "adam")
 _GRADIENT_MODES = ("fd", "analytic")
-
-# Penalty flavor of each uncollapsed variational objective.
-_VI_PENALTY = {"SGPR": "trace", "T-SGPR": "diag", "BT-SGPR": "logdet"}
-
-# Objectives fit_stochastic can cycle over blocks (penalty separable).
-STOCHASTIC_METHODS = ("SGPR", "T-SGPR", "BT-SGPR", "PEP", "T-PEP")
 
 # Objective value the L-BFGS line search sees where the bound cannot be
 # evaluated at all; large enough to reject the trial point outright.
@@ -323,7 +313,7 @@ def _resolve_partition(
                 f"has {partition.num_blocks}"
             )
         return partition
-    if spec.is_pep and spec.num_blocks is None:
+    if spec.row.partition == "optional" and spec.num_blocks is None:
         return singleton_partition(n)
     raise ValueError(f"method {spec.method} needs an explicit partition")
 
@@ -339,30 +329,24 @@ def evaluate_bound(
     """Collapsed objective value for a BoundSpec at one model state.
 
     With gradient, the breakdown's gradient field holds its gradient in
-    every trained coordinate, from the same prepared state.  The oracle
-    methods are rejected here: they take explicit scale matrices and
-    exist to check the others, not to be trained.
+    every trained coordinate, from the same prepared state.  The method's
+    row in METHODS picks the body: Exact's dense form, power EP's, or the
+    variational one at the row's penalty.  The oracle methods are
+    rejected here: they take explicit scale matrices and exist to check
+    the others, not to be trained.
     """
-    method = spec.method
-    if method in ORACLE_METHODS:
-        raise ValueError(f"{method} takes explicit scale matrices; call it directly")
-    if method == "Exact":
+    row = spec.row
+    if row.oracle:
+        raise ValueError(f"{spec.method} takes explicit scale matrices; call it directly")
+    spec.check_state(state)
+    if row.penalty is None:
         return exact_lml(x, y, state, gradient)
-    if method == "SGPR":
-        return sgpr_collapsed(x, y, state, gradient)
-    if method == "T-SGPR":
-        return tsgpr_collapsed(x, y, state, gradient)
-    if method == "Spherical":
-        return spherical_collapsed(x, y, state, gradient)
-    part = _resolve_partition(np.asarray(y).reshape(-1).shape[0], spec, partition)
-    if method == "BT-SGPR":
-        return btsgpr_collapsed(x, y, state, part, gradient)
-    if method == "SharedBlock":
-        return sharedblock_collapsed(x, y, state, part, gradient)
-    cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
-    if method == "PEP":
-        return pep_collapsed(x, y, state, cfg, gradient)
-    return tpep_collapsed(x, y, state, cfg, gradient)
+    n = np.asarray(y).reshape(-1).shape[0]
+    part = _resolve_partition(n, spec, partition) if spec.uses_partition else None
+    if row.penalty == "pep":
+        cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
+        return tpep_collapsed(x, y, state, cfg, gradient)
+    return vi_collapsed(x, y, state, row.penalty, part, gradient)
 
 
 # What an objective raises where it cannot be evaluated: a factorization that
@@ -582,13 +566,8 @@ def fit_collapsed(
     stops at such a point.
     """
     spec = cfg.objective
-    if spec.method in ORACLE_METHODS:
-        raise ValueError(f"{spec.method} is a check oracle, not a trainable objective")
-    part = (
-        _resolve_partition(np.asarray(y).reshape(-1).shape[0], spec, partition)
-        if spec.uses_partition
-        else None
-    )
+    n = np.asarray(y).reshape(-1).shape[0]
+    part = _resolve_partition(n, spec, partition) if spec.uses_partition else None
     pack = ParameterPack.for_state(state)
 
     def objective(theta):
@@ -633,26 +612,23 @@ def stochastic_estimate(
     spec: BoundSpec,
     gradient: bool = False,
 ) -> BlockEstimate:
-    """block_estimate for one of the STOCHASTIC_METHODS.
+    """block_estimate at the penalty of spec's row in METHODS, which must
+    be stochastic; power EP's block noise is at the state's gap scale m."""
+    _check_stochastic(spec, state)
+    return block_estimate(
+        x, y, state, partition, q, block_index, penalty=spec.row.penalty,
+        alpha=spec.alpha, m_scale=state.m_scale, gradient=gradient,
+    )
 
-    The variational methods use their penalty ("trace", "diag" or
-    "logdet"); PEP and T-PEP use the block noise at the state's gap
-    scale m (1 when the state does not carry one).
-    """
-    if spec.method not in STOCHASTIC_METHODS:
+
+def _check_stochastic(spec: BoundSpec, state: ModelState) -> None:
+    """Raise unless spec's penalty is block-separable and state fits it."""
+    if not spec.row.stochastic:
         raise ValueError(
             f"method {spec.method} has no block-separable estimator; "
-            f"choose from {STOCHASTIC_METHODS}"
+            f"choose from {tuple(n for n, row in METHODS.items() if row.stochastic)}"
         )
-    if spec.is_pep:
-        return block_estimate(
-            x, y, state, partition, q, block_index, penalty="pep",
-            alpha=spec.alpha, m_scale=state.m_scale, gradient=gradient,
-        )
-    return block_estimate(
-        x, y, state, partition, q, block_index,
-        penalty=_VI_PENALTY[spec.method], gradient=gradient,
-    )
+    spec.check_state(state)
 
 
 def _initial_qu(state: ModelState) -> GaussianQU:
@@ -686,15 +662,12 @@ def fit_stochastic(
     last scheduled block.  So a step costs one block pass ("analytic")
     or 2P+1 ("fd").  A point where the estimate or its gradient cannot
     be evaluated or is not finite raises EvaluationFailed.  Only
-    block-separable objectives are accepted; q defaults to the prior at
-    the initial state.
+    block-separable objectives (a stochastic row in METHODS) are
+    accepted, with a state that carries the gap scale m exactly where
+    the method has one; q defaults to the prior at the initial state.
     """
     spec = cfg.objective
-    if spec.method not in STOCHASTIC_METHODS:
-        raise ValueError(
-            f"method {spec.method} has no block-separable estimator; "
-            f"choose from {STOCHASTIC_METHODS}"
-        )
+    _check_stochastic(spec, state)
     if cfg.optimizer != "adam":
         raise ValueError("stochastic training cycles blocks; use optimizer='adam'")
     n = np.asarray(y).reshape(-1).shape[0]
@@ -714,7 +687,7 @@ def fit_stochastic(
         if spec.is_pep:
             pcfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=st.m_scale)
             return tpep_stochastic(x, y, st, pcfg, qu, b)
-        return vi_stochastic(x, y, st, part, qu, b, penalty=_VI_PENALTY[spec.method])
+        return vi_stochastic(x, y, st, part, qu, b, penalty=spec.row.penalty)
 
     def value_and_gradient(theta_vec):
         b = next(blocks)

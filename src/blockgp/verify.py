@@ -54,6 +54,7 @@ from .bounds_vi import (
 from .kernels import KernelParams, NoiseParam, kernel_diag, kernel_matrix
 from .linalg import CholeskyFactor, chol
 from .model import (
+    METHODS,
     BoundSpec,
     GaussianQU,
     ModelState,
@@ -602,17 +603,11 @@ def check_gradient_checks(ctx: CheckContext) -> str:
         d_mean, d_lower = uncollapsed_qu_gradient(x, y, state, part, q, block_index=b)
         compare("single-block", pack.pack_q_gradient(q, d_mean, d_lower), fd, k)
 
-        # hyperparameters (log m for T-PEP) and q(u) together, against
-        # differences of the same single-block value
-        specs = (
-            BoundSpec(method="SGPR"),
-            BoundSpec(method="T-SGPR"),
-            BoundSpec(method="BT-SGPR", num_blocks=part.num_blocks),
-            BoundSpec(method="PEP", alpha=0.5),
-            BoundSpec(method="T-PEP", alpha=0.35),
-        )
-        for spec in specs:
-            st = state.with_(log_m_scale=np.log(1.3)) if spec.method == "T-PEP" else state
+        # hyperparameters (log m where the method has it) and q(u)
+        # together, against differences of the same single-block value
+        stochastic = _specs(lambda row: row.stochastic, part.num_blocks)
+        for spec in stochastic:
+            st = state.with_(log_m_scale=np.log(1.3)) if spec.row.gap_scale else state
             spack = ParameterPack.for_state(st, with_q=True)
             b = int(rng.integers(part.num_blocks))
 
@@ -625,10 +620,11 @@ def check_gradient_checks(ctx: CheckContext) -> str:
             est = stochastic_estimate(x, y, st, part, q, b, spec, gradient=True)
             compare(f"{spec.method} single-block", spack.pack_estimate_gradient(q, est), fd, k)
 
-        # collapsed objectives (log m for T-PEP): the envelope gradient
-        # (the dense form for Exact) against differences of the value
-        for spec in _collapsed_specs(part.num_blocks):
-            st = state.with_(log_m_scale=np.log(1.3)) if spec.method == "T-PEP" else state
+        # every objective fit_collapsed trains, log m included: the envelope
+        # gradient (the dense form for Exact) against differences of the value
+        collapsed = _specs(lambda row: not row.oracle, part.num_blocks)
+        for spec in collapsed:
+            st = state.with_(log_m_scale=np.log(1.3)) if spec.row.gap_scale else state
             spart = part if spec.uses_partition else None
             cpack = ParameterPack.for_state(st)
 
@@ -640,22 +636,24 @@ def check_gradient_checks(ctx: CheckContext) -> str:
             analytic = cpack.pack_estimate_gradient(None, grad)
             compare(f"{spec.method} collapsed", analytic, fd, k)
     return (
-        f"{count} instances x (8 q(u) families + 5 single-block estimators + "
-        f"8 collapsed objectives in every coordinate), worst rel dev {worst:.3e}"
+        f"{count} instances x (8 q(u) families + {len(stochastic)} single-block "
+        f"estimators + {len(collapsed)} collapsed objectives in every coordinate), "
+        f"worst rel dev {worst:.3e}"
     )
 
 
-def _collapsed_specs(num_blocks: int) -> Tuple[BoundSpec, ...]:
-    """Every objective fit_collapsed trains, on num_blocks equal blocks."""
-    return (
-        BoundSpec(method="Exact"),
-        BoundSpec(method="SGPR"),
-        BoundSpec(method="T-SGPR"),
-        BoundSpec(method="Spherical"),
-        BoundSpec(method="SharedBlock", num_blocks=num_blocks),
-        BoundSpec(method="BT-SGPR", num_blocks=num_blocks),
-        BoundSpec(method="PEP", alpha=0.5, num_blocks=num_blocks),
-        BoundSpec(method="T-PEP", alpha=0.35, num_blocks=num_blocks),
+# The power each power-EP method is checked at.
+_CHECK_ALPHA = {"PEP": 0.5, "T-PEP": 0.35}
+
+
+def _specs(test, num_blocks: int) -> Tuple[BoundSpec, ...]:
+    """A spec for each method whose row in METHODS passes test, in table
+    order, on num_blocks blocks where the method takes a partition."""
+    return tuple(
+        BoundSpec(name, _CHECK_ALPHA.get(name),
+                  None if row.partition == "rejected" else num_blocks)
+        for name, row in METHODS.items()
+        if test(row)
     )
 
 

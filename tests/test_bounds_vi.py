@@ -37,6 +37,7 @@ from blockgp.bounds_vi import (
     spherical_optimal_scale,
     tsgpr_collapsed,
     tsgpr_optimal_scales,
+    vi_collapsed,
     vi_stochastic,
     vi_uncollapsed,
 )
@@ -222,6 +223,15 @@ def test_sharedblock_requires_equal_sizes():
 
     with pytest.raises(ValueError):
         sharedblock_collapsed(x, y, state, Partition(blocks))
+
+
+def test_vi_collapsed_rejects_unknown_penalties_and_missing_blocks():
+    x, y, state = small_instance(np.random.default_rng(8))
+    with pytest.raises(ValueError, match="penalty must be one of"):
+        vi_collapsed(x, y, state, "pep")
+    for penalty in ("shared", "logdet"):
+        with pytest.raises(ValueError, match="reads a partition's blocks"):
+            vi_collapsed(x, y, state, penalty)
 
 
 def test_optimal_qu_matches_bayes_linear_oracle():

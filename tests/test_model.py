@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blockgp.cli import CONFIG_DEFAULTS, ConfigError, _validate_config
 from blockgp.kernels import KernelParams, NoiseParam
 from blockgp.model import (
+    METHODS,
     BoundSpec,
     GaussianQU,
     ModelState,
@@ -15,6 +17,8 @@ from blockgp.model import (
     singleton_partition,
 )
 from blockgp.linalg import chol
+from blockgp.training import stochastic_estimate
+from blockgp.verify import small_instance
 
 
 def _state(d=1, m=3, log_m_scale=None) -> ModelState:
@@ -82,35 +86,82 @@ def test_merge_pairs_is_nested_coarsening():
         assert sum(hits) == 1
 
 
-def test_bound_spec_alpha_rules():
-    BoundSpec(method="PEP", alpha=0.5)
-    BoundSpec(method="T-PEP", alpha=1.0, num_blocks=3)
-    with pytest.raises(ValueError):
-        BoundSpec(method="PEP")  # alpha required
-    with pytest.raises(ValueError):
-        BoundSpec(method="PEP", alpha=0.0)
-    with pytest.raises(ValueError):
-        BoundSpec(method="PEP", alpha=1.5)
-    with pytest.raises(ValueError):
-        BoundSpec(method="SGPR", alpha=0.5)  # alpha rejected
+# Each method's rules, written out from the bounds' definitions rather
+# than read from METHODS: (alpha, blocks, stochastic, gap scale m).
+# alpha is required or rejected; blocks are required, optional (power EP
+# defaults to one point per block) or rejected; stochastic methods have a
+# block-separable penalty; only T-PEP's state carries m.
+SPEC_RULES = {
+    "Exact": ("rejected", "rejected", False, False),
+    "SGPR": ("rejected", "rejected", True, False),
+    "T-SGPR": ("rejected", "rejected", True, False),
+    "BT-SGPR": ("rejected", "required", True, False),
+    "SharedBlock": ("rejected", "required", False, False),
+    "Spherical": ("rejected", "rejected", False, False),
+    "PEP": ("required", "optional", True, False),
+    "T-PEP": ("required", "optional", True, True),
+    "GeneralC-Oracle": ("rejected", "rejected", False, False),
+    "GeneralPEP-Oracle": ("required", "optional", False, False),
+}
 
 
-def test_bound_spec_block_rules():
-    BoundSpec(method="BT-SGPR", num_blocks=4)
-    BoundSpec(method="SharedBlock", num_blocks=2)
-    with pytest.raises(ValueError):
-        BoundSpec(method="BT-SGPR")
-    with pytest.raises(ValueError):
-        BoundSpec(method="SGPR", num_blocks=2)
-    with pytest.raises(ValueError):
+def test_the_rules_cover_every_method():
+    assert list(SPEC_RULES) == list(METHODS)
+    with pytest.raises(ValueError, match="unknown method"):
         BoundSpec(method="NoSuchBound")
 
 
-def test_bound_spec_flags():
-    assert BoundSpec(method="PEP", alpha=0.5).is_pep
-    assert not BoundSpec(method="SGPR").is_pep
-    assert BoundSpec(method="BT-SGPR", num_blocks=2).uses_partition
-    assert not BoundSpec(method="Spherical").uses_partition
+@pytest.mark.parametrize("method", list(SPEC_RULES))
+def test_bound_spec_rules(method):
+    alpha, blocks, stochastic, gap_scale = SPEC_RULES[method]
+    a = 0.5 if alpha == "required" else None
+    nb = None if blocks == "rejected" else 3
+    if alpha == "required":
+        with pytest.raises(ValueError, match=f"{method} requires alpha"):
+            BoundSpec(method=method, num_blocks=nb)
+        for bad in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha must lie"):
+                BoundSpec(method=method, alpha=bad, num_blocks=nb)
+        BoundSpec(method=method, alpha=1.0, num_blocks=nb)
+    else:
+        with pytest.raises(ValueError, match=f"{method} does not take alpha"):
+            BoundSpec(method=method, alpha=0.5, num_blocks=nb)
+    if blocks == "rejected":
+        with pytest.raises(ValueError, match=f"{method} does not take num_blocks"):
+            BoundSpec(method=method, alpha=a, num_blocks=2)
+        spec = BoundSpec(method=method, alpha=a)
+    else:
+        with pytest.raises(ValueError, match="at least 1"):
+            BoundSpec(method=method, alpha=a, num_blocks=0)
+        if blocks == "required":
+            with pytest.raises(ValueError, match=f"{method} requires num_blocks"):
+                BoundSpec(method=method, alpha=a)
+        else:
+            BoundSpec(method=method, alpha=a)
+        spec = BoundSpec(method=method, alpha=a, num_blocks=4)
+    assert spec.is_pep == (alpha == "required")
+    assert spec.uses_partition == (blocks != "rejected")
+
+    # the single-block estimator and the command line's stochastic trainer
+    # each take exactly the stochastic methods
+    x, y, state = small_instance(np.random.default_rng(0))
+    if gap_scale:
+        state = state.with_(log_m_scale=np.log(1.3))
+    part = make_partition(y.shape[0], 4, seed=0)
+    m = state.num_inducing
+    q = GaussianQU(mean=np.zeros(m), cov_chol=chol(np.eye(m)))
+    if stochastic:
+        assert np.isfinite(stochastic_estimate(x, y, state, part, q, 0, spec).value)
+    else:
+        with pytest.raises(ValueError, match=f"{method} has no block-separable estimator"):
+            stochastic_estimate(x, y, state, part, q, 0, spec)
+    cfg = dict(CONFIG_DEFAULTS, method=method, trainer="stochastic", optimizer="adam",
+               blocks=4, alpha=0.5)
+    if stochastic:
+        assert _validate_config(cfg, compare=False) == [method]
+    else:
+        with pytest.raises(ConfigError, match="'method'"):
+            _validate_config(cfg, compare=False)
 
 
 def test_model_state_m_scale_property():

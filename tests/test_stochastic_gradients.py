@@ -16,9 +16,8 @@ from blockgp import bounds_pep, bounds_vi, kernels, training
 from blockgp.bounds_pep import PepConfig, tpep_stochastic, tpep_uncollapsed
 from blockgp.bounds_vi import prepare, vi_stochastic, vi_uncollapsed
 from blockgp.kernels import KernelParams, NoiseParam
-from blockgp.model import BoundSpec, ModelState, Partition, make_partition
+from blockgp.model import METHODS, BoundSpec, ModelState, Partition, make_partition
 from blockgp.training import (
-    STOCHASTIC_METHODS,
     ParameterPack,
     TrainConfig,
     finite_difference_gradient,
@@ -26,6 +25,9 @@ from blockgp.training import (
     stochastic_estimate,
 )
 from blockgp.verify import random_qu, small_instance
+
+# The methods fit_stochastic trains, in table order.
+STOCHASTIC_METHODS = tuple(name for name, row in METHODS.items() if row.stochastic)
 
 GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-6

@@ -5,15 +5,24 @@ Adam loop written out below with its own bias-correction arithmetic,
 so the block-cycling path has an independent full-batch oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blockgp.bounds_pep import PepConfig, tpep_qu_gradient, tpep_stochastic
+from blockgp.bounds_pep import (
+    PepConfig,
+    pep_collapsed,
+    tpep_collapsed,
+    tpep_qu_gradient,
+    tpep_stochastic,
+)
 from blockgp.bounds_vi import (
     btsgpr_collapsed,
     exact_lml,
     sgpr_collapsed,
+    sharedblock_collapsed,
     spherical_collapsed,
     tsgpr_collapsed,
     uncollapsed_qu_gradient,
@@ -22,9 +31,8 @@ from blockgp.bounds_vi import (
 from blockgp import training
 from blockgp.linalg import NotPositiveDefiniteError, chol
 from blockgp.kernels import kernel_matrix
-from blockgp.model import BoundSpec, GaussianQU, make_partition
+from blockgp.model import METHODS, BoundSpec, GaussianQU, Partition, make_partition
 from blockgp.training import (
-    STOCHASTIC_METHODS,
     Diverged,
     EvaluationFailed,
     ParameterPack,
@@ -38,6 +46,9 @@ from blockgp.training import (
     stochastic_estimate,
 )
 from blockgp.verify import random_blocks, random_qu, small_instance
+
+# The methods fit_stochastic trains, in table order.
+STOCHASTIC_METHODS = tuple(name for name, row in METHODS.items() if row.stochastic)
 
 
 def test_train_config_validation():
@@ -148,40 +159,67 @@ def test_parameter_pack_roundtrip():
     assert_allclose(qu.cov, q.cov, rtol=1e-12)
 
 
+def _outcome(evaluate, gradient):
+    """An evaluation's value, jitter and gradient fields as bytes, or its error."""
+    try:
+        out = evaluate(gradient)
+    except ValueError as exc:
+        return repr(exc)
+    grad = out.gradient
+    fields = [] if grad is None else [getattr(grad, f.name) for f in dataclasses.fields(grad)]
+    values = [out.total, out.fit_term, out.regularizer, out.jitter_used] + fields
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
 def test_evaluate_bound_dispatch():
+    # evaluate_bound gives every trainable method bit for bit what its
+    # public function gives, value and gradient, on equal and unequal blocks
     rng = np.random.default_rng(1)
     x, y, state = small_instance(rng)
-    part = make_partition(y.shape[0], 3, seed=5)
-    direct = {
-        "Exact": exact_lml(x, y, state).total,
-        "SGPR": sgpr_collapsed(x, y, state).total,
-        "T-SGPR": tsgpr_collapsed(x, y, state).total,
-        "Spherical": spherical_collapsed(x, y, state).total,
-        "BT-SGPR": btsgpr_collapsed(x, y, state, part).total,
-    }
-    for method, expected in direct.items():
-        blocks = 3 if method == "BT-SGPR" else None
-        spec = BoundSpec(method=method, num_blocks=blocks)
-        got = evaluate_bound(x, y, state, spec, part if blocks else None).total
-        assert_allclose(got, expected, rtol=1e-12, err_msg=method)
-
-    from blockgp.bounds_pep import pep_collapsed, tpep_collapsed
-
-    spec = BoundSpec(method="PEP", alpha=0.5, num_blocks=3)
-    assert_allclose(
-        evaluate_bound(x, y, state, spec, part).total,
-        pep_collapsed(x, y, state, PepConfig(alpha=0.5, partition=part)).total,
-        rtol=1e-12,
+    x, y = x[:24], y[:24]
+    perm = rng.permutation(24)
+    partitions = (
+        make_partition(24, 3, seed=5),  # blocks of 8
+        Partition([np.sort(perm[:1]), np.sort(perm[1:6]), np.sort(perm[6:])]),
     )
     st_m = state.with_(log_m_scale=np.log(1.3))
-    spec = BoundSpec(method="T-PEP", alpha=0.5, num_blocks=3)
-    assert_allclose(
-        evaluate_bound(x, y, st_m, spec, part).total,
-        tpep_collapsed(
-            x, y, st_m, PepConfig(alpha=0.5, partition=part, m_scale=st_m.m_scale)
-        ).total,
-        rtol=1e-12,
-    )
+    specs = {
+        "Exact": BoundSpec(method="Exact"),
+        "SGPR": BoundSpec(method="SGPR"),
+        "T-SGPR": BoundSpec(method="T-SGPR"),
+        "Spherical": BoundSpec(method="Spherical"),
+        "SharedBlock": BoundSpec(method="SharedBlock", num_blocks=3),
+        "BT-SGPR": BoundSpec(method="BT-SGPR", num_blocks=3),
+        "PEP": BoundSpec(method="PEP", alpha=0.5, num_blocks=3),
+        "T-PEP": BoundSpec(method="T-PEP", alpha=0.35, num_blocks=3),
+    }
+    assert sorted(specs) == sorted(name for name, row in METHODS.items() if not row.oracle)
+    outcomes = {}
+    for k, part in enumerate(partitions):
+        direct = {
+            "Exact": lambda g: exact_lml(x, y, state, g),
+            "SGPR": lambda g: sgpr_collapsed(x, y, state, g),
+            "T-SGPR": lambda g: tsgpr_collapsed(x, y, state, g),
+            "Spherical": lambda g: spherical_collapsed(x, y, state, g),
+            "SharedBlock": lambda g: sharedblock_collapsed(x, y, state, part, g),
+            "BT-SGPR": lambda g: btsgpr_collapsed(x, y, state, part, g),
+            "PEP": lambda g: pep_collapsed(x, y, state, PepConfig(0.5, part), g),
+            "T-PEP": lambda g: tpep_collapsed(
+                x, y, st_m, PepConfig(0.35, part, st_m.m_scale), g
+            ),
+        }
+        for method, spec in specs.items():
+            st = st_m if method == "T-PEP" else state
+            for gradient in (False, True):
+                got = _outcome(
+                    lambda g: evaluate_bound(x, y, st, spec, part, gradient=g), gradient
+                )
+                assert got == _outcome(direct[method], gradient), (method, gradient)
+                outcomes[method, k, gradient] = got
+    assert all(len(outcomes[method, 0, True]) > 4 for method in specs)  # gradients compared
+    # SharedBlock ran on the equal blocks and refused the unequal ones
+    assert not isinstance(outcomes["SharedBlock", 0, True], str)
+    assert "equal block sizes" in outcomes["SharedBlock", 1, True]
 
 
 def test_evaluate_bound_rejects_oracles_and_mismatched_partitions():
@@ -194,6 +232,35 @@ def test_evaluate_bound_rejects_oracles_and_mismatched_partitions():
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), part2)
     with pytest.raises(ValueError):
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), None)
+
+
+@pytest.mark.parametrize(
+    "method, with_m",
+    [("PEP", True), ("T-PEP", False), ("SGPR", True), ("BT-SGPR", True)],
+)
+def test_a_state_carries_the_gap_scale_exactly_where_the_method_has_one(method, with_m):
+    # only T-PEP trains the gap scale m: a PEP state with m must not train
+    # T-PEP, and a T-PEP state without m must not evaluate PEP; every entry
+    # point refuses by name
+    x, y, state = small_instance(np.random.default_rng(4))
+    if with_m:
+        state = state.with_(log_m_scale=np.log(1.3))
+    part = make_partition(y.shape[0], 4, seed=0)
+    spec = BoundSpec(
+        method=method,
+        alpha=0.5 if method in ("PEP", "T-PEP") else None,
+        num_blocks=None if method == "SGPR" else 4,
+    )
+    for mode in ("analytic", "fd"):
+        cfg = TrainConfig(objective=spec, optimizer="adam", epochs=2, gradient_mode=mode)
+        with pytest.raises(ValueError, match=f"method {method} "):
+            fit_stochastic(x, y, state, part, cfg)
+    with pytest.raises(ValueError, match=f"method {method} "):
+        stochastic_estimate(x, y, state, part, _prior_qu(state), 0, spec, gradient=True)
+    with pytest.raises(ValueError, match=f"method {method} "):
+        evaluate_bound(x, y, state, spec, part)
+    with pytest.raises(ValueError, match=f"method {method} "):
+        fit_collapsed(x, y, state, TrainConfig(objective=spec, epochs=1), part)
 
 
 def test_fit_collapsed_lbfgs_improves_and_traces():
