@@ -21,10 +21,13 @@ the tests enforce; the site closed form is checked against an
 independent dense recomputation.  Each evaluation builds and factors
 the block noise R_b once (PreparedBound.gap_factors): the fit term, the
 log-det penalty, the optimal q(u) and the gradient all read those
-factors.  The collapsed forms' gradients come from bounds_vi's
-reverse-mode pass over the blocks at the optimal q(u), where the
-uncollapsed objective meets them.  The dense oracle, the fixed-point
-check and pep_iterate keep their own one-block code, as references.
+factors.  The log-det penalty and the whole-data terms are written
+once, in bounds_vi (_gap_penalty's "pep" body and its _pep_penalty,
+which the collapsed value here reads too).  The collapsed forms'
+gradients come from bounds_vi's reverse-mode pass over the blocks at
+the optimal q(u), where the uncollapsed objective meets them.  The
+dense oracle, the fixed-point check and pep_iterate keep their own
+one-block code, as references.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .bounds_vi import (
     _collapsed,
     _estimate,
     _penalty_stacks,
-    _pep_whole_terms,
+    _pep_penalty,
     block_estimate,
     prepare,
 )
@@ -152,11 +155,8 @@ def tpep_collapsed(
     if gradient:
         stacks = list(stacks)
     gauss = _noise_gaussian(prep, stacks)
-    # R_b = sigma2 (I + a m D_bb / sigma2), so each block's log det in the
-    # penalty is log det R_b - N_b log sigma2; the jitter ladder is relative
-    # to the mean diagonal, so it scales by the same sigma2
-    reg = -(1.0 - a) / (2.0 * a) * (gauss.logdet_noise - prep.n * np.log(prep.sigma2))
-    reg += _pep_whole_terms(prep.n, a, m)
+    pen, whole = _pep_penalty(gauss.logdet_noise, prep.n, prep.sigma2, a, m, prep.n)
+    reg = whole - pen
     envelope = dict(stacks=stacks, penalty="pep", alpha=a, m=m)
     return _collapsed(prep, gauss, reg, 0.0, envelope if gradient else None)
 

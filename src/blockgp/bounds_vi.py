@@ -11,14 +11,19 @@ only in how much of D the penalty keeps, named in model.METHODS:
     SharedBlock  "shared"     one scale matrix shared across equal-size blocks
     BT-SGPR      "logdet"     one scale matrix per block (log det penalty)
 
-Each collapsed form equals the corresponding uncollapsed evidence lower
-bound at the optimal Gaussian q(u); both routes are implemented and the
-tests hold them together.  That identity also gives every collapsed
-bound its gradient: by the envelope theorem it is the uncollapsed
-bound's gradient with q(u) held at the optimum, which one reverse-mode
-pass over the blocks computes (the pass block_estimate runs on one
-block).  A dense oracle over arbitrary PSD scalings C of the full
-conditional covariance backs the optimality claims.
+Each penalty, these five and power EP's "pep" (bounds_pep), is written
+once, with its adjoints, in _gap_penalty (power EP's penalty and
+whole-data terms: _pep_penalty).  A collapsed value is the fit term plus
+that body's value; the uncollapsed bounds, the single-block estimators
+and every gradient run the pass _estimate around the same body.  Each
+collapsed form equals the corresponding uncollapsed evidence lower
+bound at the optimal Gaussian q(u), which the tests check.  That
+identity also gives every collapsed bound its gradient: by the envelope
+theorem it is the uncollapsed bound's gradient with q(u) held at the
+optimum, which one reverse-mode pass over the blocks computes (the pass
+block_estimate runs on one block).  A dense oracle over arbitrary PSD
+scalings C of the full conditional covariance backs the optimality
+claims.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .kernels import (
     kernel_matrix,
     kernel_matrix_adjoint,
     kernel_stack,
-    kernel_stack_adjoint,
 )
 from .linalg import (
     CholeskyFactor,
@@ -251,9 +255,10 @@ def vi_collapsed(
     if partition is not None:
         _check_partition(prep, partition)
     gauss = _plain_gaussian(prep)
-    if not gradient:
-        return _collapsed(prep, gauss, *_gap_regularizer(prep, partition, penalty))
     stacks = None if partition is None else _penalty_stacks(prep, partition.groups, penalty)
+    if not gradient:
+        pen, whole, jit = _gap_penalty(prep, stacks, penalty)[:3]
+        return _collapsed(prep, gauss, whole - pen, jit)
     return _collapsed(prep, gauss, None, gradient=dict(stacks=stacks, penalty=penalty))
 
 
@@ -423,9 +428,7 @@ _SEPARABLE_PENALTIES = ("trace", "diag", "logdet")
 
 def _check_partition(prep: PreparedBound, partition: Partition):
     if partition.n != prep.n:
-        raise ValueError(
-            f"partition covers {partition.n} points but data has {prep.n}"
-        )
+        raise ValueError(f"partition covers {partition.n} points but data has {prep.n}")
 
 
 def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
@@ -442,7 +445,7 @@ def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
 
 
 def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha=None, m=1.0):
-    """The gap stacks _estimate reads for a penalty, built as consumed:
+    """The gap stacks _gap_penalty reads for a penalty, built as consumed:
     gap_stacks' for "shared", gap_factors' for "logdet" and, at the alpha
     and m the pass is given too, "pep", and none for the diagonal
     penalties."""
@@ -455,23 +458,91 @@ def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha=None, m=1.0
     return prep.gap_factors(groups) if penalty == "logdet" else None
 
 
-def _gap_regularizer(prep: PreparedBound, partition: Optional[Partition], penalty: str):
-    """Minus the gap penalty of one of the _PENALTIES, and the jitter it needed."""
-    s2 = prep.sigma2
+def _gap_penalty(prep: PreparedBound, stacks, penalty: str, weight: float = 1.0,
+                 pull=None, alpha=None, m: float = 1.0, n_total=None, noise_fit=None):
+    """The one body of each gap penalty, which every bound, estimator and
+    gradient reads: the penalty over prep's points, the whole-data terms
+    of the regularizer whole - weight * penalty (power EP's over n_total
+    points, default prep's; else 0), and the largest jitter its factors
+    needed, reading _penalty_stacks' stacks once as they come.  Given
+    pull, the gradient at that weight: each stack's D_bb adjoint goes to
+    pull(ix, K_bb, d_bar), and the adjoints on D's diagonal (dd; None
+    where pull took them), sigma2 and m are returned.  For "pep" the
+    factors are the fit's block noise R_b too: noise_fit(ix, lower,
+    logdet) does the fit's share of a stack and returns R_b^-1 and, given
+    pull, the fit's adjoint on R_b, which the penalty's joins before the
+    one pull.  Returns (penalty, whole, jitter, dd, g_s2, g_m).
+    """
+    s2, n, w, gap = prep.sigma2, prep.n, float(weight), prep.gap_diag
+    gradient = pull is not None
+    jit, dd, g_s2, g_m = 0.0, None, 0.0, 0.0
     if penalty == "trace":
-        return -0.5 * float(np.sum(prep.gap_diag)) / s2, 0.0
-    if penalty == "diag":
-        return -0.5 * float(np.sum(np.log1p(prep.gap_diag / s2))), 0.0
-    if penalty == "spherical":
-        return -0.5 * prep.n * float(np.log1p(float(np.mean(prep.gap_diag)) / s2)), 0.0
-    if penalty == "shared":
-        lb, _, _ = _shared_factor(prep, prep.gap_stacks(partition.groups))
-        return -0.5 * partition.num_blocks * lb.logdet(), lb.jitter_used
-    logdet, jit = 0.0, 0.0
-    for _, _, _, lower, jitter in prep.gap_factors(partition.groups):
-        logdet += stack_logdet(lower)
-        jit = max(jit, float(jitter.max()))
-    return -0.5 * logdet, jit
+        pen = 0.5 * float(np.sum(gap)) / s2
+        if gradient:
+            dd, g_s2 = -0.5 * w / s2, 0.5 * w * float(np.sum(gap)) / s2**2
+    elif penalty == "diag":
+        pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
+        if gradient:
+            dd, g_s2 = -0.5 * w / (s2 + gap), 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
+    elif penalty == "spherical":
+        mean_gap = float(np.mean(gap))
+        pen = 0.5 * n * float(np.log1p(mean_gap / s2))
+        if gradient:
+            dd = -0.5 * w / (s2 + mean_gap)
+            g_s2 = 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
+    elif penalty == "shared":
+        if gradient:  # the adjoint reads each K_bb again
+            stacks = list(stacks)
+        lb, avg, num_blocks = _shared_factor(prep, stacks)
+        pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
+        if gradient:
+            cinv = lb.solve(np.eye(lb.size))
+            g_s2 = 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
+            for ix, kbb, _ in stacks:
+                pull(ix, kbb, np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0))
+    elif penalty == "logdet":
+        pen = 0.0
+        for ix, kbb, gaps, lower, jitter in stacks:
+            pen += 0.5 * stack_logdet(lower)
+            jit = max(jit, float(jitter.max()))
+            if gradient:
+                cinv = stack_inverse(lower)
+                g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
+                pull(ix, kbb, (-0.5 * w / s2) * cinv)
+    else:  # "pep": log det(I + a m D_bb / sigma2) read off R_b's factor
+        logdet, c = 0.0, _pep_log_det_weight(alpha)
+        for ix, kbb, gaps, lower, jitter in stacks:
+            logdet_s = stack_logdet(lower)
+            logdet += logdet_s
+            jit = max(jit, float(jitter.max()))
+            rinv, r_bar = noise_fit(ix, lower, logdet_s)
+            if gradient:
+                r_bar -= (w * c) * rinv
+                g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * ix.size / s2
+                g_m += alpha * float(np.sum(r_bar * gaps))
+                pull(ix, kbb, (alpha * m) * r_bar)
+        n_total = n if n_total is None else n_total
+        if gradient:  # of the whole-data terms
+            g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
+        return (*_pep_penalty(logdet, n, s2, alpha, m, n_total), jit, None, g_s2, g_m)
+    return pen, 0.0, jit, dd, g_s2, g_m
+
+
+def _pep_log_det_weight(alpha: float) -> float:
+    """(1 - alpha) / (2 alpha), the weight of power EP's log-det penalty."""
+    return (1.0 - alpha) / (2.0 * alpha)
+
+
+def _pep_penalty(logdet_noise, n: int, s2: float, alpha: float, m: float, n_total: int):
+    """Power EP's penalty (1-a)/(2a) sum_b log det(I + a m D_bb / sigma2),
+    from logdet_noise = sum_b log det R_b over n points, and its
+    whole-data terms -N/(2a) log(1 + a(m-1)) + N/2 log m over n_total
+    points, which vanish at m = 1 and at a = 1."""
+    whole = (
+        -n_total / (2.0 * alpha) * float(np.log1p(alpha * (m - 1.0)))
+        + 0.5 * n_total * float(np.log(m))
+    )
+    return _pep_log_det_weight(alpha) * (logdet_noise - n * np.log(s2)), whole
 
 
 def vi_uncollapsed(
@@ -486,12 +557,9 @@ def vi_uncollapsed(
 
     total = -KL[q || p] + sum_b E_q[log N(y_b; A_b u, sigma2 I)] - penalty.
 
-    penalty selects the gap charge: "trace" (sum of d_nn / 2 sigma2,
-    the plain collapsed bound's partner), "diag" (per-point
-    log(1 + d_nn/sigma2)/2, the per-point bound's, valid under any
-    grouping of the sum), "logdet" (per-block log det(I + D_bb/sigma2)/2,
-    the block bound's partner), "shared" (one averaged log-det across
-    equal-size blocks), or "spherical" (a single whole-dataset scale).
+    penalty is the gap charge of the collapsed bound this one meets at
+    the optimal q(u), one of the five in this module's table ("diag" is
+    valid under any grouping of the sum), written in _gap_penalty.
     """
     if penalty not in _PENALTIES:
         raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
@@ -529,14 +597,6 @@ class BlockEstimate:
 _BLOCK_PENALTIES = _SEPARABLE_PENALTIES + ("pep",)
 
 
-def _pep_whole_terms(n: int, alpha: float, m: float) -> float:
-    """-N/(2a) log(1 + a(m-1)) + N/2 log m; zero at m = 1 and at a = 1."""
-    return (
-        -n / (2.0 * alpha) * float(np.log1p(alpha * (m - 1.0)))
-        + 0.5 * n * float(np.log(m))
-    )
-
-
 def block_estimate(
     x,
     y,
@@ -556,10 +616,8 @@ def block_estimate(
     B the number of blocks.  "trace", "diag" and "logdet" give the
     estimators of vi_uncollapsed: E_b = E_q[log N(y_b; A_b u, sigma2 I)]
     and whole = 0.  "pep" gives tpep_uncollapsed's, with noise
-    R_b = alpha m D_bb + sigma2 I in E_b, penalty_b =
-    (1-alpha)/(2 alpha) log det(I + alpha m D_bb / sigma2), read off the
-    factor of R_b as log det R_b - N_b log sigma2, and whole =
-    -N/(2 alpha) log(1 + alpha (m-1)) + N/2 log m.
+    R_b = alpha m D_bb + sigma2 I in E_b, and penalty_b and whole of
+    _pep_penalty.  Each penalty_b is _gap_penalty's.
 
     Only Kuu, K_ub and K_bb are built (a PreparedBound on the block's
     points alone), so a call costs O(N_b M^2 + M^3 + N_b^3) whatever N
@@ -608,37 +666,47 @@ def _estimate(
 
     The blocks are those of stacks, _penalty_stacks' for the penalty,
     into prep's points, which they cover; the diagonal penalties
-    ("trace", "diag", "spherical") need none.  E_b, penalty_b and whole
-    are block_estimate's, whole counting n_total points (default
-    prep's), plus "shared" (one log det(I + mean_b D_bb / sigma2) / 2 for
-    each block) and "spherical" (N log(1 + mean_n d_nn / sigma2) / 2),
-    which couple every block.  The stacks are read a stack at a time, as
-    they come; the pass factors none of them.  Their adjoints reach K_bb
-    by one stacked kernel adjoint a stack, and Kuf and Kuu by one
+    ("trace", "diag", "spherical") need none.  E_b is block_estimate's
+    fit term; the penalty and whole (power EP's whole-data terms over
+    n_total points, default prep's) are _gap_penalty's, which reads the
+    stacks, a stack at a time as they come, and hands each stack's gap
+    adjoint to pull here.  "shared" and "spherical" couple every block.
+    The pass factors no stack itself.  The adjoints reach K_bb by one
+    stacked kernel_matrix_adjoint a stack, and Kuf and Kuu by one
     kernel_matrix_adjoint each.  Returns the estimate, its regularizer
     whole - weight * sum_b penalty_b and the largest jitter a gap factor
     needed.
     """
-    s2 = prep.sigma2
-    n = prep.n
-    n_total = n if n_total is None else n_total
-    w = float(weight)
-    pep = penalty == "pep"
+    s2, n, w = prep.sigma2, prep.n, float(weight)
     kern = prep.state.kernel
-    c = (1.0 - alpha) / (2.0 * alpha) if pep else 0.0
     kl, half, w_mean = _kl_terms(prep.luu, q)
     resid = prep.y - prep.v.T @ w_mean
     h = prep.v.T @ half  # A L_q, A = Kfu Kuu^-1
-    # Adjoints: of sigma2, of m, of D's diagonal (dd), and A^T Q_bar with
-    # Q_bar the adjoint of Q = Kfu Kuu^-1 Kuf, which D = Kff - Q passes on.
-    g_s2, g_m, pen, jit = 0.0, 0.0, 0.0, 0.0
+    # Adjoints: of sigma2, of D's diagonal (dd), and A^T Q_bar with Q_bar
+    # the adjoint of Q = Kfu Kuu^-1 Kuf, which D = Kff - Q passes on.
+    g_s2 = 0.0
     dd = np.zeros(n)
     # rho = R^-1 r and g = R^-1 A L_q with the noise R, blkdiag(R_b) or
     # sigma2 I; g overwrites h, a block at a time, to hold one N x M array.
     g = h
-    if pep:
+    noise_fit = None
+    if penalty == "pep":
         rho = np.empty(n)
         e = -0.5 * n * _LOG_2PI
+
+        def noise_fit(ix, lower, logdet):
+            """E_b on a stack of block noise R_b: rho, g and E there, and
+            R_b^-1 with, in a gradient pass, E's adjoint on R_b."""
+            nonlocal e
+            rinv = stack_inverse(lower)
+            rho_s = (rinv @ resid[ix][..., None])[..., 0]
+            g_s = rinv @ h[ix]
+            e -= 0.5 * (logdet + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s)))
+            rho[ix], g[ix] = rho_s, g_s
+            if not gradient:
+                return rinv, None
+            outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
+            return rinv, (0.5 * w) * (outer - rinv)
     else:
         fit_sq = float(resid @ resid) + float(np.vdot(h, h))
         e = -0.5 * (n * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
@@ -659,72 +727,13 @@ def _estimate(
         q_bar[:, diag, diag] = -dd[ix]
         at_q[:, ix] = np.moveaxis(np.moveaxis(at[:, ix], 0, -2) @ q_bar, -2, 0)
         d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
-        e_ell, e_s2 = kernel_stack_adjoint(prep.x[ix], kern, kbb, d_bar)
+        xs = prep.x[ix]
+        e_ell, e_s2, _, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
         kbb_ell, kbb_s2 = kbb_ell + e_ell, kbb_s2 + e_s2
 
-    gap = prep.gap_diag
-    if penalty == "trace":
-        pen = 0.5 * float(np.sum(gap)) / s2
-        dd[:] = -0.5 * w / s2
-        if gradient:
-            g_s2 += 0.5 * w * float(np.sum(gap)) / s2**2
-    elif penalty == "diag":
-        pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
-        dd[:] = -0.5 * w / (s2 + gap)
-        if gradient:
-            g_s2 += 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
-    elif penalty == "spherical":
-        mean_gap = float(np.mean(gap))
-        pen = 0.5 * n * float(np.log1p(mean_gap / s2))
-        dd[:] = -0.5 * w / (s2 + mean_gap)
-        if gradient:
-            g_s2 += 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
-    elif penalty == "shared":
-        kept = []  # the adjoint reads each K_bb again, not its D_bb
-
-        def keep(stacks):
-            for ix, kbb, gaps in stacks:
-                kept.append((ix, kbb))
-                yield ix, kbb, gaps
-
-        lb, avg, num_blocks = _shared_factor(prep, keep(stacks) if gradient else stacks)
-        pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
-        if gradient:
-            cinv = lb.solve(np.eye(lb.size))
-            g_s2 += 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
-            for ix, kbb in kept:
-                d_bar = np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0)
-                pull(ix, kbb, d_bar)
-    else:  # "logdet" and "pep": one factor per block, a stack at a time
-        for ix, kbb, gaps, lower, jitter in stacks:
-            if pep:
-                logdet_r = stack_logdet(lower)
-                rinv = stack_inverse(lower)
-                rho_s = (rinv @ resid[ix][..., None])[..., 0]
-                g_s = rinv @ h[ix]
-                e -= 0.5 * (
-                    logdet_r + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s))
-                )
-                rho[ix], g[ix] = rho_s, g_s
-                pen += c * (logdet_r - ix.size * np.log(s2))
-                jit = max(jit, float(jitter.max()))
-                if not gradient:
-                    continue
-                outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
-                r_bar = w * (0.5 * outer - (0.5 + c) * rinv)
-                g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum())
-                g_s2 += w * c * ix.size / s2
-                g_m += alpha * float(np.sum(r_bar * gaps))
-                pull(ix, kbb, (alpha * m) * r_bar)
-            else:
-                pen += 0.5 * stack_logdet(lower)
-                jit = max(jit, float(jitter.max()))
-                if not gradient:
-                    continue
-                cinv = stack_inverse(lower)
-                g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
-                pull(ix, kbb, (-0.5 * w / s2) * cinv)
-    whole = _pep_whole_terms(n_total, alpha, m) if pep else 0.0
+    pen, whole, jit, d_diag, pen_s2, g_m = _gap_penalty(
+        prep, stacks, penalty, w, pull if gradient else None, alpha, m, n_total, noise_fit
+    )
     value = -kl + w * (e - pen) + whole
     reg = whole - w * pen
     if not gradient:
@@ -736,7 +745,8 @@ def _estimate(
     # at a huge q(u) factor, say); that is a FloatingPointError here, not a
     # warning and an infinite gradient.
     with np.errstate(over="raise", invalid="raise"):
-        if penalty in ("trace", "diag", "spherical"):
+        if d_diag is not None:  # a diagonal penalty, which pulled no stack
+            dd[:] = d_diag
             dd[prep.clamped] = 0.0
             np.multiply(at, -dd, out=at_q)
         # KL term: adjoints of Kuu, the q(u) mean and its factor; the data
@@ -763,15 +773,13 @@ def _estimate(
         z = prep.state.inducing
         d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
         e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, prep.x, kern, prep.kuf, g_uf)
-        if pep:
-            g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
         # K's diagonal, the signal variance, is D's diagonal's other part
         d_ls2 += e_ls2 + kbb_s2 + kern.signal_variance * float(np.sum(dd))
         est = BlockEstimate(
             value=value,
             d_log_lengthscales=d_ell + e_ell + kbb_ell,
             d_log_signal_variance=d_ls2,
-            d_log_noise_variance=s2 * g_s2,
+            d_log_noise_variance=s2 * (g_s2 + pen_s2),
             d_inducing=d_z1 + d_z2 + e_z,
             d_log_m_scale=m * g_m,
             d_mean=d_mean,

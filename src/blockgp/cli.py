@@ -79,7 +79,6 @@ CONFIG_DEFAULTS = {
     "learning_rate": 0.005,
     "epochs": 100,
     "gradient_mode": "analytic",
-    "fd_step": 1e-5,
     "seed": 0,
     "destandardize_metrics": False,
     "grid_points": 200,
@@ -256,8 +255,6 @@ def _validate_config(cfg: dict, compare: bool) -> List[str]:
     if _as_int(cfg, "epochs") < 1:
         raise ConfigError("epochs", "need at least one epoch")
     _as_choice(cfg, "gradient_mode", ("fd", "analytic"))
-    if _as_number(cfg, "fd_step") <= 0:
-        raise ConfigError("fd_step", "must be positive")
     _as_int(cfg, "seed")
     if not isinstance(cfg["destandardize_metrics"], bool):
         raise ConfigError("destandardize_metrics", "expected true or false")
@@ -349,7 +346,6 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
         epochs=int(cfg["epochs"]),
         seed=seed,
         gradient_mode=cfg["gradient_mode"],
-        fd_step=float(cfg["fd_step"]),
     )
     init_value = evaluate_bound(train.x, train.y, state0, spec, partition).total
 
@@ -374,7 +370,8 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
         else:
             q = optimal_qu(train.x, train.y, state)
 
-    final = evaluate_bound(train.x, train.y, state, spec, partition)
+    reads = partition if spec.uses_partition else None  # not a stochastic SGPR run's blocks
+    final = evaluate_bound(train.x, train.y, state, spec, reads)
     return RunResult(
         spec=spec,
         state=state,

@@ -115,39 +115,27 @@ def kernel_matrix_adjoint(
     dK/dlog s2 = K, dK/dlog l_d = K r_ld and dK/dx1_id = -K (x1_id -
     x2_jd) / l_d^2.  Returns (d_log_lengthscales, d_log_signal_variance,
     d_x1, d_x2).  When x1 and x2 are the same array, its adjoint is
-    d_x1 + d_x2.
+    d_x1 + d_x2.  Like _se, it broadcasts over leading stack axes: for
+    K = kernel_stack(xs) of a (B, n, D) stack, x1 = x2 = xs, and the
+    parameter adjoints are summed over the stack.
     """
-    x1 = _check_inputs(x1, params, "x1")
-    x2 = _check_inputs(x2, params, "x2")
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
     inv = params.lengthscales ** -2.0
     w = k_bar * k
-    rows = w.sum(axis=1)
-    cols = w.sum(axis=0)
-    w_x2 = w @ x2
-    d_x1 = (w_x2 - rows[:, None] * x1) * inv
-    d_x2 = (w.T @ x1 - cols[:, None] * x2) * inv
-    with np.errstate(**QUIET):
-        d_ell = (rows @ (x1 * x1) + cols @ (x2 * x2) - 2.0 * np.sum(x1 * w_x2, axis=0)) * inv
-    return d_ell, float(w.sum()), d_x1, d_x2
-
-
-def kernel_stack_adjoint(
-    xs: np.ndarray, params: KernelParams, k: np.ndarray, k_bar: np.ndarray
-):
-    """Pull the adjoint k_bar of K = kernel_stack(xs, params) back.
-
-    The stacked form of kernel_matrix_adjoint for a (B, n, D) stack whose
-    points are data, not parameters: returns (d_log_lengthscales,
-    d_log_signal_variance) summed over the stack.  k_bar must be
-    symmetric in its last two axes.
-    """
-    xs = np.asarray(xs, dtype=float)
-    w = k_bar * k
     rows = w.sum(axis=-1)
-    d_ell = 2.0 * (
-        np.einsum("bi,bid->d", rows, xs * xs) - np.einsum("bid,bid->d", xs, w @ xs)
-    )
-    return d_ell * params.lengthscales ** -2.0, float(w.sum())
+    cols = w.sum(axis=-2)
+    w_x2 = w @ x2
+    d_x1 = (w_x2 - rows[..., None] * x1) * inv
+    d_x2 = (np.swapaxes(w, -1, -2) @ x1 - cols[..., None] * x2) * inv
+    dim = x1.shape[-1]
+    with np.errstate(**QUIET):
+        d_ell = (
+            rows.reshape(-1) @ (x1 * x1).reshape(-1, dim)
+            + cols.reshape(-1) @ (x2 * x2).reshape(-1, dim)
+            - 2.0 * np.sum((x1 * w_x2).reshape(-1, dim), axis=0)
+        ) * inv
+    return d_ell, float(w.sum()), d_x1, d_x2
 
 
 def kernel_diag(x: np.ndarray, params: KernelParams) -> np.ndarray:

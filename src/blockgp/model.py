@@ -106,18 +106,19 @@ class Partition:
         blocks = [np.asarray(b, dtype=int) for b in self.blocks]
         if not blocks:
             raise ValueError("a partition needs at least one block")
-        for b in blocks:
-            if b.size == 0:
-                raise ValueError("partition blocks must be nonempty")
-            if np.any(np.diff(b) <= 0):
-                raise ValueError("partition blocks must be sorted with unique indices")
-        flat = np.concatenate(blocks)
-        n = flat.size
-        if not np.array_equal(np.sort(flat), np.arange(n)):
+        sizes = np.array([b.size for b in blocks])
+        if not sizes.all():
+            raise ValueError("partition blocks must be nonempty")
+        flat = np.concatenate(blocks)  # all blocks checked at once
+        rises = np.diff(flat) > 0
+        rises[np.cumsum(sizes[:-1]) - 1] = True  # the steps from one block into the next
+        if not rises.all():
+            raise ValueError("partition blocks must be sorted with unique indices")
+        if not np.array_equal(np.sort(flat), np.arange(flat.size)):
             raise ValueError("partition blocks must cover 0..n-1 exactly once")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(b.size for b in self.blocks)
 
@@ -134,11 +135,14 @@ class Partition:
         """The blocks as (B_s, n_s) index stacks of equal-size blocks, sizes
         ascending, blocks in partition order; a stack holds one block or
         as many as fit in STACK_ENTRIES matrix entries."""
+        sizes = np.array(self.block_sizes)
+        flat = np.concatenate(self.blocks)
+        starts = np.cumsum(sizes) - sizes
         out = []
-        for s in sorted(set(self.block_sizes)):
-            same = [b for b in self.blocks if b.size == s]
+        for s in np.unique(sizes).tolist():
+            rows = flat[starts[sizes == s, None] + np.arange(s)]  # the size-s blocks, in order
             per = max(1, STACK_ENTRIES // (s * s))
-            out += [np.stack(same[i : i + per]) for i in range(0, len(same), per)]
+            out += [rows[i : i + per] for i in range(0, len(rows), per)]
         return out
 
 

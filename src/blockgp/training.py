@@ -82,8 +82,8 @@ class TrainConfig:
     (the default) gives stochastic runs closed-form gradients in every
     coordinate (hyperparameters, inducing inputs, log m and q(u)), "fd"
     central differences; collapsed runs ignore it, their gradients are
-    always analytic.  Central differences take the per-coordinate step
-    fd_step * max(1, |theta_i|).
+    always analytic.  Central differences take
+    finite_difference_gradient's step.
     """
 
     objective: BoundSpec
@@ -92,7 +92,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     gradient_mode: str = "analytic"
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.optimizer not in _OPTIMIZERS:
@@ -108,8 +107,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if not self.fd_step > 0.0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -331,14 +328,17 @@ def evaluate_bound(
     With gradient, the breakdown's gradient field holds its gradient in
     every trained coordinate, from the same prepared state.  The method's
     row in METHODS picks the body: Exact's dense form, power EP's, or the
-    variational one at the row's penalty.  The oracle methods are
-    rejected here: they take explicit scale matrices and exist to check
-    the others, not to be trained.
+    variational one at the row's penalty.  A partition given to a method
+    whose row rejects one raises.  The oracle methods are rejected here:
+    they take explicit scale matrices and exist to check the others, not
+    to be trained.
     """
     row = spec.row
     if row.oracle:
         raise ValueError(f"{spec.method} takes explicit scale matrices; call it directly")
     spec.check_state(state)
+    if partition is not None and not spec.uses_partition:
+        raise ValueError(f"method {spec.method} takes no partition; its bound reads no blocks")
     if row.penalty is None:
         return exact_lml(x, y, state, gradient)
     n = np.asarray(y).reshape(-1).shape[0]
@@ -412,7 +412,6 @@ def finite_difference_gradient(
 def maximize_lbfgs(
     fun: Callable[[np.ndarray], float],
     theta0: np.ndarray,
-    fd_step: float = 1e-5,
     max_iter: int = 1000,
     gtol: float = 1e-6,
     on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
@@ -457,7 +456,7 @@ def maximize_lbfgs(
 
     def neg_grad(theta):
         try:
-            return -finite_difference_gradient(fun, theta, fd_step)
+            return -finite_difference_gradient(fun, theta)
         except EvaluationFailed:
             failed.add(np.asarray(theta, dtype=float).tobytes())
             return np.zeros_like(np.asarray(theta, dtype=float))
@@ -567,7 +566,8 @@ def fit_collapsed(
     """
     spec = cfg.objective
     n = np.asarray(y).reshape(-1).shape[0]
-    part = _resolve_partition(n, spec, partition) if spec.uses_partition else None
+    # a partition the row rejects goes on to evaluate_bound, which raises
+    part = _resolve_partition(n, spec, partition) if spec.uses_partition else partition
     pack = ParameterPack.for_state(state)
 
     def objective(theta):
@@ -613,8 +613,10 @@ def stochastic_estimate(
     gradient: bool = False,
 ) -> BlockEstimate:
     """block_estimate at the penalty of spec's row in METHODS, which must
-    be stochastic; power EP's block noise is at the state's gap scale m."""
+    be stochastic, on a partition that fits spec; power EP's block noise
+    is at the state's gap scale m."""
     _check_stochastic(spec, state)
+    partition = _resolve_partition(np.asarray(y).reshape(-1).shape[0], spec, partition)
     return block_estimate(
         x, y, state, partition, q, block_index, penalty=spec.row.penalty,
         alpha=spec.alpha, m_scale=state.m_scale, gradient=gradient,
@@ -693,7 +695,7 @@ def fit_stochastic(
         b = next(blocks)
         if cfg.gradient_mode == "fd":
             return block_value(theta_vec, b), finite_difference_gradient(
-                lambda t: block_value(t, b), theta_vec, cfg.fd_step
+                lambda t: block_value(t, b), theta_vec
             )
         qu = pack.unpack_q(theta_vec)
         est = stochastic_estimate(

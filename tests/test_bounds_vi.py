@@ -422,3 +422,25 @@ def test_an_uncollapsed_evaluation_builds_and_factors_kuu_once(monkeypatch):
         counts.update(kernel_matrix=0, chol=0)
         evaluate()
         assert counts == {"kernel_matrix": 2, "chol": 1}
+
+
+def test_a_collapsed_value_builds_no_kl_term(monkeypatch):
+    # a value-only collapsed bound is its fit term plus the penalty body's
+    # value, not the uncollapsed bound run at the optimal q(u)
+    from blockgp import bounds_vi
+    from blockgp.bounds_pep import PepConfig, tpep_collapsed
+
+    def no_kl(*args):
+        raise AssertionError("a value-only collapsed evaluation built the KL term")
+
+    monkeypatch.setattr(bounds_vi, "_kl_terms", no_kl)
+    rng = np.random.default_rng(61)
+    x, y, state = random_instance(rng)
+    part = random_blocks(rng, y.shape[0])
+    for penalty in ("trace", "diag", "spherical", "logdet"):
+        assert np.isfinite(vi_collapsed(x, y, state, penalty, part).total)
+    assert np.isfinite(vi_collapsed(x, y, state, "shared", singleton_partition(y.shape[0])).total)
+    cfg = PepConfig(alpha=0.5, partition=part, m_scale=1.3)
+    assert np.isfinite(tpep_collapsed(x, y, state, cfg).total)
+    with pytest.raises(AssertionError, match="KL term"):  # the gradient pass does build it
+        vi_collapsed(x, y, state, "logdet", part, gradient=True)

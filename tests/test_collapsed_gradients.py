@@ -152,7 +152,7 @@ def test_analytic_lbfgs_matches_lbfgs_on_differences(method):
 
     cfg = TrainConfig(objective=spec, optimizer="lbfgs", epochs=5)
     fitted, trace = fit_collapsed(x, y, state, cfg, part)
-    theta_fd = maximize_lbfgs(value, pack.pack(state), fd_step=cfg.fd_step, max_iter=5).x
+    theta_fd = maximize_lbfgs(value, pack.pack(state), max_iter=5).x
     analytic = evaluate_bound(x, y, fitted, spec, part).total
     assert len(trace) == 5
     assert analytic > evaluate_bound(x, y, state, spec, part).total

@@ -38,14 +38,19 @@ def test_partition_properties():
 
 
 def test_partition_rejects_gaps_overlaps_and_empties():
-    with pytest.raises(ValueError):
+    cover = "must cover 0..n-1 exactly once"
+    with pytest.raises(ValueError, match=cover):
         Partition([np.array([0, 1]), np.array([1, 2])])  # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=cover):
         Partition([np.array([0]), np.array([2])])  # gap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be nonempty"):
         Partition([np.array([0, 1]), np.array([], dtype=int)])  # empty block
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one block"):
         Partition([])
+    for bad in ([2, 1], [1, 1]):  # unsorted, duplicate, inside one block
+        with pytest.raises(ValueError, match="sorted with unique indices"):
+            Partition([np.array([0, 3]), np.array(bad), np.array([4])])
+    Partition([np.array([3, 4]), np.array([0, 1, 2])])  # blocks themselves in any order
 
 
 def test_make_partition_covers_and_balances():

@@ -62,8 +62,6 @@ def test_train_config_validation():
         TrainConfig(objective=spec, epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(objective=spec, gradient_mode="autodiff")
-    with pytest.raises(ValueError):
-        TrainConfig(objective=spec, fd_step=-1e-5)
 
 
 def test_fd_gradient_on_quadratic():
@@ -210,12 +208,16 @@ def test_evaluate_bound_dispatch():
         }
         for method, spec in specs.items():
             st = st_m if method == "T-PEP" else state
+            reads = part if METHODS[method].partition != "rejected" else None
             for gradient in (False, True):
                 got = _outcome(
-                    lambda g: evaluate_bound(x, y, st, spec, part, gradient=g), gradient
+                    lambda g: evaluate_bound(x, y, st, spec, reads, gradient=g), gradient
                 )
                 assert got == _outcome(direct[method], gradient), (method, gradient)
                 outcomes[method, k, gradient] = got
+                if reads is None:  # a partition the row rejects raises by name
+                    with pytest.raises(ValueError, match=f"method {method} takes no partition"):
+                        evaluate_bound(x, y, st, spec, part, gradient=gradient)
     assert all(len(outcomes[method, 0, True]) > 4 for method in specs)  # gradients compared
     # SharedBlock ran on the equal blocks and refused the unequal ones
     assert not isinstance(outcomes["SharedBlock", 0, True], str)
@@ -232,6 +234,32 @@ def test_evaluate_bound_rejects_oracles_and_mismatched_partitions():
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), part2)
     with pytest.raises(ValueError):
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), None)
+
+
+def test_a_partition_the_method_does_not_read_raises_by_name():
+    # SGPR's collapsed bound reads no blocks, so a partition given to it,
+    # here of the wrong size too, is a mistake, not something to ignore
+    x, y, state = small_instance(np.random.default_rng(0))
+    part = make_partition(5, 2)
+    for call in (
+        lambda: evaluate_bound(x, y, state, BoundSpec("SGPR"), part),
+        lambda: fit_collapsed(x, y, state, TrainConfig(objective=BoundSpec("SGPR")), part),
+    ):
+        with pytest.raises(ValueError, match="method SGPR takes no partition"):
+            call()
+
+
+def test_stochastic_estimate_checks_the_partition_against_the_spec():
+    # as fit_stochastic does: a 4-block partition is not the 3 blocks the
+    # spec asks for, and would scale the estimate by the wrong B
+    x, y, state = small_instance(np.random.default_rng(0))
+    part = make_partition(y.shape[0], 4, seed=0)
+    spec = BoundSpec("BT-SGPR", num_blocks=3)
+    with pytest.raises(ValueError, match="spec asks for 3 blocks but the partition has 4"):
+        stochastic_estimate(x, y, state, part, _prior_qu(state), 0, spec)
+    with pytest.raises(ValueError, match="partition covers 5 points"):
+        stochastic_estimate(x, y, state, make_partition(5, 2), _prior_qu(state), 0,
+                            BoundSpec("SGPR"))
 
 
 @pytest.mark.parametrize(
@@ -422,7 +450,7 @@ def test_fit_stochastic_single_block_matches_handrolled_adam():
     v = np.zeros(theta.size)
     values = []
     for t in range(1, 6):
-        grad = finite_difference_gradient(fun, theta, step=cfg.fd_step)
+        grad = finite_difference_gradient(fun, theta)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1**t)
