@@ -117,10 +117,13 @@ class Partition:
         if not np.array_equal(np.sort(flat), np.arange(flat.size)):
             raise ValueError("partition blocks must cover 0..n-1 exactly once")
         object.__setattr__(self, "blocks", blocks)
+        # the checked sizes and indices, so n and groups loop over no block
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_flat", flat)
 
-    @cached_property
+    @property
     def n(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self._flat.size
 
     @property
     def num_blocks(self) -> int:
@@ -128,15 +131,14 @@ class Partition:
 
     @property
     def block_sizes(self) -> List[int]:
-        return [b.size for b in self.blocks]
+        return self._sizes.tolist()
 
     @cached_property
     def groups(self) -> List[np.ndarray]:
         """The blocks as (B_s, n_s) index stacks of equal-size blocks, sizes
         ascending, blocks in partition order; a stack holds one block or
         as many as fit in STACK_ENTRIES matrix entries."""
-        sizes = np.array(self.block_sizes)
-        flat = np.concatenate(self.blocks)
+        sizes, flat = self._sizes, self._flat
         starts = np.cumsum(sizes) - sizes
         out = []
         for s in np.unique(sizes).tolist():
@@ -156,7 +158,8 @@ def make_partition(n: int, num_blocks: int, seed: int = 0) -> Partition:
 
 
 def singleton_partition(n: int) -> Partition:
-    return Partition([np.array([i]) for i in range(n)])
+    """One block per point, each block a view of one arange."""
+    return Partition(list(np.arange(n)[:, None]))
 
 
 def merge_pairs(partition: Partition) -> Partition:

@@ -159,21 +159,32 @@ def test_analytic_lbfgs_matches_lbfgs_on_differences(method):
     assert_allclose(analytic, value(theta_fd), rtol=1e-6)
 
 
-def test_difference_lbfgs_from_the_duplicate_start_still_raises_evaluation_failed():
-    # from five duplicated inducing points at noise 1e-9 the difference
-    # gradient fails at the first accepted iterate; L-BFGS-B, fed zeros
-    # there, reads convergence, and maximize_lbfgs must raise by name
-    # instead of returning that point
+def test_difference_lbfgs_climbs_from_duplicates_raises_from_overflow():
+    # from five duplicated inducing points at noise 1e-9, K_uu near the
+    # first accepted iterate used to factor on rounding-noise pivots, and the
+    # capacitance through it then failed past the ladder's cap; chol's pivot
+    # rule gives K_uu jitter, so L-BFGS on differences climbs past that point
     x, y, state = _failing_start()
     part = model.make_partition(300, 30, seed=0)
     spec = BoundSpec(method="BT-SGPR", num_blocks=30)
-    pack = ParameterPack.for_state(state)
 
-    def value(t):
-        return evaluate_bound(x, y, pack.unpack_state(t), spec, part).total
+    def run(start, max_iter):
+        pack = ParameterPack.for_state(start)
 
+        def value(t):
+            return evaluate_bound(x, y, pack.unpack_state(t), spec, part).total
+
+        return value(maximize_lbfgs(value, pack.pack(start), max_iter=max_iter).x)
+
+    first = evaluate_bound(x, y, state, spec, part)
+    assert np.isfinite(first.total) and first.jitter_used > 0.0
+    assert run(state, 2) > first.total
+    # from an infinite signal variance no point can be evaluated; L-BFGS-B,
+    # fed zeros there, reads convergence, and maximize_lbfgs must raise by
+    # name instead of returning that point
+    state = state.with_(kernel=replace(state.kernel, log_signal_variance=800.0))
     with pytest.raises(EvaluationFailed, match="NORM OF PROJECTED GRADIENT"):
-        maximize_lbfgs(value, pack.pack(state), max_iter=50)
+        run(state, 50)
 
 
 def test_gradient_mode_reports_the_value_mode_penalty_and_jitter():

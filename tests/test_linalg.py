@@ -8,6 +8,8 @@ those routes share code with the package.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
@@ -77,6 +79,34 @@ def test_jitter_ladder_reconstructs_rank_deficient_input():
     assert factor.jitter_used > 0.0
     rebuilt = factor.lower @ factor.lower.T
     assert_allclose(rebuilt, a + factor.jitter_used * np.eye(4), atol=1e-12)
+
+
+# [[a+1, a], [a, a+1]] with a+1 == a in floating point: singular to working
+# precision, yet LAPACK's rounding leaves its last pivot at sqrt(32)
+_NOISE_PIVOT_A = 1e17
+
+
+def _noise_pivot_block() -> np.ndarray:
+    a = _NOISE_PIVOT_A
+    assert a + 1.0 == a
+    return np.array([[a + 1.0, a], [a, a + 1.0]])
+
+
+def test_chol_rejects_a_rounding_noise_pivot():
+    block = _noise_pivot_block()
+    assert np.linalg.cholesky(block)[1, 1] > 0.0  # LAPACK alone accepts it
+    factor = chol(block)
+    assert factor.jitter_used > 0.0
+    rebuilt = factor.lower @ factor.lower.T
+    assert_allclose(rebuilt, block + factor.jitter_used * np.eye(2), rtol=1e-15)
+
+
+def test_chol_stack_jitters_only_the_rounding_noise_block():
+    good = np.array([[4.0, 2.0], [2.0, 3.0]])
+    lower, jitter = chol_stack(np.stack([good, _noise_pivot_block(), good]))
+    assert jitter[0] == jitter[2] == 0.0 and jitter[1] > 0.0
+    assert np.array_equal(lower[0], np.linalg.cholesky(good))
+    assert np.array_equal(lower[1], chol(_noise_pivot_block()).lower)
 
 
 def test_chol_rejects_negative_definite():
@@ -283,3 +313,56 @@ def test_block_factors_solve_mixed_sizes_against_the_dense_factor():
     ref = solve_triangular(dense[np.ix_(perm, perm)], b[perm], lower=True)
     out = gauss._noise_half_solve(b)
     _assert_close_relative(out[perm], ref)
+
+
+@st.composite
+def _solve_cases(draw):
+    """A well-conditioned factor of size 1 to 8 and a right-hand side: a
+    vector, or a C- or F-ordered matrix of 0 to 5 columns."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = chol(_random_spd(rng, m))
+    cols = draw(st.sampled_from([None, 0, 1, 2, 5]))
+    if cols is None:
+        return factor, rng.standard_normal(m)
+    b = rng.standard_normal((m, cols))
+    return factor, b if draw(st.booleans()) else np.asfortranarray(b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_solve_cases())
+def test_solves_match_solve_triangular_and_leave_the_input(case):
+    factor, b = case
+    low = factor.lower
+    kept = b.copy(order="A")
+    half = solve_triangular(low, b, lower=True)
+    half_t = solve_triangular(low.T, b, lower=False)
+    refs = [
+        (factor.half_solve, half),
+        (factor.half_solve_t, half_t),
+        (factor.solve, solve_triangular(low.T, half, lower=False)),
+    ]
+    for method, ref in refs:
+        got = method(b)
+        assert got.shape == ref.shape
+        if ref.size:
+            _assert_close_relative(got, ref)
+        assert np.array_equal(b, kept) and b.flags.f_contiguous == kept.flags.f_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_a_non_finite_right_hand_side_raises_by_name(bad, shape):
+    factor = chol(_random_spd(np.random.default_rng(12), 3))
+    b = np.ones(shape)
+    b[(1,) * len(shape)] = bad
+    for method in (factor.half_solve, factor.half_solve_t, factor.solve):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            method(b)
+
+
+def test_a_right_hand_side_of_the_wrong_length_raises():
+    factor = chol(np.eye(3))
+    for b in (np.ones(4), np.ones((2, 5)), np.ones((3, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            factor.half_solve(b)
