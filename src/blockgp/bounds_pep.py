@@ -18,14 +18,11 @@ likelihood block b's site is its own likelihood at the block noise),
 and the EP energy assembled from normalizer and cavity terms.  At the
 fixed point that cavity energy equals the collapsed objective, which
 the tests enforce; the site closed form is checked against an
-independent dense recomputation.  Each evaluation builds and factors
-the block noise R_b once (PreparedBound.gap_factors): the fit term, the
-log-det penalty, the optimal q(u) and the gradient all read those
-factors.  The log-det penalty and the whole-data terms are written
-once, in bounds_vi (_gap_penalty's "pep" body and its _pep_penalty,
-which the collapsed value here reads too).  The collapsed forms'
-gradients come from bounds_vi's reverse-mode pass over the blocks at
-the optimal q(u), where the uncollapsed objective meets them.  The
+independent dense recomputation.  The closed forms are bounds_vi's
+bodies at the penalty "pep" (vi_collapsed, vi_uncollapsed,
+block_estimate and the pass behind every gradient), which build and
+factor each block noise R_b once (PreparedBound.gap_factors) for the
+fit term, the log-det penalty, the optimal q(u) and the gradient.  The
 dense oracle, the fixed-point check and pep_iterate keep their own
 one-block code, as references.
 """
@@ -39,15 +36,16 @@ import numpy as np
 
 from .bounds_vi import (
     BoundBreakdown,
-    PreparedBound,
     _LOG_2PI,
     _check_partition,
-    _collapsed,
-    _estimate,
-    _penalty_stacks,
-    _pep_penalty,
+    _fit,
+    _optimum,
+    _prepared,
+    _qu_gradient,
     block_estimate,
     prepare,
+    vi_collapsed,
+    vi_uncollapsed,
 )
 from .linalg import CholeskyFactor, LowRankGaussian, chol
 from .model import GaussianQU, ModelState, Partition
@@ -114,20 +112,6 @@ class FixedPointMismatch(RuntimeError):
         )
 
 
-def _noise_stacks(prep: PreparedBound, cfg: PepConfig):
-    """The gap stacks with the factors of R_b = a m D_bb + sigma2 I, as built."""
-    _check_partition(prep, cfg.partition)
-    return _penalty_stacks(prep, cfg.partition.groups, "pep", cfg.alpha, cfg.m_scale)
-
-
-def _noise_gaussian(prep: PreparedBound, stacks) -> LowRankGaussian:
-    """N(0, Q + blkdiag(R_b)) on the factors of gap_factors' stacks."""
-    return LowRankGaussian(
-        prep.luu, prep.v, prep.sigma2,
-        ((ix, lower, jitter) for ix, _, _, lower, jitter in stacks),
-    )
-
-
 def pep_collapsed(
     x, y, state: ModelState, cfg: PepConfig, gradient: bool = False
 ) -> BoundBreakdown:
@@ -144,28 +128,17 @@ def tpep_collapsed(
 
     Fit term log N(y; 0, Q + a m blkdiag(D_bb) + sigma2 I) plus the block
     log-det penalty and two whole-dataset terms, -N/(2a) log(1 + a(m-1))
-    + N/2 log m, which vanish at m = 1 and at alpha = 1 exactly.  Each
-    block gap is built and each R_b factored once; with gradient, the
-    gradient's pass reads the same stacks, so they are held until it
-    has run.
+    + N/2 log m, which vanish at m = 1 and at alpha = 1 exactly:
+    vi_collapsed at the penalty "pep", which builds each block gap and
+    factors each R_b once.
     """
-    prep = prepare(x, y, state)
-    a, m = cfg.alpha, cfg.m_scale
-    stacks = _noise_stacks(prep, cfg)
-    if gradient:
-        stacks = list(stacks)
-    gauss = _noise_gaussian(prep, stacks)
-    pen, whole = _pep_penalty(gauss.logdet_noise, prep.n, prep.sigma2, a, m, prep.n)
-    reg = whole - pen
-    envelope = dict(stacks=stacks, penalty="pep", alpha=a, m=m)
-    return _collapsed(prep, gauss, reg, 0.0, envelope if gradient else None)
+    return vi_collapsed(x, y, state, "pep", cfg.partition, gradient, cfg.alpha, cfg.m_scale)
 
 
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:
     """The q(u) at which the uncollapsed objective meets the collapsed one."""
-    prep = prepare(x, y, state)
-    mean, cov_chol = _noise_gaussian(prep, _noise_stacks(prep, cfg)).posterior(prep.y)
-    return GaussianQU(mean=mean, cov_chol=cov_chol)
+    prep, stacks = _prepared(x, y, state, "pep", cfg.partition, cfg.alpha, cfg.m_scale)
+    return _optimum(prep, _fit(prep, stacks))
 
 
 def tpep_uncollapsed(
@@ -177,11 +150,7 @@ def tpep_uncollapsed(
             + sum_b E_q[log N(y_b; A_b u, a m D_bb + sigma2 I)]
             + the same three gap penalties as the collapsed form.
     """
-    prep = prepare(x, y, state)
-    est, reg, jit = _estimate(
-        prep, q, _noise_stacks(prep, cfg), "pep", 1.0, alpha=cfg.alpha, m=cfg.m_scale
-    )
-    return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
+    return vi_uncollapsed(x, y, state, cfg.partition, q, "pep", cfg.alpha, cfg.m_scale)
 
 
 def tpep_stochastic(
@@ -212,16 +181,9 @@ def tpep_qu_gradient(
     block_estimate, the full one off the same pass over all blocks.
     Returns (d_mean, d_lower), lower masked.
     """
-    if block_index is not None:
-        est = block_estimate(
-            x, y, state, cfg.partition, q, block_index,
-            penalty="pep", alpha=cfg.alpha, m_scale=cfg.m_scale, gradient=True,
-        )
-    else:
-        prep = prepare(x, y, state)
-        est = _estimate(prep, q, _noise_stacks(prep, cfg), "pep", 1.0,
-                        alpha=cfg.alpha, m=cfg.m_scale, gradient=True)[0]
-    return est.d_mean, est.d_lower
+    return _qu_gradient(
+        x, y, state, cfg.partition, q, block_index, "pep", cfg.alpha, cfg.m_scale
+    )
 
 
 def general_pep_oracle(
@@ -250,8 +212,7 @@ def general_pep_oracle(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     prep = prepare(x, y, state)
     n = prep.n
-    if partition.n != n:
-        raise ValueError(f"partition covers {partition.n} points but data has {n}")
+    _check_partition(prep, partition)
     if n > ORACLE_CAP:
         raise ValueError(f"general_pep_oracle is dense; refusing N={n} > {ORACLE_CAP}")
     if len(scales) != partition.num_blocks:

@@ -10,20 +10,24 @@ only in how much of D the penalty keeps, named in model.METHODS:
     T-SGPR       "diag"       one scale per point: sum_n log(1 + d_nn / sigma2) / 2
     SharedBlock  "shared"     one scale matrix shared across equal-size blocks
     BT-SGPR      "logdet"     one scale matrix per block (log det penalty)
+    (T-)PEP      "pep"        block noise alpha m D_bb in the fit (bounds_pep)
 
-Each penalty, these five and power EP's "pep" (bounds_pep), is written
-once, with its adjoints, in _gap_penalty (power EP's penalty and
-whole-data terms: _pep_penalty).  A collapsed value is the fit term plus
-that body's value; the uncollapsed bounds, the single-block estimators
-and every gradient run the pass _estimate around the same body.  Each
-collapsed form equals the corresponding uncollapsed evidence lower
-bound at the optimal Gaussian q(u), which the tests check.  That
-identity also gives every collapsed bound its gradient: by the envelope
-theorem it is the uncollapsed bound's gradient with q(u) held at the
-optimum, which one reverse-mode pass over the blocks computes (the pass
-block_estimate runs on one block).  A dense oracle over arbitrary PSD
-scalings C of the full conditional covariance backs the optimality
-claims.
+Each penalty is written once, with its adjoints, in _gap_penalty (power
+EP's log dets and whole-data terms: _pep_penalty), and each bound once
+for all six, the penalty the only switch: vi_collapsed, vi_uncollapsed,
+block_estimate and, for every gradient, the pass _estimate around the
+same body.  Each collapsed form equals the corresponding uncollapsed
+evidence lower bound at the optimal Gaussian q(u), which the tests
+check.  That identity also gives every collapsed bound its gradient: by
+the envelope theorem it is the uncollapsed bound's gradient with q(u)
+held at the optimum, which one reverse-mode pass over the blocks
+computes (the pass block_estimate runs on one block).  The collapsed
+value keeps its own fit term, the Woodbury LowRankGaussian.logpdf, on
+purpose: taken as the pass at the optimum instead, it moved power EP at
+alpha = 1e-6 off the trace bound by 4.5e-3 (verify's window is 1e-4) and
+gentle instances by up to 8.7e-8 relative.  A dense oracle over
+arbitrary PSD scalings C of the full conditional covariance backs the
+optimality claims.
 """
 
 from __future__ import annotations
@@ -48,10 +52,18 @@ from .linalg import (
     stack_inverse,
     stack_logdet,
 )
-from .model import GaussianQU, ModelState, Partition
+from .model import METHODS, GaussianQU, ModelState, Partition
 
 # Dense oracles refuse anything bigger than this.
 DENSE_CAP = 2000
+
+# The gap penalties of the METHODS rows, once each in table order: all of
+# them ("pep", power EP's, takes alpha), those that read a partition's
+# blocks, and the block-separable ones the single-block estimators take.
+_PENALTIES, _STACKED_PENALTIES, _BLOCK_PENALTIES = (
+    tuple(dict.fromkeys(r.penalty for r in METHODS.values() if r.penalty and keep(r)))
+    for keep in (lambda r: True, lambda r: r.partition != "rejected", lambda r: r.stochastic)
+)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -212,54 +224,53 @@ def exact_lml(
     return BoundBreakdown(total, total, 0.0, lk.jitter_used, grad)
 
 
-def _collapsed(
-    prep: PreparedBound,
-    gauss: LowRankGaussian,
-    regularizer: Optional[float],
-    jitter: float = 0.0,
-    gradient: Optional[dict] = None,
-) -> BoundBreakdown:
-    """The collapsed bound log N(y; gauss) + regularizer.
-
-    gradient, if given, holds the _estimate arguments (stacks, penalty,
-    alpha, m) of the matching uncollapsed bound; its gradient at the q(u)
-    gauss's posterior gives, over all blocks at weight 1, the collapsed
-    bound's (the envelope theorem), from this one prepare.  A regularizer
-    of None is taken, with its jitter, from that pass, which reads the
-    same gap blocks and factors.
-    """
-    fit = gauss.logpdf(prep.y)
-    jit = max(gauss.jitter_used, jitter)
-    grad = None
-    if gradient is not None:
-        mean, cov_chol = gauss.posterior(prep.y)
-        q = GaussianQU(mean=mean, cov_chol=cov_chol)
-        grad, reg, reg_jitter = _estimate(prep, q, weight=1.0, gradient=True, **gradient)
-        if regularizer is None:
-            regularizer, jit = reg, max(jit, reg_jitter)
-    return BoundBreakdown(fit + regularizer, fit, regularizer, jit, grad)
-
-
 def vi_collapsed(
     x, y, state: ModelState, penalty: str, partition: Optional[Partition] = None,
-    gradient: bool = False,
+    gradient: bool = False, alpha: Optional[float] = None, m: float = 1.0,
 ) -> BoundBreakdown:
-    """A collapsed variational bound: log N(y; 0, Q + sigma2 I) minus the gap
-    penalty, one of the _PENALTIES; "shared" and "logdet" read the
-    partition's blocks, the others need none."""
-    if penalty not in _PENALTIES:
-        raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
-    if partition is None and penalty in ("shared", "logdet"):
-        raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
-    prep = prepare(x, y, state)
-    if partition is not None:
-        _check_partition(prep, partition)
-    gauss = _plain_gaussian(prep)
-    stacks = None if partition is None else _penalty_stacks(prep, partition.groups, penalty)
-    if not gradient:
-        pen, whole, jit = _gap_penalty(prep, stacks, penalty)[:3]
-        return _collapsed(prep, gauss, whole - pen, jit)
-    return _collapsed(prep, gauss, None, gradient=dict(stacks=stacks, penalty=penalty))
+    """A collapsed bound: the Gaussian fit log N(y; 0, Q + R) plus the
+    regularizer of penalty, one of the _PENALTIES.  R is sigma2 I, or for
+    power EP's "pep", which takes alpha and the gap scale m, the block
+    noise blkdiag(alpha m D_bb + sigma2 I), whose factors its penalty
+    reads too.  "shared", "logdet" and "pep" read the partition's blocks,
+    the others need none.  The regularizer is _gap_penalty's; with
+    gradient it comes, with the gradient, from the pass _estimate at the
+    fit's optimal q(u) (the envelope theorem), over all blocks at weight 1
+    and from this one prepare.
+    """
+    _check_penalty(penalty, alpha)
+    prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
+    noise = None
+    if penalty == "pep":
+        # R_b's factors are the fit's noise and the penalty's.  A gradient's
+        # pass reads each K_bb and D_bb again; a value needs the factors
+        # alone, so it holds no stack's K_bb or D_bb past its turn.
+        stacks = noise = [st if gradient else (st[0], None, None, st[3], st[4]) for st in stacks]
+    gauss = _fit(prep, noise)
+    fit = gauss.logpdf(prep.y)
+    if gradient:
+        grad, reg, jit = _estimate(
+            prep, _optimum(prep, gauss), stacks, penalty, 1.0, alpha, m, gradient=True
+        )
+    else:
+        pen, whole, jit = _gap_penalty(prep, stacks, penalty, alpha=alpha, m=m)[:3]
+        grad, reg = None, whole - pen
+    return BoundBreakdown(fit + reg, fit, reg, max(gauss.jitter_used, jit), grad)
+
+
+def _fit(prep: PreparedBound, stacks=None) -> LowRankGaussian:
+    """The collapsed fit's Gaussian N(0, Q + R): R = sigma2 I, or given
+    power EP's stacks (_penalty_stacks' for "pep") blkdiag(R_b) on their
+    factors."""
+    noise = () if stacks is None else ((ix, low, jit) for ix, _, _, low, jit in stacks)
+    return LowRankGaussian(prep.luu, prep.v, prep.sigma2, noise)
+
+
+def _optimum(prep: PreparedBound, gauss: LowRankGaussian) -> GaussianQU:
+    """The q(u) at which an uncollapsed bound meets the collapsed one with
+    fit gauss = N(0, Q + R): p(u) N(y; A u, R) renormalized."""
+    mean, cov_chol = gauss.posterior(prep.y)
+    return GaussianQU(mean=mean, cov_chol=cov_chol)
 
 
 def sgpr_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
@@ -321,12 +332,9 @@ def btsgpr_parametric(
             - lm.logdet()
             - idx.size
         )
-    return _collapsed(prep, _plain_gaussian(prep), reg, jit)
-
-
-def _plain_gaussian(prep: PreparedBound) -> LowRankGaussian:
-    """N(0, Q + sigma2 I), the variational bounds' fit term."""
-    return LowRankGaussian(prep.luu, prep.v, prep.sigma2)
+    gauss = _fit(prep)
+    fit = gauss.logpdf(prep.y)
+    return BoundBreakdown(fit + reg, fit, reg, max(gauss.jitter_used, jit))
 
 
 def sharedblock_collapsed(
@@ -377,7 +385,10 @@ def general_c_oracle(x, y, state: ModelState, c: np.ndarray) -> BoundBreakdown:
     lc = chol(c)
     trace = float(np.sum(ld.solve(c) * np.eye(n))) + float(np.trace(c)) / prep.sigma2
     reg = -0.5 * trace - 0.5 * (ld.logdet() - lc.logdet()) + 0.5 * n
-    return _collapsed(prep, _plain_gaussian(prep), reg, max(ld.jitter_used, lc.jitter_used))
+    gauss = _fit(prep)
+    fit = gauss.logpdf(prep.y)
+    jit = max(gauss.jitter_used, ld.jitter_used, lc.jitter_used)
+    return BoundBreakdown(fit + reg, fit, reg, jit)
 
 
 def general_c_optimum(x, y, state: ModelState) -> np.ndarray:
@@ -400,8 +411,7 @@ def optimal_qu(x, y, state: ModelState) -> GaussianQU:
     with A = Kfu Kuu^-1 and prior u ~ N(0, Kuu).
     """
     prep = prepare(x, y, state)
-    mean, cov_chol = _plain_gaussian(prep).posterior(prep.y)
-    return GaussianQU(mean=mean, cov_chol=cov_chol)
+    return _optimum(prep, _fit(prep))
 
 
 def kl_qu(q: GaussianQU, state: ModelState) -> float:
@@ -422,8 +432,18 @@ def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
     return kl, half, a
 
 
-_PENALTIES = ("trace", "diag", "logdet", "shared", "spherical")
-_SEPARABLE_PENALTIES = ("trace", "diag", "logdet")
+def _check_penalty(penalty: str, alpha: Optional[float]):
+    """Raise unless penalty is one of the _PENALTIES, with alpha in (0, 1]
+    given for "pep" alone."""
+    if (
+        penalty not in _PENALTIES
+        or (alpha is None) == (penalty == "pep")
+        or alpha is not None and not 0.0 < alpha <= 1.0
+    ):
+        raise ValueError(
+            f"penalty must be one of {_PENALTIES}, with alpha in (0, 1] for 'pep' alone; "
+            f"got {penalty!r} and alpha {alpha}"
+        )
 
 
 def _check_partition(prep: PreparedBound, partition: Partition):
@@ -444,14 +464,26 @@ def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
     return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg, count
 
 
+def _prepared(x, y, state: ModelState, penalty: str, partition: Optional[Partition],
+              alpha: Optional[float] = None, m: float = 1.0):
+    """prepare's state and _penalty_stacks' stacks for penalty over the
+    partition's blocks, once the partition is checked against the data;
+    None for the diagonal penalties without a partition."""
+    if partition is None and penalty in _STACKED_PENALTIES:
+        raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
+    prep = prepare(x, y, state)
+    if partition is None:
+        return prep, None
+    _check_partition(prep, partition)
+    return prep, _penalty_stacks(prep, partition.groups, penalty, alpha, m)
+
+
 def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha=None, m=1.0):
     """The gap stacks _gap_penalty reads for a penalty, built as consumed:
     gap_stacks' for "shared", gap_factors' for "logdet" and, at the alpha
     and m the pass is given too, "pep", and none for the diagonal
     penalties."""
     if penalty == "pep":
-        if alpha is None:
-            raise ValueError("the power-EP block noise needs alpha")
         return prep.gap_factors(groups, alpha, m)
     if penalty == "shared":
         return prep.gap_stacks(groups)
@@ -469,9 +501,11 @@ def _gap_penalty(prep: PreparedBound, stacks, penalty: str, weight: float = 1.0,
     pull(ix, K_bb, d_bar), and the adjoints on D's diagonal (dd; None
     where pull took them), sigma2 and m are returned.  For "pep" the
     factors are the fit's block noise R_b too: noise_fit(ix, lower,
-    logdet) does the fit's share of a stack and returns R_b^-1 and, given
-    pull, the fit's adjoint on R_b, which the penalty's joins before the
-    one pull.  Returns (penalty, whole, jitter, dd, g_s2, g_m).
+    logdet), which a pass gives, does the fit's share of a stack and
+    returns R_b^-1 and, given pull, the fit's adjoint on R_b, which the
+    penalty's joins before the one pull; a collapsed value, whose fit
+    read the factors already, gives none.  Returns (penalty, whole,
+    jitter, dd, g_s2, g_m).
     """
     s2, n, w, gap = prep.sigma2, prep.n, float(weight), prep.gap_diag
     gradient = pull is not None
@@ -515,7 +549,8 @@ def _gap_penalty(prep: PreparedBound, stacks, penalty: str, weight: float = 1.0,
             logdet_s = stack_logdet(lower)
             logdet += logdet_s
             jit = max(jit, float(jitter.max()))
-            rinv, r_bar = noise_fit(ix, lower, logdet_s)
+            if noise_fit is not None:
+                rinv, r_bar = noise_fit(ix, lower, logdet_s)
             if gradient:
                 r_bar -= (w * c) * rinv
                 g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * ix.size / s2
@@ -552,21 +587,22 @@ def vi_uncollapsed(
     partition: Partition,
     q: GaussianQU,
     penalty: str = "logdet",
+    alpha: Optional[float] = None,
+    m: float = 1.0,
 ) -> BoundBreakdown:
     """Uncollapsed evidence lower bound at an explicit Gaussian q(u).
 
-    total = -KL[q || p] + sum_b E_q[log N(y_b; A_b u, sigma2 I)] - penalty.
+    total = -KL[q || p] + sum_b E_q[log N(y_b; A_b u, R_b)] - penalty + whole.
 
-    penalty is the gap charge of the collapsed bound this one meets at
-    the optimal q(u), one of the five in this module's table ("diag" is
-    valid under any grouping of the sum), written in _gap_penalty.
+    penalty is the gap charge of the collapsed bound (vi_collapsed) this
+    one meets at the optimal q(u), one of the _PENALTIES ("diag" is
+    valid under any grouping of the sum), written in _gap_penalty.  R_b
+    is sigma2 I, or for "pep" (alpha, m) power EP's alpha m D_bb +
+    sigma2 I, whose whole-data terms are then the only nonzero whole.
     """
-    if penalty not in _PENALTIES:
-        raise ValueError(f"penalty must be one of {_PENALTIES}, got {penalty!r}")
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    stacks = _penalty_stacks(prep, partition.groups, penalty)
-    est, reg, jit = _estimate(prep, q, stacks, penalty, 1.0)
+    _check_penalty(penalty, alpha)
+    prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
+    est, reg, jit = _estimate(prep, q, stacks, penalty, 1.0, alpha, m)
     return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
 
@@ -592,9 +628,6 @@ class BlockEstimate:
     d_log_m_scale: float = 0.0
     d_mean: Optional[np.ndarray] = None
     d_lower: Optional[np.ndarray] = None
-
-
-_BLOCK_PENALTIES = _SEPARABLE_PENALTIES + ("pep",)
 
 
 def block_estimate(
@@ -635,6 +668,10 @@ def block_estimate(
     pep = penalty == "pep"
     if pep and (alpha is None or not 0.0 < alpha <= 1.0):
         raise ValueError(f"the power-EP estimator needs alpha in (0, 1], got {alpha}")
+    if not 0 <= block_index < partition.num_blocks:
+        raise ValueError(
+            f"block_index must lie in [0, {partition.num_blocks}), got {block_index}"
+        )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
@@ -801,11 +838,10 @@ def vi_stochastic(
 
     Averaged over the uniform block index it reproduces the full bound;
     shared and spherical penalties are not block-separable, so only
-    "trace", "diag" and "logdet" are accepted.  The value of
-    block_estimate, which touches only the block's kernels.
+    "trace", "diag" and "logdet" are accepted (power EP's, which needs
+    alpha, is tpep_stochastic).  The value of block_estimate, which
+    checks the penalty and touches only the block's kernels.
     """
-    if penalty not in _SEPARABLE_PENALTIES:
-        raise ValueError("stochastic estimator needs a block-separable penalty")
     return block_estimate(x, y, state, partition, q, block_index, penalty).value
 
 
@@ -826,12 +862,16 @@ def uncollapsed_qu_gradient(
     matter here.  Returns (d_mean, d_lower) with d_lower already masked
     to the lower triangle.
     """
+    return _qu_gradient(x, y, state, partition, q, block_index)
+
+
+def _qu_gradient(x, y, state, partition, q, block_index, penalty="trace", alpha=None, m=1.0):
+    """(d_mean, d_lower) of the uncollapsed bound at penalty, or with
+    block_index of its single-block estimator: block_estimate's, else
+    the pass's over all blocks."""
     if block_index is not None:
-        est = block_estimate(
-            x, y, state, partition, q, block_index, penalty="trace", gradient=True
-        )
+        est = block_estimate(x, y, state, partition, q, block_index, penalty, alpha, m, True)
     else:
-        prep = prepare(x, y, state)
-        _check_partition(prep, partition)
-        est = _estimate(prep, q, None, "trace", 1.0, gradient=True)[0]
+        prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
+        est = _estimate(prep, q, stacks, penalty, 1.0, alpha, m, gradient=True)[0]
     return est.d_mean, est.d_lower

@@ -25,6 +25,12 @@ from .model import ModelState
 # set-up's memory does not grow with N times M.
 KMEANS_CHUNK_ENTRIES = 2**18
 
+# Lloyd iterations stop once no center moves by this much in any coordinate.
+KMEANS_TOL = 1e-6
+
+# The median-distance lengthscale reads at most this many points' distances.
+MEDIAN_SUBSAMPLE = 1000
+
 
 class DataFormatError(ValueError):
     """CSV contents that cannot become a numeric table; says where."""
@@ -234,18 +240,18 @@ def split(data: Dataset, test_fraction: float, seed: int = 0) -> Tuple[Dataset, 
     return mk(train_idx), mk(test_idx)
 
 
-def init_lengthscales_median(data: Dataset, subsample: int = 1000, seed: int = 0) -> KernelParams:
+def init_lengthscales_median(data: Dataset, seed: int = 0) -> KernelParams:
     """Kernel init: every lengthscale at the median pairwise distance.
 
-    Distances come from a seeded subsample of at most ``subsample``
+    Distances come from a seeded subsample of at most MEDIAN_SUBSAMPLE
     points (the full set, hence the exact median, below that size).
     Signal variance starts at 1.
     """
     if data.n < 2:
         raise ValueError("median-distance init needs at least two points")
     x = data.x
-    if x.shape[0] > subsample:
-        idx = np.random.default_rng(seed).choice(x.shape[0], subsample, replace=False)
+    if x.shape[0] > MEDIAN_SUBSAMPLE:
+        idx = np.random.default_rng(seed).choice(x.shape[0], MEDIAN_SUBSAMPLE, replace=False)
         x = x[idx]
     dist = pdist(x)
     # np.median's value from one partition at k: for an even count the
@@ -303,14 +309,14 @@ def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def init_inducing_kmeans(
-    data: Dataset, num_inducing: int, seed: int = 0, max_iter: int = 100, tol: float = 1e-6
+    data: Dataset, num_inducing: int, seed: int = 0, max_iter: int = 100
 ) -> np.ndarray:
     """Inducing init: k-means centers of the inputs (k-means++ seeding).
 
-    Lloyd iterations until no center moves by tol in any coordinate, or
-    max_iter; a center that loses all its points stays where it is.
-    Each iteration costs O(NMD) time and holds a few length-N vectors
-    next to the inputs, whatever M is.
+    Lloyd iterations until no center moves by KMEANS_TOL in any
+    coordinate, or max_iter; a center that loses all its points stays
+    where it is.  Each iteration costs O(NMD) time and holds a few
+    length-N vectors next to the inputs, whatever M is.
     """
     if not 1 <= num_inducing <= data.n:
         raise ValueError(f"num_inducing must be in [1, {data.n}], got {num_inducing}")
@@ -338,7 +344,7 @@ def init_inducing_kmeans(
             new_centers[filled, j] = sums[filled] / counts[filled]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return centers
 

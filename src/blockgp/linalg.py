@@ -102,7 +102,7 @@ class CholeskyFactor:
         return blas.dtrsm(1.0, self.lower, b.T, side=1, lower=1, trans_a=1 - trans).T
 
 
-def chol(a: np.ndarray, symmetrize: bool = True) -> CholeskyFactor:
+def chol(a: np.ndarray) -> CholeskyFactor:
     """Cholesky factorization with an escalating jitter ladder.
 
     The input is symmetrized as (A + A^T)/2 first.  Factorization is
@@ -118,8 +118,7 @@ def chol(a: np.ndarray, symmetrize: bool = True) -> CholeskyFactor:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if symmetrize:
-        a = 0.5 * (a + a.T)
+    a = 0.5 * (a + a.T)
     n = a.shape[0]
     if n == 0:
         return CholeskyFactor(lower=np.zeros((0, 0)), jitter_used=0.0)

@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from .bounds_pep import PepConfig, tpep_collapsed, tpep_stochastic
+from .bounds_pep import PepConfig, tpep_stochastic
 from .bounds_vi import (
     BlockEstimate,
     BoundBreakdown,
@@ -58,6 +58,9 @@ from .model import (
 
 _OPTIMIZERS = ("lbfgs", "adam")
 _GRADIENT_MODES = ("fd", "analytic")
+
+# L-BFGS-B's stop on the projected gradient's largest entry.
+LBFGS_GTOL = 1e-6
 
 # Objective value the L-BFGS line search sees where the bound cannot be
 # evaluated at all; large enough to reject the trial point outright.
@@ -327,11 +330,11 @@ def evaluate_bound(
 
     With gradient, the breakdown's gradient field holds its gradient in
     every trained coordinate, from the same prepared state.  The method's
-    row in METHODS picks the body: Exact's dense form, power EP's, or the
-    variational one at the row's penalty.  A partition given to a method
-    whose row rejects one raises.  The oracle methods are rejected here:
-    they take explicit scale matrices and exist to check the others, not
-    to be trained.
+    row in METHODS picks the body: Exact's dense form, or vi_collapsed at
+    the row's penalty (power EP's with the spec's alpha and the state's
+    gap scale m).  A partition given to a method whose row rejects one
+    raises.  The oracle methods are rejected here: they take explicit
+    scale matrices and exist to check the others, not to be trained.
     """
     row = spec.row
     if row.oracle:
@@ -343,10 +346,7 @@ def evaluate_bound(
         return exact_lml(x, y, state, gradient)
     n = np.asarray(y).reshape(-1).shape[0]
     part = _resolve_partition(n, spec, partition) if spec.uses_partition else None
-    if row.penalty == "pep":
-        cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
-        return tpep_collapsed(x, y, state, cfg, gradient)
-    return vi_collapsed(x, y, state, row.penalty, part, gradient)
+    return vi_collapsed(x, y, state, row.penalty, part, gradient, spec.alpha, state.m_scale)
 
 
 # What an objective raises where it cannot be evaluated: a factorization that
@@ -413,7 +413,6 @@ def maximize_lbfgs(
     fun: Callable[[np.ndarray], float],
     theta0: np.ndarray,
     max_iter: int = 1000,
-    gtol: float = 1e-6,
     on_step: Optional[Callable[[np.ndarray, Optional[float]], None]] = None,
     jac: bool = False,
 ) -> optimize.OptimizeResult:
@@ -467,7 +466,7 @@ def maximize_lbfgs(
         jac=True if jac else neg_grad,
         method="L-BFGS-B",
         callback=None if on_step is None else callback,
-        options={"maxiter": max_iter, "gtol": gtol},
+        options={"maxiter": max_iter, "gtol": LBFGS_GTOL},
     )
     result.x = np.asarray(result.x, dtype=float)
     if result.x.tobytes() in failed:
@@ -479,20 +478,13 @@ def maximize_lbfgs(
 
 
 class _AdamState:
-    """Plain Adam with bias correction, oriented for ascent."""
+    """Plain Adam with bias correction, oriented for ascent, at the usual
+    moment decays beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(
-        self,
-        size: int,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)

@@ -1,11 +1,15 @@
-"""Property test: a gradient pass reports the value-only bound, bit for bit.
+"""Property tests: each gap penalty is written once, so every path that
+reads it reports the same bits.
 
 Each penalized method writes its gap penalty once (bounds_vi._gap_penalty),
-and a collapsed bound's value and its value-and-gradient pass both read
-it.  Over drawn instances, with unequal blocks (one-point blocks among
-them), duplicated inducing points and noise variances down to 1e-8,
-evaluate_bound with and without gradient must give the same total, fit
-term, regularizer and jitter, or both raise the same error.
+and a collapsed bound's value, its value-and-gradient pass and the
+uncollapsed bound at any q(u) all read it.  Over drawn instances, with
+unequal blocks (one-point blocks among them), duplicated inducing points
+and noise variances down to 1e-8, evaluate_bound with and without
+gradient must give the same total, fit term, regularizer and jitter, and
+the uncollapsed bound on the same blocks (vi_uncollapsed, or
+tpep_uncollapsed for power EP) the collapsed regularizer, or each pair
+must raise the same error.
 """
 
 import numpy as np
@@ -13,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockgp.bounds_pep import PepConfig, tpep_uncollapsed
+from blockgp.bounds_vi import vi_uncollapsed
 from blockgp.kernels import KernelParams, NoiseParam
 from blockgp.model import METHODS, BoundSpec, ModelState, Partition
 from blockgp.training import evaluate_bound
+from blockgp.verify import random_qu
 
 PENALIZED = [name for name, row in METHODS.items() if row.penalty is not None]
 
@@ -51,20 +58,18 @@ def instances(draw):
     return x, rng.standard_normal(n), state, part, draw(st.floats(0.05, 1.0))
 
 
-def _outcome(call):
-    """(total, fit term, regularizer, jitter) as bits, or the error raised."""
+def _outcome(call, fields=("total", "fit_term", "regularizer", "jitter_used")):
+    """The breakdown's fields as bits, or the error raised."""
     try:
         out = call()
-    except Exception as exc:  # the property: both modes fail alike
+    except Exception as exc:  # the property: both paths fail alike
         return type(exc).__name__, str(exc)
-    values = (out.total, out.fit_term, out.regularizer, out.jitter_used)
-    return [np.float64(v).tobytes() for v in values]
+    return [np.float64(getattr(out, f)).tobytes() for f in fields]
 
 
-@pytest.mark.parametrize("method", PENALIZED)
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(instances())
-def test_the_gradient_pass_reports_the_value_only_bound(method, instance):
+def _method_instance(method, instance):
+    """The instance fitted to method's row: its state, spec and partition
+    (None where the row rejects one), alpha and the drawn blocks."""
     x, y, state, part, alpha = instance
     row = METHODS[method]
     if not row.gap_scale:
@@ -74,6 +79,30 @@ def test_the_gradient_pass_reports_the_value_only_bound(method, instance):
         alpha=alpha if row.alpha else None,
         num_blocks=None if row.partition == "rejected" else part.num_blocks,
     )
-    part = None if row.partition == "rejected" else part
+    spec_part = None if row.partition == "rejected" else part
+    return x, y, state, spec, spec_part, part
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(instances())
+def test_the_gradient_pass_reports_the_value_only_bound(method, instance):
+    x, y, state, spec, part, _ = _method_instance(method, instance)
     value = _outcome(lambda: evaluate_bound(x, y, state, spec, part))
     assert _outcome(lambda: evaluate_bound(x, y, state, spec, part, gradient=True)) == value
+
+
+@pytest.mark.parametrize("method", PENALIZED)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_the_uncollapsed_bound_reports_the_collapsed_regularizer(method, instance, seed):
+    x, y, state, spec, part, blocks = _method_instance(method, instance)
+    q = random_qu(np.random.default_rng(seed), state.num_inducing)
+    penalty = spec.row.penalty
+    if penalty == "pep":
+        cfg = PepConfig(alpha=spec.alpha, partition=blocks, m_scale=state.m_scale)
+        uncollapsed = lambda: tpep_uncollapsed(x, y, state, cfg, q)
+    else:  # the diagonal penalties read no blocks, so any partition fits
+        uncollapsed = lambda: vi_uncollapsed(x, y, state, blocks, q, penalty)
+    collapsed = lambda: evaluate_bound(x, y, state, spec, part)
+    assert _outcome(uncollapsed, ("regularizer",)) == _outcome(collapsed, ("regularizer",))

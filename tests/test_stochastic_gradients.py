@@ -138,6 +138,25 @@ def test_block_estimate_rejects_bad_penalties_and_alpha():
         bounds_vi.block_estimate(x, y[:-1], state, part, q, 0)
 
 
+@pytest.mark.parametrize("block_index", [-1, 19])
+def test_block_index_outside_the_partition_raises(block_index):
+    """-1 must not read the last block, nor B fail with a bare IndexError."""
+    rng = np.random.default_rng(24)
+    x, y, state = small_instance(rng)
+    part = make_partition(y.shape[0], 19, seed=1)
+    q = random_qu(rng, state.num_inducing)
+    cfg = PepConfig(alpha=0.5, partition=part)
+    calls = [
+        lambda: vi_stochastic(x, y, state, part, q, block_index),
+        lambda: tpep_stochastic(x, y, state, cfg, q, block_index),
+        lambda: bounds_vi.uncollapsed_qu_gradient(x, y, state, part, q, block_index),
+        lambda: bounds_pep.tpep_qu_gradient(x, y, state, cfg, q, block_index),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"block_index must lie in \[0, 19\)"):
+            call()
+
+
 def _final_objective(x, y, state, q, part, spec):
     if spec.is_pep:
         cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
