@@ -137,8 +137,8 @@ def tpep_collapsed(
 
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:
     """The q(u) at which the uncollapsed objective meets the collapsed one."""
-    prep, stacks = _prepared(x, y, state, "pep", cfg.partition, cfg.alpha, cfg.m_scale)
-    return _optimum(prep, _fit(prep, stacks))
+    prep, chunks = _prepared(x, y, state, "pep", cfg.partition)
+    return _optimum(_fit(prep, chunks, cfg.alpha, cfg.m_scale)[0])
 
 
 def tpep_uncollapsed(

@@ -21,19 +21,36 @@ evidence lower bound at the optimal Gaussian q(u), which the tests
 check.  That identity also gives every collapsed bound its gradient: by
 the envelope theorem it is the uncollapsed bound's gradient with q(u)
 held at the optimum, which one reverse-mode pass over the blocks
-computes (the pass block_estimate runs on one block).  The collapsed
-value keeps its own fit term, the Woodbury LowRankGaussian.logpdf, on
-purpose: taken as the pass at the optimum instead, it moved power EP at
-alpha = 1e-6 off the trace bound by 4.5e-3 (verify's window is 1e-4) and
-gentle instances by up to 8.7e-8 relative.  A dense oracle over
-arbitrary PSD scalings C of the full conditional covariance backs the
-optimality claims.
+computes (the pass block_estimate runs on one block, at weight B).  The
+collapsed value keeps its own fit term, the Woodbury
+LowRankGaussian.logpdf, on purpose: taken as the pass at the optimum
+instead, it moved power EP at alpha = 1e-6 off the trace bound by 4.5e-3
+(verify's window is 1e-4) and gentle instances by up to 8.7e-8
+relative.  A dense oracle over arbitrary PSD scalings C of the full
+conditional covariance backs the optimality claims.
+
+Every value, optimum and gradient reads the data a chunk at a time
+(_chunks): a partition's stacks of equal-size blocks, cut and joined to
+at most CHUNK_ENTRIES // M points, or ranges of points for the penalties
+that read no blocks.  Titsias's (2009) statistics are sums over chunks, as in
+Gal, van der Wilk and Rasmussen (2014), so a chunk's K_uc and V_c = Lu^-1
+K_uc are built, added into M x M and M-sized sums and freed.  The first
+pass (_fit) adds each chunk into LowRankGaussian's sums, which give the
+collapsed fit and the optimal q(u), with the penalty's sums for a value;
+a gradient's pass (_estimate) rebuilds each chunk, runs the per-block
+body on it and adds its adjoints into M x M and M-sized sums.  The KL
+term and Kuu's adjoint come once, around the pass.  So an evaluation
+holds O(M^2 + CHUNK_ENTRIES) beyond its inputs whatever N is, with no
+M x N array; power EP's and SharedBlock's gradients also keep each
+stack's K_bb (and power EP's D_bb and factors) from the first pass,
+O(N n_b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +69,7 @@ from .linalg import (
     stack_inverse,
     stack_logdet,
 )
+from . import model
 from .model import METHODS, GaussianQU, ModelState, Partition
 
 # Dense oracles refuse anything bigger than this.
@@ -64,6 +82,8 @@ _PENALTIES, _STACKED_PENALTIES, _BLOCK_PENALTIES = (
     tuple(dict.fromkeys(r.penalty for r in METHODS.values() if r.penalty and keep(r)))
     for keep in (lambda r: True, lambda r: r.partition != "rejected", lambda r: r.stochastic)
 )
+# The others couple every block: their gradients read the whole data's sums.
+_COUPLED_PENALTIES = tuple(p for p in _PENALTIES if p not in _BLOCK_PENALTIES)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -88,17 +108,20 @@ class BoundBreakdown:
 
 
 class PreparedBound:
-    """Kernel and Cholesky work shared by every objective at one state.
+    """The data and Kuu with its factor Lu at one state, which every
+    objective shares; the rest is built a chunk of points at a time.
 
-    Holds Kuu and its factor Lu, Kuf and the whitened cross term
-    V = Lu^-1 Kuf, and the clamped diagonal of the conditional gap
-    D = Kff - V^T V (clamped marks the entries the clamp raised or that
-    came out exactly 0).
-    Dense D blocks are built on demand, a whole stack of equal-size
-    blocks at a time; the full N x N gap is never built by the bounds
-    themselves.  gap_factors is the one place a gap stack is factored:
-    the log-det penalty of BT-SGPR and the block noise of power EP are
-    both a scaling of D_bb plus a multiple of I, and every value,
+    points(idx) is the same state over the points idx alone, sharing Kuu
+    and Lu: one chunk of the pass.  Its cross terms, built on first use,
+    are Kuf and the whitened V = Lu^-1 Kuf, and the clamped diagonal of the
+    conditional gap D = Kff - V^T V (clamped marks the entries the clamp
+    raised or that came out exactly 0).  Over all N points they are the
+    dense (M, N) form that the oracles, pep_iterate and verify read; no
+    bound does.  Dense D blocks are built on demand, a whole stack of
+    equal-size blocks at a time; the full N x N gap is never built by the
+    bounds themselves.  gap_factors is the one place a gap stack is
+    factored: the log-det penalty of BT-SGPR and the block noise of power
+    EP are both a scaling of D_bb plus a multiple of I, and every value,
     optimum and gradient of theirs reads that one factor.
     """
 
@@ -116,12 +139,14 @@ class PreparedBound:
         self.state = state
         self.kuu = kernel_matrix(state.inducing, state.inducing, state.kernel)
         self.luu = chol(self.kuu)
-        self.kuf = kernel_matrix(state.inducing, x, state.kernel)
-        self.v = self.luu.half_solve(self.kuf)
-        raw = _raw_gap_diag(kernel_diag(x, state.kernel), self.v)
-        self.diag_clamp = float(max(0.0, -raw.min())) if raw.size else 0.0
-        self.clamped = raw <= 0.0
-        self.gap_diag = np.maximum(raw, 0.0)
+
+    def points(self, idx) -> "PreparedBound":
+        """This state over the points idx (an index array or a slice) alone,
+        sharing Kuu and its factor."""
+        chunk = object.__new__(PreparedBound)
+        chunk.x, chunk.y, chunk.state = self.x[idx], self.y[idx], self.state
+        chunk.kuu, chunk.luu = self.kuu, self.luu
+        return chunk
 
     @property
     def n(self) -> int:
@@ -130,6 +155,33 @@ class PreparedBound:
     @property
     def sigma2(self) -> float:
         return self.state.noise.noise_variance
+
+    @cached_property
+    def kuf(self) -> np.ndarray:
+        return kernel_matrix(self.state.inducing, self.x, self.state.kernel)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return self.luu.half_solve(self.kuf)
+
+    @cached_property
+    def _raw_gap(self) -> np.ndarray:
+        """diag(Kff - V^T V) before clamping; rounding can make entries negative."""
+        return kernel_diag(self.x, self.state.kernel) - np.sum(self.v * self.v, axis=0)
+
+    @cached_property
+    def gap_diag(self) -> np.ndarray:
+        return np.maximum(self._raw_gap, 0.0)
+
+    @cached_property
+    def clamped(self) -> np.ndarray:
+        return self._raw_gap <= 0.0
+
+    @property
+    def diag_clamp(self) -> float:
+        """The largest amount the clamp raised an entry of D's diagonal by."""
+        raw = self._raw_gap
+        return float(max(0.0, -raw.min())) if raw.size else 0.0
 
     def gap_stacks(self, groups: Sequence[np.ndarray]) -> Iterator[tuple]:
         """(ix, K_bb, D_bb) for each (B_s, n_s) stack ix of block indices:
@@ -170,21 +222,70 @@ class PreparedBound:
         return self.luu.half_solve_t(self.v)
 
 
-def _raw_gap_diag(kff_diag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """diag(Kff - V^T V) before clamping; rounding can make entries negative."""
-    return kff_diag - np.sum(v * v, axis=0)
-
-
 def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndarray:
     """Symmetrized K_bb - V_b^T V_b with the clamped diagonal put back.
 
     Stacks too: kbb (..., n, n), vb (..., M, n), gap_diag (..., n).
     """
     d = kbb - np.swapaxes(vb, -1, -2) @ vb
-    d = 0.5 * (d + np.swapaxes(d, -1, -2))
+    d += np.swapaxes(d, -1, -2)  # ufuncs buffer an overlapping operand
+    d *= 0.5
     diag = np.arange(d.shape[-1])
     d[..., diag, diag] = gap_diag
     return d
+
+
+# Most entries of a chunk's (M, c) arrays (K_uc, V_c and those of its
+# adjoints), so a chunk holds at most CHUNK_ENTRIES // M points and a bound
+# O(M^2 + CHUNK_ENTRIES) beyond its inputs whatever N is; a block larger
+# than that is a chunk alone.  A budget of points instead, 1024 at any M,
+# made btsgpr-minibatch's predictions (M = 8, N = 6000) 17 % slower, one
+# chunk's Python work a few small BLAS calls.
+CHUNK_ENTRIES = 2**15
+
+
+def _chunks(prep: "PreparedBound", groups: Optional[Sequence[np.ndarray]] = None) -> list:
+    """The pass's chunks over prep's points, of at most CHUNK_ENTRIES // M
+    points: with groups, their (B_s, n_s) index stacks in order, cut and
+    joined to that width, each chunk a list of pieces (views of groups);
+    with none, ranges of points, as slices.  _open builds a chunk's
+    points."""
+    n, width = prep.n, max(1, CHUNK_ENTRIES // prep.state.num_inducing)
+    if groups is None:
+        return [slice(a, min(a + width, n)) for a in range(0, n, width)]
+    chunks, pieces, size = [], [], 0
+    for ix in groups:
+        s, i = ix.shape[1], 0
+        while i < ix.shape[0]:
+            take = (width - size) // s
+            if not take and pieces:
+                chunks.append(pieces)
+                pieces, size = [], 0
+                continue
+            pieces.append(ix[i : i + max(1, take)])
+            size += pieces[-1].size
+            i += pieces[-1].shape[0]
+    return chunks + [pieces] if pieces else chunks
+
+
+def _open(prep: "PreparedBound", chunk) -> tuple:
+    """prep.points over one of _chunks' chunks, and for a list of pieces
+    its stacks of equal-size blocks as index stacks into those points
+    (None for a range): neighbouring pieces of one block size are one
+    stack where it stays within STACK_ENTRIES."""
+    if isinstance(chunk, slice):
+        return prep.points(chunk), None
+    stacks, start = [], 0
+    for p in chunk:
+        s, last = p.shape[1], stacks[-1] if stacks else None
+        if last is not None and last.shape[1] == s and (
+            (last.size + p.size) * s <= model.STACK_ENTRIES
+        ):
+            stacks[-1] = np.arange(last[0, 0], start + p.size).reshape(-1, s)
+        else:
+            stacks.append(np.arange(start, start + p.size).reshape(p.shape))
+        start += p.size
+    return prep.points(np.concatenate([p.ravel() for p in chunk])), stacks
 
 
 def prepare(x: np.ndarray, y: np.ndarray, state: ModelState) -> PreparedBound:
@@ -233,43 +334,69 @@ def vi_collapsed(
     power EP's "pep", which takes alpha and the gap scale m, the block
     noise blkdiag(alpha m D_bb + sigma2 I), whose factors its penalty
     reads too.  "shared", "logdet" and "pep" read the partition's blocks,
-    the others need none.  The regularizer is _gap_penalty's; with
-    gradient it comes, with the gradient, from the pass _estimate at the
-    fit's optimal q(u) (the envelope theorem), over all blocks at weight 1
-    and from this one prepare.
+    the others need none.  The first pass (_fit) gives the fit and q*; the
+    regularizer is _gap_penalty's, from that pass for a value, and with
+    gradient, with the gradient, from the pass _estimate at q* (the
+    envelope theorem), over all blocks at weight 1 and from this one
+    prepare.  The coupled penalties' gradients read the first pass's
+    totals.
     """
-    _check_penalty(penalty, alpha)
-    prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
-    noise = None
-    if penalty == "pep":
-        # R_b's factors are the fit's noise and the penalty's.  A gradient's
-        # pass reads each K_bb and D_bb again; a value needs the factors
-        # alone, so it holds no stack's K_bb or D_bb past its turn.
-        stacks = noise = [st if gradient else (st[0], None, None, st[3], st[4]) for st in stacks]
-    gauss = _fit(prep, noise)
-    fit = gauss.logpdf(prep.y)
+    _check_penalty(penalty, alpha, m)
+    prep, chunks = _prepared(x, y, state, penalty, partition)
+    coupled = penalty in _COUPLED_PENALTIES
+    # a gradient's pass reads the penalty's totals (the coupled penalties),
+    # the first chunk and each stack this first pass built; a value holds
+    # no chunk or stack past its turn
+    gauss, sums, kept = _fit(
+        prep, chunks, alpha, m, penalty if coupled or not gradient else None, keep=gradient
+    )
+    fit = gauss.logpdf()
+    if coupled or not gradient:
+        pen, whole = sums.finish(prep.sigma2, gradient=gradient)
     if gradient:
         grad, reg, jit = _estimate(
-            prep, _optimum(prep, gauss), stacks, penalty, 1.0, alpha, m, gradient=True
+            prep, _optimum(gauss), chunks, penalty, 1.0, alpha, m, gradient=True,
+            totals=sums if coupled else None, kept=kept,
         )
     else:
-        pen, whole, jit = _gap_penalty(prep, stacks, penalty, alpha=alpha, m=m)[:3]
-        grad, reg = None, whole - pen
+        grad, reg, jit = None, whole - pen, sums.jit
     return BoundBreakdown(fit + reg, fit, reg, max(gauss.jitter_used, jit), grad)
 
 
-def _fit(prep: PreparedBound, stacks=None) -> LowRankGaussian:
-    """The collapsed fit's Gaussian N(0, Q + R): R = sigma2 I, or given
-    power EP's stacks (_penalty_stacks' for "pep") blkdiag(R_b) on their
-    factors."""
-    noise = () if stacks is None else ((ix, low, jit) for ix, _, _, low, jit in stacks)
-    return LowRankGaussian(prep.luu, prep.v, prep.sigma2, noise)
+def _fit(prep: PreparedBound, chunks, alpha=None, m: float = 1.0, penalty=None, keep=False):
+    """The first pass: the collapsed fit's Gaussian N(0, Q + R), R = sigma2
+    I or with alpha power EP's blkdiag(alpha m D_bb + sigma2 I) on
+    gap_factors' factors, its sums added a chunk at a time; given a
+    penalty, that penalty's sums (_gap_penalty) from the same chunks; and
+    with keep, for a gradient's pass, (the first chunk as _open gives it,
+    or None, the list of stacks built, or None) a chunk, else None.  The
+    first chunk, held while the others pass, is the one that pass opens
+    first, so the cross terms of a bound of one chunk are built once."""
+    gauss = LowRankGaussian(prep.luu, None, prep.sigma2)
+    sums = _PenaltySums(penalty, alpha, m)
+    kept = [] if keep else None
+    for piece in chunks:
+        chunk, groups = _open(prep, piece)
+        if alpha is None:
+            gauss.add(chunk.v, chunk.y)
+            stacks = _penalty_stacks(chunk, groups, penalty)
+        else:  # R_b's factors are the fit's noise and the penalty's
+            stacks = chunk.gap_factors(groups, alpha, m)
+        if stacks is not None and (keep or alpha is not None):
+            stacks = list(stacks)
+        if alpha is not None:
+            gauss.add(chunk.v, chunk.y, [(ix, low, jit) for ix, _, _, low, jit in stacks])
+        if penalty is not None:
+            _gap_penalty(chunk, stacks, sums)
+        if keep:
+            kept.append((None if kept else (chunk, groups), stacks))
+    return gauss, sums, kept
 
 
-def _optimum(prep: PreparedBound, gauss: LowRankGaussian) -> GaussianQU:
+def _optimum(gauss: LowRankGaussian) -> GaussianQU:
     """The q(u) at which an uncollapsed bound meets the collapsed one with
     fit gauss = N(0, Q + R): p(u) N(y; A u, R) renormalized."""
-    mean, cov_chol = gauss.posterior(prep.y)
+    mean, cov_chol = gauss.posterior()
     return GaussianQU(mean=mean, cov_chol=cov_chol)
 
 
@@ -332,8 +459,8 @@ def btsgpr_parametric(
             - lm.logdet()
             - idx.size
         )
-    gauss = _fit(prep)
-    fit = gauss.logpdf(prep.y)
+    gauss = _fit(prep, _chunks(prep))[0]
+    fit = gauss.logpdf()
     return BoundBreakdown(fit + reg, fit, reg, max(gauss.jitter_used, jit))
 
 
@@ -346,10 +473,10 @@ def sharedblock_collapsed(
 
 def sharedblock_optimal_scale(x, y, state: ModelState, partition: Partition) -> np.ndarray:
     """The shared optimal scale (I + mean_b D_bb / sigma2)^-1."""
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    lb, _, _ = _shared_factor(prep, prep.gap_stacks(partition.groups))
-    return lb.solve(np.eye(lb.size))
+    prep, chunks = _prepared(x, y, state, "shared", partition)
+    sums = _fit(prep, chunks, penalty="shared")[1]
+    sums.finish(prep.sigma2, gradient=True)
+    return sums.cinv
 
 
 def spherical_collapsed(x, y, state: ModelState, gradient: bool = False) -> BoundBreakdown:
@@ -385,8 +512,8 @@ def general_c_oracle(x, y, state: ModelState, c: np.ndarray) -> BoundBreakdown:
     lc = chol(c)
     trace = float(np.sum(ld.solve(c) * np.eye(n))) + float(np.trace(c)) / prep.sigma2
     reg = -0.5 * trace - 0.5 * (ld.logdet() - lc.logdet()) + 0.5 * n
-    gauss = _fit(prep)
-    fit = gauss.logpdf(prep.y)
+    gauss = _fit(prep, _chunks(prep))[0]
+    fit = gauss.logpdf()
     jit = max(gauss.jitter_used, ld.jitter_used, lc.jitter_used)
     return BoundBreakdown(fit + reg, fit, reg, jit)
 
@@ -410,8 +537,8 @@ def optimal_qu(x, y, state: ModelState) -> GaussianQU:
     q(u) is the exact posterior of u under y = A u + e, e ~ N(0, sigma2 I),
     with A = Kfu Kuu^-1 and prior u ~ N(0, Kuu).
     """
-    prep = prepare(x, y, state)
-    return _optimum(prep, _fit(prep))
+    prep, chunks = _prepared(x, y, state)
+    return _optimum(_fit(prep, chunks)[0])
 
 
 def kl_qu(q: GaussianQU, state: ModelState) -> float:
@@ -432,17 +559,19 @@ def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
     return kl, half, a
 
 
-def _check_penalty(penalty: str, alpha: Optional[float]):
+def _check_penalty(penalty: str, alpha: Optional[float], m: float = 1.0):
     """Raise unless penalty is one of the _PENALTIES, with alpha in (0, 1]
-    given for "pep" alone."""
+    given, and a gap scale m other than 1, for "pep" alone."""
+    pep = penalty == "pep"
     if (
         penalty not in _PENALTIES
-        or (alpha is None) == (penalty == "pep")
+        or (alpha is None) == pep
         or alpha is not None and not 0.0 < alpha <= 1.0
+        or m != 1.0 and not pep
     ):
         raise ValueError(
-            f"penalty must be one of {_PENALTIES}, with alpha in (0, 1] for 'pep' alone; "
-            f"got {penalty!r} and alpha {alpha}"
+            f"penalty must be one of {_PENALTIES}, with alpha in (0, 1] and a gap "
+            f"scale m other than 1 for 'pep' alone; got {penalty!r}, alpha {alpha} and m {m}"
         )
 
 
@@ -451,116 +580,155 @@ def _check_partition(prep: PreparedBound, partition: Partition):
         raise ValueError(f"partition covers {partition.n} points but data has {prep.n}")
 
 
-def _shared_factor(prep: PreparedBound, stacks: Iterable[tuple]):
-    """Factor of I + mean_b D_bb / sigma2 over the (ix, K_bb, D_bb) stacks
-    of equal-size blocks, the mean and the number of blocks."""
-    total, count = 0, 0
-    for ix, _, gaps in stacks:
-        if count and ix.shape[1] != total.shape[0]:
-            raise ValueError("SharedBlock requires equal block sizes")
-        total = total + gaps.sum(axis=0)
-        count += ix.shape[0]
-    avg = total / count
-    return chol(np.eye(avg.shape[0]) + avg / prep.sigma2), avg, count
-
-
-def _prepared(x, y, state: ModelState, penalty: str, partition: Optional[Partition],
-              alpha: Optional[float] = None, m: float = 1.0):
-    """prepare's state and _penalty_stacks' stacks for penalty over the
-    partition's blocks, once the partition is checked against the data;
-    None for the diagonal penalties without a partition."""
+def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
+              partition: Optional[Partition] = None):
+    """prepare's state and the pass's chunks for penalty: the partition's
+    stacks for the penalties that read blocks, ranges of points for the
+    rest, which read no partition (one given is still checked against
+    the data)."""
     if partition is None and penalty in _STACKED_PENALTIES:
         raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
     prep = prepare(x, y, state)
-    if partition is None:
-        return prep, None
-    _check_partition(prep, partition)
-    return prep, _penalty_stacks(prep, partition.groups, penalty, alpha, m)
+    if partition is not None:
+        _check_partition(prep, partition)
+    stacked = partition is not None and penalty in _STACKED_PENALTIES
+    return prep, _chunks(prep, partition.groups if stacked else None)
 
 
-def _penalty_stacks(prep: PreparedBound, groups, penalty: str, alpha=None, m=1.0):
-    """The gap stacks _gap_penalty reads for a penalty, built as consumed:
-    gap_stacks' for "shared", gap_factors' for "logdet" and, at the alpha
-    and m the pass is given too, "pep", and none for the diagonal
-    penalties."""
+def _penalty_stacks(chunk: PreparedBound, groups, penalty: Optional[str], alpha=None, m=1.0):
+    """The gap stacks of a chunk's index stacks groups that _gap_penalty
+    reads for a penalty, built as consumed: gap_stacks' for "shared",
+    gap_factors' for "logdet" and, at the alpha and m the pass is given
+    too, "pep", and none for the diagonal penalties."""
     if penalty == "pep":
-        return prep.gap_factors(groups, alpha, m)
+        return chunk.gap_factors(groups, alpha, m)
     if penalty == "shared":
-        return prep.gap_stacks(groups)
-    return prep.gap_factors(groups) if penalty == "logdet" else None
+        return chunk.gap_stacks(groups)
+    return chunk.gap_factors(groups) if penalty == "logdet" else None
 
 
-def _gap_penalty(prep: PreparedBound, stacks, penalty: str, weight: float = 1.0,
-                 pull=None, alpha=None, m: float = 1.0, n_total=None, noise_fit=None):
-    """The one body of each gap penalty, which every bound, estimator and
-    gradient reads: the penalty over prep's points, the whole-data terms
-    of the regularizer whole - weight * penalty (power EP's over n_total
-    points, default prep's; else 0), and the largest jitter its factors
-    needed, reading _penalty_stacks' stacks once as they come.  Given
-    pull, the gradient at that weight: each stack's D_bb adjoint goes to
-    pull(ix, K_bb, d_bar), and the adjoints on D's diagonal (dd; None
-    where pull took them), sigma2 and m are returned.  For "pep" the
-    factors are the fit's block noise R_b too: noise_fit(ix, lower,
-    logdet), which a pass gives, does the fit's share of a stack and
-    returns R_b^-1 and, given pull, the fit's adjoint on R_b, which the
-    penalty's joins before the one pull; a collapsed value, whose fit
-    read the factors already, gives none.  Returns (penalty, whole,
-    jitter, dd, g_s2, g_m).
+class _PenaltySums:
+    """One gap penalty's sums over the chunks read so far, which
+    _gap_penalty adds each chunk's share to, with a gradient pass's
+    adjoints on sigma2 and m; finish turns them into the penalty.
+
+    total is the sum of d_nn ("trace", "spherical"), of log(1 + d_nn /
+    sigma2) ("diag"), of D_bb ("shared"), of log det(I + D_bb / sigma2) / 2
+    ("logdet") or of log det R_b ("pep"), over points points and blocks
+    blocks.  finish sets the totals a coupled penalty's gradient pass
+    reads: mean, the mean of d_nn ("spherical"), and cinv, (I + mean_b
+    D_bb / sigma2)^-1 ("shared"), and keeps its result as finished.
     """
-    s2, n, w, gap = prep.sigma2, prep.n, float(weight), prep.gap_diag
-    gradient = pull is not None
-    jit, dd, g_s2, g_m = 0.0, None, 0.0, 0.0
-    if penalty == "trace":
-        pen = 0.5 * float(np.sum(gap)) / s2
+
+    def __init__(self, penalty: Optional[str], alpha=None, m: float = 1.0):
+        self.penalty, self.alpha, self.m = penalty, alpha, m
+        self.total, self.points, self.blocks = 0.0, 0, 0
+        self.jit = self.g_s2 = self.g_m = 0.0
+        self.mean = self.cinv = self.finished = None
+
+    def finish(self, s2: float, weight: float = 1.0, gradient: bool = False, n_total=None):
+        """The penalty over the points read and the whole-data terms of the
+        regularizer whole - weight * penalty (power EP's over n_total
+        points, default those read; else 0); with gradient, the adjoints
+        that only the totals give join g_s2 and g_m."""
+        penalty, t, n, w = self.penalty, self.total, self.points, float(weight)
+        whole = 0.0
+        if penalty == "trace":
+            pen = 0.5 * t / s2
+            if gradient:
+                self.g_s2 += 0.5 * w * t / s2**2
+        elif penalty == "diag":
+            pen = 0.5 * t
+        elif penalty == "spherical":
+            self.mean = t / n
+            pen = 0.5 * n * float(np.log1p(self.mean / s2))
+            if gradient:
+                self.g_s2 += 0.5 * w * n * self.mean / (s2 * (s2 + self.mean))
+        elif penalty == "shared":
+            avg = t / self.blocks
+            lb = chol(np.eye(avg.shape[0]) + avg / s2)
+            pen = 0.5 * self.blocks * lb.logdet()
+            self.jit = max(self.jit, lb.jitter_used)
+            if gradient:
+                self.cinv = lb.solve(np.eye(lb.size))
+                self.g_s2 += 0.5 * w * self.blocks * float(np.sum(self.cinv * avg)) / s2**2
+        elif penalty == "logdet":
+            pen = t
+        else:  # "pep": log det(I + a m D_bb / sigma2) read off R_b's factors
+            alpha, m = self.alpha, self.m
+            n_total = n if n_total is None else n_total
+            if gradient:  # of the whole-data terms
+                self.g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
+            pen, whole = _pep_penalty(t, n, s2, alpha, m, n_total)
+        self.finished = pen, whole
+        return pen, whole
+
+
+def _gap_penalty(chunk: PreparedBound, stacks, sums: _PenaltySums, weight: float = 1.0,
+                 pull=None, noise_fit=None):
+    """The one body of each gap penalty, which every bound, estimator and
+    gradient reads, a chunk at a time: adds the chunk's share of sums'
+    penalty and the largest jitter its factors needed to sums, reading
+    _penalty_stacks' stacks of it once as they come.  Given pull, the
+    gradient at that weight: each stack's D_bb adjoint goes to pull(ix,
+    K_bb, d_bar), the adjoints on sigma2 and m join sums, and the
+    adjoint on the chunk's D diagonal is returned (None where pull took
+    it).  "spherical" and "shared" couple every block, so their gradient
+    reads sums finished by an earlier pass, which it adds nothing to.
+    For "pep" the factors are the fit's block noise R_b too:
+    noise_fit(ix, lower, logdet), which a pass gives, does the fit's
+    share of a stack and returns R_b^-1 and, given pull, the fit's
+    adjoint on R_b, which the penalty's joins before the one pull; a
+    collapsed value, whose fit read the factors already, gives none.
+    """
+    s2, gap, w = chunk.sigma2, chunk.gap_diag, float(weight)
+    penalty, gradient = sums.penalty, pull is not None
+    if gradient and penalty == "spherical":
+        return -0.5 * w / (s2 + sums.mean)
+    if gradient and penalty == "shared":
+        cinv = (-0.5 * w / s2) * sums.cinv
+        for ix, kbb, _ in stacks:
+            pull(ix, kbb, np.repeat(cinv[None], ix.shape[0], axis=0))
+        return None
+    sums.points += chunk.n
+    dd = None
+    if penalty in ("trace", "spherical"):
+        sums.total += float(np.sum(gap))
         if gradient:
-            dd, g_s2 = -0.5 * w / s2, 0.5 * w * float(np.sum(gap)) / s2**2
+            dd = -0.5 * w / s2
     elif penalty == "diag":
-        pen = 0.5 * float(np.sum(np.log1p(gap / s2)))
+        sums.total += float(np.sum(np.log1p(gap / s2)))
         if gradient:
-            dd, g_s2 = -0.5 * w / (s2 + gap), 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
-    elif penalty == "spherical":
-        mean_gap = float(np.mean(gap))
-        pen = 0.5 * n * float(np.log1p(mean_gap / s2))
-        if gradient:
-            dd = -0.5 * w / (s2 + mean_gap)
-            g_s2 = 0.5 * w * n * mean_gap / (s2 * (s2 + mean_gap))
+            dd = -0.5 * w / (s2 + gap)
+            sums.g_s2 += 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
     elif penalty == "shared":
-        if gradient:  # the adjoint reads each K_bb again
-            stacks = list(stacks)
-        lb, avg, num_blocks = _shared_factor(prep, stacks)
-        pen, jit = 0.5 * num_blocks * lb.logdet(), lb.jitter_used
-        if gradient:
-            cinv = lb.solve(np.eye(lb.size))
-            g_s2 = 0.5 * w * num_blocks * float(np.sum(cinv * avg)) / s2**2
-            for ix, kbb, _ in stacks:
-                pull(ix, kbb, np.repeat(((-0.5 * w / s2) * cinv)[None], ix.shape[0], axis=0))
+        for ix, _, gaps in stacks:
+            if sums.blocks and ix.shape[1] != sums.total.shape[0]:
+                raise ValueError("SharedBlock requires equal block sizes")
+            sums.total = sums.total + gaps.sum(axis=0)
+            sums.blocks += ix.shape[0]
     elif penalty == "logdet":
-        pen = 0.0
         for ix, kbb, gaps, lower, jitter in stacks:
-            pen += 0.5 * stack_logdet(lower)
-            jit = max(jit, float(jitter.max()))
+            sums.total += 0.5 * stack_logdet(lower)
+            sums.jit = max(sums.jit, float(jitter.max()))
             if gradient:
                 cinv = stack_inverse(lower)
-                g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
+                sums.g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
                 pull(ix, kbb, (-0.5 * w / s2) * cinv)
-    else:  # "pep": log det(I + a m D_bb / sigma2) read off R_b's factor
-        logdet, c = 0.0, _pep_log_det_weight(alpha)
+    else:  # "pep"
+        alpha, m, c = sums.alpha, sums.m, _pep_log_det_weight(sums.alpha)
         for ix, kbb, gaps, lower, jitter in stacks:
             logdet_s = stack_logdet(lower)
-            logdet += logdet_s
-            jit = max(jit, float(jitter.max()))
+            sums.total += logdet_s
+            sums.jit = max(sums.jit, float(jitter.max()))
             if noise_fit is not None:
                 rinv, r_bar = noise_fit(ix, lower, logdet_s)
             if gradient:
                 r_bar -= (w * c) * rinv
-                g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * ix.size / s2
-                g_m += alpha * float(np.sum(r_bar * gaps))
+                sums.g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * ix.size / s2
+                sums.g_m += alpha * float(np.sum(r_bar * gaps))
                 pull(ix, kbb, (alpha * m) * r_bar)
-        n_total = n if n_total is None else n_total
-        if gradient:  # of the whole-data terms
-            g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
-        return (*_pep_penalty(logdet, n, s2, alpha, m, n_total), jit, None, g_s2, g_m)
-    return pen, 0.0, jit, dd, g_s2, g_m
+    return dd
 
 
 def _pep_log_det_weight(alpha: float) -> float:
@@ -600,9 +768,9 @@ def vi_uncollapsed(
     is sigma2 I, or for "pep" (alpha, m) power EP's alpha m D_bb +
     sigma2 I, whose whole-data terms are then the only nonzero whole.
     """
-    _check_penalty(penalty, alpha)
-    prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
-    est, reg, jit = _estimate(prep, q, stacks, penalty, 1.0, alpha, m)
+    _check_penalty(penalty, alpha, m)
+    prep, chunks = _prepared(x, y, state, penalty, partition)
+    est, reg, jit = _estimate(prep, q, chunks, penalty, 1.0, alpha, m)
     return BoundBreakdown(est.value, est.value - reg, reg, max(prep.luu.jitter_used, jit))
 
 
@@ -650,7 +818,8 @@ def block_estimate(
     estimators of vi_uncollapsed: E_b = E_q[log N(y_b; A_b u, sigma2 I)]
     and whole = 0.  "pep" gives tpep_uncollapsed's, with noise
     R_b = alpha m D_bb + sigma2 I in E_b, and penalty_b and whole of
-    _pep_penalty.  Each penalty_b is _gap_penalty's.
+    _pep_penalty.  Each penalty_b is _gap_penalty's.  alpha and m_scale
+    are "pep"'s alone: with another penalty either raises.
 
     Only Kuu, K_ub and K_bb are built (a PreparedBound on the block's
     points alone), so a call costs O(N_b M^2 + M^3 + N_b^3) whatever N
@@ -663,11 +832,9 @@ def block_estimate(
     clamped entry on D's diagonal gets adjoint 0; jitter a factor needed
     is held constant.
     """
+    _check_penalty(penalty, alpha, m_scale)
     if penalty not in _BLOCK_PENALTIES:
         raise ValueError(f"penalty must be one of {_BLOCK_PENALTIES}, got {penalty!r}")
-    pep = penalty == "pep"
-    if pep and (alpha is None or not 0.0 < alpha <= 1.0):
-        raise ValueError(f"the power-EP estimator needs alpha in (0, 1], got {alpha}")
     if not 0 <= block_index < partition.num_blocks:
         raise ValueError(
             f"block_index must lie in [0, {partition.num_blocks}), got {block_index}"
@@ -681,9 +848,9 @@ def block_estimate(
         raise ValueError(f"partition covers {partition.n} points but data has {n}")
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
-    stacks = _penalty_stacks(prep, [np.arange(idx.size)[None]], penalty, alpha, m_scale)
+    block = [np.arange(idx.size)[None]] if penalty in _STACKED_PENALTIES else None
     return _estimate(
-        prep, q, stacks, penalty, float(partition.num_blocks),
+        prep, q, _chunks(prep, block), penalty, float(partition.num_blocks),
         alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
     )[0]
 
@@ -691,138 +858,165 @@ def block_estimate(
 def _estimate(
     prep: PreparedBound,
     q: GaussianQU,
-    stacks: Optional[Iterable[tuple]],
+    chunks: list,
     penalty: str,
     weight: float,
     alpha: Optional[float] = None,
     m: float = 1.0,
     n_total: Optional[int] = None,
     gradient: bool = False,
+    totals: Optional[_PenaltySums] = None,
+    kept: Optional[list] = None,
 ) -> Tuple[BlockEstimate, float, float]:
     """-KL[q || p] + weight * sum_b (E_b - penalty_b) + whole, over prep's points.
 
-    The blocks are those of stacks, _penalty_stacks' for the penalty,
-    into prep's points, which they cover; the diagonal penalties
-    ("trace", "diag", "spherical") need none.  E_b is block_estimate's
-    fit term; the penalty and whole (power EP's whole-data terms over
-    n_total points, default prep's) are _gap_penalty's, which reads the
-    stacks, a stack at a time as they come, and hands each stack's gap
-    adjoint to pull here.  "shared" and "spherical" couple every block.
-    The pass factors no stack itself.  The adjoints reach K_bb by one
-    stacked kernel_matrix_adjoint a stack, and Kuf and Kuu by one
-    kernel_matrix_adjoint each.  Returns the estimate, its regularizer
-    whole - weight * sum_b penalty_b and the largest jitter a gap factor
-    needed.
+    The pass: one chunk of _chunks at a time (prep.points), with the
+    chunk's stacks of blocks for the penalties that read blocks; the
+    diagonal penalties ("trace", "diag", "spherical") need none.  E_b is
+    block_estimate's fit term; the penalty and whole (power EP's
+    whole-data terms over n_total points, default prep's) are
+    _gap_penalty's, which reads a chunk's stacks as they come and hands
+    each stack's gap adjoint to pull here.  kept is _fit's: the first
+    chunk and the stacks an earlier pass built, which this one reads in
+    place of building them again (and frees as it goes); a coupled
+    penalty's gradient reads totals, the finished sums of an earlier
+    pass.  The pass factors no stack itself.  Each chunk's adjoints reach its K_bb by one stacked
+    kernel_matrix_adjoint a stack and its K_uc by one
+    kernel_matrix_adjoint, and add into M x M and M-sized sums; Kuu's
+    adjoint comes once, after the pass.  Returns the estimate, its
+    regularizer whole - weight * sum_b penalty_b and the largest jitter a
+    gap factor needed.
     """
     s2, n, w = prep.sigma2, prep.n, float(weight)
-    kern = prep.state.kernel
+    kern, z = prep.state.kernel, prep.state.inducing
+    pep = penalty == "pep"
     kl, half, w_mean = _kl_terms(prep.luu, q)
-    resid = prep.y - prep.v.T @ w_mean
-    h = prep.v.T @ half  # A L_q, A = Kfu Kuu^-1
-    # Adjoints: of sigma2, of D's diagonal (dd), and A^T Q_bar with Q_bar
-    # the adjoint of Q = Kfu Kuu^-1 Kuf, which D = Kff - Q passes on.
-    g_s2 = 0.0
-    dd = np.zeros(n)
-    # rho = R^-1 r and g = R^-1 A L_q with the noise R, blkdiag(R_b) or
-    # sigma2 I; g overwrites h, a block at a time, to hold one N x M array.
-    g = h
-    noise_fit = None
-    if penalty == "pep":
-        rho = np.empty(n)
-        e = -0.5 * n * _LOG_2PI
-
-        def noise_fit(ix, lower, logdet):
-            """E_b on a stack of block noise R_b: rho, g and E there, and
-            R_b^-1 with, in a gradient pass, E's adjoint on R_b."""
-            nonlocal e
-            rinv = stack_inverse(lower)
-            rho_s = (rinv @ resid[ix][..., None])[..., 0]
-            g_s = rinv @ h[ix]
-            e -= 0.5 * (logdet + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s)))
-            rho[ix], g[ix] = rho_s, g_s
-            if not gradient:
-                return rinv, None
-            outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
-            return rinv, (0.5 * w) * (outer - rinv)
-    else:
-        fit_sq = float(resid @ resid) + float(np.vdot(h, h))
-        e = -0.5 * (n * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
-        g_s2 = 0.5 * w * (fit_sq / s2 - n) / s2
-        rho = resid / s2
-        g /= s2
+    sums = _PenaltySums(penalty, alpha, m) if totals is None else totals
+    e = -0.5 * n * _LOG_2PI if pep else 0.0
+    fit_sq = 0.0
     if gradient:
-        at = prep.projector_t()
-        at_q = np.zeros(at.shape)
-        kbb_ell, kbb_s2 = np.zeros(kern.input_dim), 0.0
+        with np.errstate(over="raise", invalid="raise"):
+            p_mean = prep.luu.half_solve_t(w_mean)  # Kuu^-1 q.mean
+            p_lq = prep.luu.half_solve_t(half)  # Kuu^-1 L_q
+        # Sums of the chunks' adjoints: A^T Q_bar A with Q_bar the adjoint
+        # of Q = Kfu Kuu^-1 Kuf, which D = Kff - Q passes on, A^T rho and
+        # A^T g, D's diagonal's, and the kernel parameters' and inducing
+        # inputs' through K_uc and K_bb.
+        aqa, at_rho, at_g = np.zeros((q.dim, q.dim)), np.zeros(q.dim), np.zeros((q.dim, q.dim))
+        sum_dd, e_ell, e_ls2, e_z = 0.0, np.zeros(kern.input_dim), 0.0, np.zeros(z.shape)
 
-    def pull(ix, kbb, d_bar):
-        """Pass a stack's gap adjoints d_bar on to dd, A^T Q_bar and K_bb."""
-        nonlocal kbb_ell, kbb_s2
-        diag = np.arange(ix.shape[1])
-        dd[ix] = d_bar[:, diag, diag] * ~prep.clamped[ix]
-        q_bar = -d_bar
-        q_bar[:, diag, diag] = -dd[ix]
-        at_q[:, ix] = np.moveaxis(np.moveaxis(at[:, ix], 0, -2) @ q_bar, -2, 0)
-        d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
-        xs = prep.x[ix]
-        e_ell, e_s2, _, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
-        kbb_ell, kbb_s2 = kbb_ell + e_ell, kbb_s2 + e_s2
+    for k, piece in enumerate(chunks):
+        opened, stacks = (None, None) if kept is None else kept[k]
+        if kept is not None:
+            kept[k] = None  # freed with its chunk
+        chunk, groups = opened or _open(prep, piece)
+        v = chunk.v
+        resid = chunk.y - v.T @ w_mean
+        h = v.T @ half  # A L_q, A = Kfu Kuu^-1
+        # rho = R^-1 r and g = R^-1 A L_q with the noise R, blkdiag(R_b) or
+        # sigma2 I; g overwrites h, a block at a time.
+        g = h
+        noise_fit = pull = None
+        if pep:
+            rho = np.empty(chunk.n)
 
-    pen, whole, jit, d_diag, pen_s2, g_m = _gap_penalty(
-        prep, stacks, penalty, w, pull if gradient else None, alpha, m, n_total, noise_fit
-    )
+            def noise_fit(ix, lower, logdet):
+                """E_b on a stack of block noise R_b: rho, g and E there, and
+                R_b^-1 with, in a gradient pass, E's adjoint on R_b."""
+                nonlocal e
+                rinv = stack_inverse(lower)
+                rho_s = (rinv @ resid[ix][..., None])[..., 0]
+                g_s = rinv @ h[ix]
+                e -= 0.5 * (logdet + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s)))
+                rho[ix], g[ix] = rho_s, g_s
+                if not gradient:
+                    return rinv, None
+                outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
+                return rinv, (0.5 * w) * (outer - rinv)
+        else:
+            fit_sq += float(resid @ resid) + float(np.vdot(h, h))
+            rho = resid / s2
+            g /= s2
+        if gradient:
+            at = chunk.luu.half_solve_t(v)  # A^T on the chunk
+            at_q = np.zeros(at.shape)  # A^T Q_bar
+            dd = np.zeros(chunk.n)  # D's diagonal's adjoint
+
+            def pull(ix, kbb, d_bar):
+                """Pass a stack's gap adjoints d_bar on to dd, A^T Q_bar and K_bb."""
+                nonlocal e_ell, e_ls2
+                diag = np.arange(ix.shape[1])
+                dd[ix] = d_bar[:, diag, diag] * ~chunk.clamped[ix]
+                q_bar = -d_bar
+                q_bar[:, diag, diag] = -dd[ix]
+                at_q[:, ix] = np.moveaxis(np.moveaxis(at[:, ix], 0, -2) @ q_bar, -2, 0)
+                d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
+                xs = chunk.x[ix]
+                k_ell, k_s2, _, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
+                e_ell, e_ls2 = e_ell + k_ell, e_ls2 + k_s2
+
+        if stacks is None:
+            stacks = _penalty_stacks(chunk, groups, penalty, alpha, m)
+        d_diag = _gap_penalty(chunk, stacks, sums, w, pull, noise_fit)
+        if not gradient:
+            continue
+        # A finite value can still have adjoints past the float range (Kuu^-1
+        # L_q at a huge q(u) factor, say); that is a FloatingPointError here,
+        # not a warning and an infinite gradient.
+        with np.errstate(over="raise", invalid="raise"):
+            if d_diag is not None:  # a diagonal penalty, which pulled no stack
+                dd[:] = d_diag
+                dd[chunk.clamped] = 0.0
+                np.multiply(at, -dd, out=at_q)
+            sum_dd += float(np.sum(dd))
+            aqa += at_q @ at.T
+            at_rho += at @ rho
+            at_g += at @ g
+            del at
+            # K_uc's adjoint, 2 A^T Q_bar + Kuu^-1 A_bar^T with A_bar^T = w
+            # (q.mean rho^T - L_q g^T), built in A^T Q_bar's array
+            g_uc = at_q
+            g_uc *= 2.0
+            g_uc += (w * p_mean)[:, None] * rho
+            g_uc -= (w * p_lq) @ g.T
+            k_ell, k_s2, k_z, _ = kernel_matrix_adjoint(z, chunk.x, kern, chunk.kuf, g_uc)
+            e_ell, e_ls2, e_z = e_ell + k_ell, e_ls2 + k_s2, e_z + k_z
+
+    pen, whole = sums.finish(s2, w, gradient, n_total) if totals is None else totals.finished
+    if not pep:
+        e = -0.5 * (n * (_LOG_2PI + np.log(s2)) + fit_sq / s2)
     value = -kl + w * (e - pen) + whole
     reg = whole - w * pen
     if not gradient:
-        return BlockEstimate(value=value), reg, jit
-    if not np.isfinite(value):  # its adjoints would overflow on the way
+        return BlockEstimate(value=value), reg, sums.jit
+    if not np.isfinite(value):  # its adjoints are past the float range too
         raise FloatingPointError(f"objective is {value}, so it has no gradient")
 
-    # A finite value can still have adjoints past the float range (Kuu^-1 L_q
-    # at a huge q(u) factor, say); that is a FloatingPointError here, not a
-    # warning and an infinite gradient.
     with np.errstate(over="raise", invalid="raise"):
-        if d_diag is not None:  # a diagonal penalty, which pulled no stack
-            dd[:] = d_diag
-            dd[prep.clamped] = 0.0
-            np.multiply(at, -dd, out=at_q)
+        g_s2 = sums.g_s2 if pep else sums.g_s2 + 0.5 * w * (fit_sq / s2 - n) / s2
         # KL term: adjoints of Kuu, the q(u) mean and its factor; the data
         # term adds those of A^T, w (q.mean rho^T - L_q g^T), and of the
-        # q(u) mean and factor.
+        # q(u) mean and factor.  Q and A = Kfu Kuu^-1 pass theirs on to Kuu.
         luu, lq = prep.luu, q.cov_chol.lower
-        p_mean = luu.half_solve_t(w_mean)  # Kuu^-1 q.mean
-        p_lq = luu.half_solve_t(half)  # Kuu^-1 L_q
         g_uu = 0.5 * (p_lq @ p_lq.T + np.outer(p_mean, p_mean) - luu.solve(np.eye(q.dim)))
-        at_rho, at_g = at @ rho, at @ g
+        g_uu -= aqa + w * (np.outer(at_rho, p_mean) - at_g @ p_lq.T)
+        g_uu = 0.5 * (g_uu + g_uu.T)
         d_mean = w * at_rho - p_mean
         d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
-        # Q and A = Kfu Kuu^-1 pass their adjoints on to Kuu and Kuf.  Kuf's,
-        # 2 A^T Q_bar + Kuu^-1 A_bar^T, is built in A^T Q_bar's array, and the
-        # other M x N arrays are freed as soon as they are spent.
-        g_uu -= at_q @ at.T + w * (np.outer(at_rho, p_mean) - at_g @ p_lq.T)
-        g_uu = 0.5 * (g_uu + g_uu.T)
-        del at
-        g_uf = at_q
-        g_uf *= 2.0
-        g_uf += (w * p_mean)[:, None] * rho
-        g_uf -= (w * p_lq) @ g.T
-        del g, h
-        z = prep.state.inducing
         d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
-        e_ell, e_ls2, e_z, _ = kernel_matrix_adjoint(z, prep.x, kern, prep.kuf, g_uf)
         # K's diagonal, the signal variance, is D's diagonal's other part
-        d_ls2 += e_ls2 + kbb_s2 + kern.signal_variance * float(np.sum(dd))
+        d_ls2 += e_ls2 + kern.signal_variance * sum_dd
         est = BlockEstimate(
             value=value,
-            d_log_lengthscales=d_ell + e_ell + kbb_ell,
+            d_log_lengthscales=d_ell + e_ell,
             d_log_signal_variance=d_ls2,
-            d_log_noise_variance=s2 * (g_s2 + pen_s2),
+            d_log_noise_variance=s2 * g_s2,
             d_inducing=d_z1 + d_z2 + e_z,
-            d_log_m_scale=m * g_m,
+            d_log_m_scale=m * sums.g_m,
             d_mean=d_mean,
             d_lower=np.tril(d_lower),
         )
-    return est, reg, jit
+    return est, reg, sums.jit
 
 
 def vi_stochastic(
@@ -872,6 +1066,6 @@ def _qu_gradient(x, y, state, partition, q, block_index, penalty="trace", alpha=
     if block_index is not None:
         est = block_estimate(x, y, state, partition, q, block_index, penalty, alpha, m, True)
     else:
-        prep, stacks = _prepared(x, y, state, penalty, partition, alpha, m)
-        est = _estimate(prep, q, stacks, penalty, 1.0, alpha, m, gradient=True)[0]
+        prep, chunks = _prepared(x, y, state, penalty, partition)
+        est = _estimate(prep, q, chunks, penalty, 1.0, alpha, m, gradient=True)[0]
     return est.d_mean, est.d_lower

@@ -7,7 +7,8 @@ log-density of a Gaussian whose covariance is "low rank plus block noise",
     N(y; 0, Kfu Kuu^-1 Kuf + blkdiag(R_1, ..., R_B)),
 
 evaluated through the matrix inversion and determinant lemmas so the
-N x N covariance is never formed.  The noise comes as sigma2 I or as the
+N x N covariance is never formed, from M x M and M-sized sums that
+take the points a chunk at a time.  The noise comes as sigma2 I or as the
 factors of its blocks, a (B_s, n_s, n_s) stack of equal-size blocks at a
 time, as chol_stack gives them; the objectives factor each block once
 and hand the same factors on.  Cost is O(N M^2 + sum_b Nb^3 + M^3).
@@ -28,7 +29,7 @@ factorization is ever made of a triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -213,104 +214,159 @@ BATCHED_INVERSE_MAX = 64
 
 
 def stack_inverse(lower: np.ndarray) -> np.ndarray:
-    """(L_b L_b^T)^-1 for a (B, n, n) stack of lower factors, symmetric."""
+    """(L_b L_b^T)^-1 for a (B, n, n) stack of lower factors (zero above
+    the diagonal, as chol_stack gives them), symmetric."""
     if lower.shape[-1] <= BATCHED_INVERSE_MAX:
         eye = np.broadcast_to(np.eye(lower.shape[-1]), lower.shape)
         inv_l = stack_half_solve(lower, eye)
         return np.swapaxes(inv_l, -1, -2) @ inv_l
     out = np.empty(lower.shape)
+    diag = np.arange(lower.shape[-1])
     for b, low in enumerate(lower):
         inv, info = lapack.dpotri(low, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"potri failed on block {b} (info {info})")
-        inv = np.tril(inv)
-        out[b] = inv + np.tril(inv, -1).T
+        # potri fills the lower triangle and leaves L's zero upper one, so
+        # inv + inv^T is the inverse but for its doubled diagonal
+        np.add(inv, inv.T, out=out[b])
+        out[b, diag, diag] = inv[diag, diag]
     return out
 
 
 class LowRankGaussian:
-    """N(0, Q + R) with the low-rank part Q = Kfu Kuu^-1 Kuf.
+    """N(0, Q + R) with the low-rank part Q = Kfu Kuu^-1 Kuf, through sums.
 
-    Built from the Cholesky factor Lu of Kuu and the whitened cross
-    term V = Lu^-1 Kuf, so Q = V^T V, and from the noise R: sigma2 I, or
-    blkdiag(R_b) given by its factors.  ``stacks`` then holds
-    (ix, lower, jitter) for each (B_s, n_s) index stack ix of equal-size
-    blocks, with the (B_s, n_s, n_s) lower factors L_b of the R_b and the
-    jitters they needed, as chol_stack returns them; the stacks cover
-    each of the N indices once.  The core quantities are
-    W = blkdiag(L_b)^-1 V^T, whose block rows are the projected blocks
-    U_b^T = L_b^-1 V_b^T (stack_half_solve, O(n_s^2 M) a block of n_s
-    points), and the capacitance B = I + W^T W:
+    Built from the Cholesky factor Lu of Kuu and from the noise R: sigma2 I,
+    or blkdiag(R_b) given by its factors.  add takes the whitened cross
+    term V = Lu^-1 Kuf (so Q = V^T V) a chunk of columns at a time, with
+    the chunk's targets y and, for block noise, ``stacks``: (ix, lower,
+    jitter) for each (B_s, n_s) stack ix of equal-size blocks into the
+    chunk's columns, with the (B_s, n_s, n_s) lower factors L_b of the R_b
+    and the jitters they needed, as chol_stack returns them, covering each
+    column once.  Each chunk is projected, W_c = blkdiag(L_b)^-1 V_c^T and
+    t_c = blkdiag(L_b)^-1 y_c (stack_half_solve, O(n_s^2 M) a block of n_s
+    points), into the only sums held, each M x M or M-sized: the
+    capacitance B = I + sum_c W_c^T W_c, c = sum_c W_c^T t_c, |t|^2 and
+    sum_b log det R_b.  There is no N x M W:
 
         log det(Q + R) = log det B + sum_b log det R_b
-        y^T (Q + R)^-1 y = |t|^2 - |L_B^-1 c|^2,
-        t = blkdiag(L_b)^-1 y,  c = W^T t.
+        y^T (Q + R)^-1 y = |t|^2 - |L_B^-1 c|^2.
 
+    With v None the Gaussian starts empty, for add.  The constructor's v,
+    all N columns of V with their noise stacks, is the one-chunk case: its
+    y is given to logpdf and posterior, which add that chunk again at y.
     ``posterior`` returns mean and covariance of p(u) N(y; A u, R)
-    renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T, m = Lu B^-1 c.
-    ``logdet_noise`` is sum_b log det R_b, from the factors L_b, and
-    ``jitter_used`` the largest jitter Lu, an L_b or B's factor needed.
+    renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T,
+    m = Lu B^-1 c.  ``logdet_noise`` is sum_b log det R_b, from the factors
+    L_b, and ``jitter_used`` the largest jitter Lu, an L_b or B's factor
+    needed.
     """
 
     def __init__(
-        self, kuu_chol: CholeskyFactor, v: np.ndarray, sigma2: float, stacks: Iterable = ()
+        self, kuu_chol: CholeskyFactor, v: Optional[np.ndarray], sigma2: float,
+        stacks: Iterable = (),
     ):
-        m, n = v.shape
-        if kuu_chol.size != m:
-            raise ValueError("Kuu factor and V disagree on the number of inducing points")
         if sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
         self._lu = kuu_chol
-        self._n = n
         self._sigma2 = sigma2
-        self._stacks = []  # (index stack (B_s, n_s), lower factors (B_s, n_s, n_s))
-        self.logdet_noise = 0.0
-        jitter_used = 0.0
-        for ix, lower, jitter in stacks:
-            self._stacks.append((ix, lower))
-            self.logdet_noise += stack_logdet(lower)
-            jitter_used = max(jitter_used, float(np.max(jitter)))
-        if not self._stacks:
-            self.logdet_noise = n * np.log(sigma2)
+        self._held = None
+        self._clear()
+        if v is not None:  # the one-chunk case, at y = 0 until logpdf or posterior
+            v = np.asarray(v, dtype=float)
+            self._held = (v, list(stacks))
+            self.add(v, np.zeros(v.shape[1]), self._held[1])
+
+    def _clear(self):
+        m = self._lu.size
+        self._gram = np.zeros((m + 1, m + 1))  # sum_c [W_c t_c]^T [W_c t_c]
+        self._n = self._n_iid = 0
+        self._logdet_stacks = 0.0
+        self._noise_jitter = 0.0
+        self._bchol = None
+
+    def add(self, v: np.ndarray, y: np.ndarray, stacks: Iterable = ()):
+        """Add one chunk: v (M, c), the chunk's columns of V, their targets
+        y (c,) and, for block noise, the chunk's stacks."""
+        m, n = v.shape
+        if self._lu.size != m:
+            raise ValueError("Kuu factor and V disagree on the number of inducing points")
+        stacks = list(stacks)
+        rhs = np.empty((n, m + 1))
+        rhs[:, :m] = v.T
+        rhs[:, m] = y
+        if not stacks:
+            self._n_iid += n
         else:
-            covered = np.concatenate([ix.ravel() for ix, _ in self._stacks])
+            covered = np.concatenate([ix.ravel() for ix, _, _ in stacks])
             if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
                 raise ValueError("noise stacks must cover each of the N indices once")
-        self._w = self._noise_half_solve(v.T)
-        self._bchol = chol(np.eye(m) + self._w.T @ self._w)
-        self.jitter_used = max(kuu_chol.jitter_used, jitter_used, self._bchol.jitter_used)
+            for _, lower, jitter in stacks:
+                self._logdet_stacks += stack_logdet(lower)
+                self._noise_jitter = max(self._noise_jitter, float(np.max(jitter)))
+        w = self._noise_half_solve(rhs, stacks)
+        self._gram += w.T @ w
+        self._n += n
+        self._bchol = None
 
-    def _noise_half_solve(self, b: np.ndarray) -> np.ndarray:
-        """blkdiag(L_b)^-1 b for b of shape (N, k), one stack_half_solve a stack."""
-        if not self._stacks:
+    def _noise_half_solve(self, b: np.ndarray, stacks=None) -> np.ndarray:
+        """blkdiag(L_b)^-1 b for b of shape (c, k), one stack_half_solve a
+        stack; the stacks are the one-chunk case's unless given."""
+        if stacks is None:
+            stacks = self._held[1]
+        if not stacks:
             return b / np.sqrt(self._sigma2)
         out = np.empty(b.shape)
-        for ix, lower in self._stacks:
+        for ix, lower, _ in stacks:
             out[ix] = stack_half_solve(lower, b[ix])
         return out
 
-    def _whiten_y(self, y: np.ndarray):
-        """t = blkdiag(L_b)^-1 y and the projected vector c = W^T t."""
-        t = self._noise_half_solve(y[:, None])[:, 0]
-        return t, self._w.T @ t
+    @property
+    def logdet_noise(self) -> float:
+        return self._logdet_stacks + self._n_iid * np.log(self._sigma2)
 
-    def logpdf(self, y: np.ndarray) -> float:
+    @property
+    def jitter_used(self) -> float:
+        return max(self._lu.jitter_used, self._noise_jitter, self._factor().jitter_used)
+
+    def _factor(self) -> CholeskyFactor:
+        """The factor of the capacitance B = I + sum_c W_c^T W_c."""
+        if self._bchol is None:
+            m = self._lu.size
+            self._bchol = chol(np.eye(m) + self._gram[:m, :m])
+        return self._bchol
+
+    def _at(self, y):
+        """Redo the one-chunk case's sums at y, when y is given."""
+        if y is None:
+            return
+        if self._held is None:
+            raise ValueError("a Gaussian built a chunk at a time took its y in add")
+        v, stacks = self._held
         y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != self._n:
-            raise ValueError(f"y has length {y.shape[0]}, expected {self._n}")
-        t, c = self._whiten_y(y)
-        w = self._bchol.half_solve(c)
-        quad = float(t @ t) - float(w @ w)
-        ld = self.logdet_noise + self._bchol.logdet()
+        if y.shape[0] != v.shape[1]:
+            raise ValueError(f"y has length {y.shape[0]}, expected {v.shape[1]}")
+        self._clear()
+        self.add(v, y, stacks)
+
+    def _whitened_c(self) -> np.ndarray:
+        """L_B^-1 c."""
+        m = self._lu.size
+        return self._factor().half_solve(self._gram[:m, m])
+
+    def logpdf(self, y: Optional[np.ndarray] = None) -> float:
+        self._at(y)
+        m = self._lu.size
+        w = self._whitened_c()
+        quad = float(self._gram[m, m]) - float(w @ w)
+        ld = self.logdet_noise + self._factor().logdet()
         return -0.5 * (self._n * np.log(2.0 * np.pi) + ld + quad)
 
-    def posterior(self, y: np.ndarray):
+    def posterior(self, y: Optional[np.ndarray] = None):
         """Mean and Cholesky factor of the u-posterior under this likelihood."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        _, c = self._whiten_y(y)
-        w = self._bchol.half_solve(c)
-        f = self._bchol.half_solve(self._lu.lower.T)
+        self._at(y)
+        w = self._whitened_c()
+        f = self._factor().half_solve(self._lu.lower.T)
         mean = f.T @ w
         cov = f.T @ f
         return mean, chol(cov)
-

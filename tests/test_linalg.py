@@ -249,6 +249,17 @@ def test_stack_inverse_matches_numpy_on_both_paths(n):
     assert_allclose(inv, np.swapaxes(inv, 1, 2), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("blocks,n", [(1, 200), (4, BATCHED_INVERSE_MAX + 1)])
+def test_potri_inverses_are_symmetric_to_the_bit(blocks, n):
+    # past BATCHED_INVERSE_MAX each block's potri triangle is mirrored in
+    # one pass, which must leave no rounding-level asymmetry
+    rng = np.random.default_rng(13 + n)
+    a = np.stack([_random_spd(rng, n) for _ in range(blocks)])
+    inv = stack_inverse(np.linalg.cholesky(a))
+    assert np.array_equal(inv, np.swapaxes(inv, 1, 2))
+    assert_allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+
+
 def _per_block_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([solve_triangular(low, rhs, lower=True) for low, rhs in zip(lower, b)])
 

@@ -125,6 +125,31 @@ def test_tpep_gradients_away_from_unit_scale(alpha, m):
     _assert_gradients_match(x, y, _with_scale(state, "T-PEP", m), part, q, spec)
 
 
+def test_variational_penalties_reject_alpha_and_a_gap_scale():
+    # alpha and the gap scale m are power EP's alone: a variational
+    # penalty given either raises instead of ignoring it
+    rng = np.random.default_rng(24)
+    x, y, state = small_instance(rng)
+    part = make_partition(y.shape[0], 3)
+    q = random_qu(rng, state.num_inducing)
+    for penalty in ("trace", "diag", "logdet"):
+        with pytest.raises(ValueError, match="penalty must be one of"):
+            bounds_vi.block_estimate(x, y, state, part, q, 0, penalty, alpha=0.5)
+        with pytest.raises(ValueError, match="gap scale m other than 1"):
+            bounds_vi.block_estimate(x, y, state, part, q, 0, penalty, m_scale=7.0)
+        with pytest.raises(ValueError, match="gap scale m other than 1"):
+            bounds_vi.vi_collapsed(x, y, state, penalty, part, m=7.0)
+        with pytest.raises(ValueError, match="gap scale m other than 1"):
+            vi_uncollapsed(x, y, state, part, q, penalty, m=7.0)
+        # at m = 1 it is vi_stochastic's estimator, bit for bit
+        one = bounds_vi.block_estimate(x, y, state, part, q, 0, penalty, m_scale=1.0)
+        assert one.value == vi_stochastic(x, y, state, part, q, 0, penalty)
+    # power EP's block noise reads both
+    pep = [bounds_vi.block_estimate(x, y, state, part, q, 0, "pep", alpha=0.5, m_scale=m).value
+           for m in (1.0, 7.0)]
+    assert pep[0] != pep[1]
+
+
 def test_block_estimate_rejects_bad_penalties_and_alpha():
     rng = np.random.default_rng(23)
     x, y, state = small_instance(rng)

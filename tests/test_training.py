@@ -29,8 +29,8 @@ from blockgp.bounds_vi import (
     vi_stochastic,
 )
 from blockgp import training
-from blockgp.linalg import NotPositiveDefiniteError, chol
-from blockgp.kernels import kernel_matrix
+from blockgp.linalg import CholeskyFactor, NotPositiveDefiniteError, chol
+from blockgp.kernels import NoiseParam, kernel_matrix
 from blockgp.model import METHODS, BoundSpec, GaussianQU, Partition, make_partition
 from blockgp.training import (
     Diverged,
@@ -611,6 +611,60 @@ def test_fit_stochastic_names_an_overflowing_second_moment(monkeypatch):
                       learning_rate=100.0, gradient_mode="analytic")
     with pytest.raises(EvaluationFailed, match="second moment"):
         fit_stochastic(x, y, state, part, cfg)
+
+
+@pytest.mark.parametrize("method", ["T-SGPR", "PEP"])
+def test_fit_stochastic_names_an_overflowing_second_moment_directly(method, monkeypatch):
+    # the guard the diverging runs above reach, driven without their
+    # path: a block gradient with an entry of 1e160 stops the run there
+    x, y, state = small_instance(np.random.default_rng(0))
+    part = make_partition(y.shape[0], 3, seed=0)
+    estimate = training.stochastic_estimate
+
+    def huge(*args, **kwargs):
+        return dataclasses.replace(estimate(*args, **kwargs), d_log_signal_variance=1e160)
+
+    monkeypatch.setattr(training, "stochastic_estimate", huge)
+    cfg = TrainConfig(objective=_stochastic_spec(method, 3), optimizer="adam", epochs=3,
+                      learning_rate=1e-3, gradient_mode="analytic")
+    with pytest.raises(EvaluationFailed, match="second moment"):
+        fit_stochastic(x, y, state, part, cfg)
+
+
+def test_overflowing_adjoints_at_a_finite_estimate_are_evaluation_failed():
+    # with two inducing points 1e-3 apart Kuu^-1 L_q overflows at L_q =
+    # 1e148 I where the estimate itself is still finite: the adjoints'
+    # guard raises, and a run started there names it
+    x, y, state = small_instance(np.random.default_rng(3))
+    z = state.inducing.copy()
+    z[1] = z[0] + 1e-3
+    state = state.with_(inducing=z)
+    part = make_partition(y.shape[0], 3, seed=0)
+    q = GaussianQU(mean=np.zeros(state.num_inducing),
+                   cov_chol=CholeskyFactor(1e148 * np.eye(state.num_inducing)))
+    spec = BoundSpec(method="SGPR")
+    assert np.isfinite(stochastic_estimate(x, y, state, part, q, 0, spec).value)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        stochastic_estimate(x, y, state, part, q, 0, spec, gradient=True)
+    cfg = TrainConfig(objective=spec, optimizer="adam", epochs=1, gradient_mode="analytic")
+    with pytest.raises(EvaluationFailed, match="overflow"):
+        fit_stochastic(x, y, state, part, cfg, q=q)
+
+
+def test_a_python_float_overflow_at_a_huge_noise_is_evaluation_failed():
+    # at sigma2 = 1e156 the trace penalty's sigma2 adjoint squares sigma2,
+    # a Python float, which raises OverflowError; the estimate is finite
+    x, y, state = small_instance(np.random.default_rng(1))
+    state = state.with_(noise=NoiseParam(log_noise_variance=float(np.log(1e156))))
+    part = make_partition(y.shape[0], 3, seed=0)
+    spec = BoundSpec(method="SGPR")
+    q = _prior_qu(state)
+    assert np.isfinite(stochastic_estimate(x, y, state, part, q, 0, spec).value)
+    with pytest.raises(OverflowError):
+        stochastic_estimate(x, y, state, part, q, 0, spec, gradient=True)
+    cfg = TrainConfig(objective=spec, optimizer="adam", epochs=1, gradient_mode="analytic")
+    with pytest.raises(EvaluationFailed, match="out of range"):
+        fit_stochastic(x, y, state, part, cfg, q=q)
 
 
 def test_a_diverging_bt_sgpr_run_is_evaluation_failed():
