@@ -231,12 +231,11 @@ def general_pep_oracle(
     c = droot @ mfull @ droot
     c = 0.5 * (c + c.T)
 
-    factors = []  # (ix, lower, jitter) of each block's noise, one block a stack
-    for idx in partition.blocks:
+    gauss = LowRankGaussian(prep.luu, prep.sigma2)
+    for idx in partition.blocks:  # each block a chunk, its noise one stack
         lr = chol(prep.sigma2 * np.eye(idx.size) + a * c[np.ix_(idx, idx)])
-        factors.append((idx[None], lr.lower[None], lr.jitter_used))
-    gauss = LowRankGaussian(prep.luu, prep.v, prep.sigma2, factors)
-    fit = gauss.logpdf(prep.y)
+        gauss.add(prep.v[:, idx], prep.y[idx], [(lr.lower[None], lr.jitter_used)])
+    fit = gauss.logpdf()
     jit = gauss.jitter_used
 
     reg = 0.0

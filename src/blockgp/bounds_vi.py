@@ -30,9 +30,11 @@ relative.  A dense oracle over arbitrary PSD scalings C of the full
 conditional covariance backs the optimality claims.
 
 Every value, optimum and gradient reads the data a chunk at a time
-(_chunks): a partition's stacks of equal-size blocks, cut and joined to
-at most CHUNK_ENTRIES // M points, or ranges of points for the penalties
-that read no blocks.  Titsias's (2009) statistics are sums over chunks, as in
+(_chunks), a range of at most CHUNK_ENTRIES // M points.  The bounds that
+read blocks are sums over blocks, so they take the points in the
+partition's block order (Partition.order, put once in _prepared): each
+stack of equal-size blocks is a range, read and written through views.
+Titsias's (2009) statistics are sums over chunks, as in
 Gal, van der Wilk and Rasmussen (2014), so a chunk's K_uc and V_c = Lu^-1
 K_uc are built, added into M x M and M-sized sums and freed.  The first
 pass (_fit) adds each chunk into LowRankGaussian's sums, which give the
@@ -40,10 +42,10 @@ collapsed fit and the optimal q(u), with the penalty's sums for a value;
 a gradient's pass (_estimate) rebuilds each chunk, runs the per-block
 body on it and adds its adjoints into M x M and M-sized sums.  The KL
 term and Kuu's adjoint come once, around the pass.  So an evaluation
-holds O(M^2 + CHUNK_ENTRIES) beyond its inputs whatever N is, with no
-M x N array; power EP's and SharedBlock's gradients also keep each
-stack's K_bb (and power EP's D_bb and factors) from the first pass,
-O(N n_b).
+holds O(M^2 + CHUNK_ENTRIES) beyond its inputs (and the block-ordered
+copy of them, N (D + 1) floats) whatever N is, with no M x N array;
+power EP's and SharedBlock's gradients also keep each stack's K_bb (and
+power EP's D_bb and factors) from the first pass, O(N n_b).
 """
 
 from __future__ import annotations
@@ -118,8 +120,11 @@ class PreparedBound:
     raised or that came out exactly 0).  Over all N points they are the
     dense (M, N) form that the oracles, pep_iterate and verify read; no
     bound does.  Dense D blocks are built on demand, a whole stack of
-    equal-size blocks at a time; the full N x N gap is never built by the
-    bounds themselves.  gap_factors is the one place a gap stack is
+    equal-size blocks at a time: gap_stacks and gap_factors take stack
+    shapes (B_s, n_s), the stacks one after another over these points,
+    each a range of them (block_gap(idx) takes any indices, for the
+    oracles); the full N x N gap is never built by the bounds
+    themselves.  gap_factors is the one place a gap stack is
     factored: the log-det penalty of BT-SGPR and the block noise of power
     EP are both a scaling of D_bb plus a multiple of I, and every value,
     optimum and gradient of theirs reads that one factor.
@@ -141,8 +146,8 @@ class PreparedBound:
         self.luu = chol(self.kuu)
 
     def points(self, idx) -> "PreparedBound":
-        """This state over the points idx (an index array or a slice) alone,
-        sharing Kuu and its factor."""
+        """This state over the points idx (an index array, or a slice for
+        views) alone, sharing Kuu and its factor."""
         chunk = object.__new__(PreparedBound)
         chunk.x, chunk.y, chunk.state = self.x[idx], self.y[idx], self.state
         chunk.kuu, chunk.luu = self.kuu, self.luu
@@ -183,39 +188,46 @@ class PreparedBound:
         raw = self._raw_gap
         return float(max(0.0, -raw.min())) if raw.size else 0.0
 
-    def gap_stacks(self, groups: Sequence[np.ndarray]) -> Iterator[tuple]:
-        """(ix, K_bb, D_bb) for each (B_s, n_s) stack ix of block indices:
-        the (B_s, n_s, n_s) kernel blocks and gap blocks with the clamped
-        diagonal, from one kernel broadcast and one V_b^T V_b product,
-        built as consumed."""
-        for ix in groups:
-            kbb = kernel_stack(self.x[ix], self.state.kernel)
-            vb = np.moveaxis(self.v[:, ix], 0, -2)
-            yield ix, kbb, _gap_block(kbb, vb, self.gap_diag[ix])
+    def gap_stacks(self, shapes: Sequence[Tuple[int, int]]) -> Iterator[tuple]:
+        """(rows, K_bb, D_bb) for each stack shape (B_s, n_s), the stacks one
+        after another over the points: rows, the slice of points that
+        holds the stack's B_s blocks of n_s, and the (B_s, n_s, n_s) kernel
+        blocks and gap blocks with the clamped diagonal, from one kernel
+        broadcast and one V_b^T V_b product on views, built as consumed."""
+        start = 0
+        for b, s in shapes:
+            rows = slice(start, start + b * s)
+            start = rows.stop
+            kbb = kernel_stack(self.x[rows].reshape(b, s, -1), self.state.kernel)
+            vb = np.moveaxis(self.v[:, rows].reshape(-1, b, s), 0, -2)
+            yield rows, kbb, _gap_block(kbb, vb, self.gap_diag[rows].reshape(b, s))
 
     def gap_factors(
-        self, groups: Sequence[np.ndarray], alpha: Optional[float] = None, m: float = 1.0
+        self, shapes: Sequence[Tuple[int, int]], alpha: Optional[float] = None, m: float = 1.0
     ) -> Iterator[tuple]:
-        """(ix, K_bb, D_bb, lower, jitter): gap_stacks' stacks with chol_stack's
+        """(rows, K_bb, D_bb, lower, jitter): gap_stacks' stacks with chol_stack's
         factors and jitters of power EP's block noise R_b = alpha m D_bb +
         sigma2 I, or with no alpha of BT-SGPR's I + D_bb / sigma2 (R_b /
         sigma2 at alpha m = 1; D_bb is divided by sigma2, as the one-block
         references divide it, so the ladder picks the same jitter), built
         and factored as consumed."""
         s2 = self.sigma2
-        for ix, kbb, gaps in self.gap_stacks(groups):
-            eye = np.eye(ix.shape[1])
+        for rows, kbb, gaps in self.gap_stacks(shapes):
+            eye = np.eye(kbb.shape[1])
             # the matrix factored is a temporary, freed before the yield: one
             # more stack held across it made glibc trim and re-fault about
             # 7.5 MB of heap a BT-SGPR gradient on btsgpr-lbfgs
             lower, jitter = chol_stack(
                 gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
             )
-            yield ix, kbb, gaps, lower, jitter
+            yield rows, kbb, gaps, lower, jitter
 
     def block_gap(self, idx: np.ndarray) -> np.ndarray:
-        """Dense conditional-gap block D[idx, idx] with the clamped diagonal."""
-        return next(self.gap_stacks([np.asarray(idx)[None]]))[2][0]
+        """Dense conditional-gap block D[idx, idx] with the clamped diagonal,
+        for any indices idx."""
+        idx = np.asarray(idx)
+        kbb = kernel_stack(self.x[idx][None], self.state.kernel)
+        return _gap_block(kbb, self.v[:, idx][None], self.gap_diag[idx][None])[0]
 
     def projector_t(self) -> np.ndarray:
         """A^T = Kuu^-1 Kuf, shape (M, N); A maps u to the prior mean of f."""
@@ -244,48 +256,35 @@ def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndar
 CHUNK_ENTRIES = 2**15
 
 
-def _chunks(prep: "PreparedBound", groups: Optional[Sequence[np.ndarray]] = None) -> list:
-    """The pass's chunks over prep's points, of at most CHUNK_ENTRIES // M
-    points: with groups, their (B_s, n_s) index stacks in order, cut and
-    joined to that width, each chunk a list of pieces (views of groups);
-    with none, ranges of points, as slices.  _open builds a chunk's
-    points."""
+def _chunks(prep: "PreparedBound", shapes: Optional[Sequence[Tuple[int, int]]] = None) -> list:
+    """The pass's chunks over prep's points, (span, stacks) pairs: span the
+    slice of at most CHUNK_ENTRIES // M points a chunk holds, which
+    prep.points opens as views.  With shapes, the (B_s, n_s) stack shapes
+    of points in block order, the stacks are cut and joined to that
+    width, and a chunk's stacks are the shapes within it, one after
+    another: neighbouring blocks of one size are one stack where it stays
+    within STACK_ENTRIES, and a block wider than a chunk is a chunk alone.
+    With none, the chunks are ranges of points, their stacks None."""
     n, width = prep.n, max(1, CHUNK_ENTRIES // prep.state.num_inducing)
-    if groups is None:
-        return [slice(a, min(a + width, n)) for a in range(0, n, width)]
-    chunks, pieces, size = [], [], 0
-    for ix in groups:
-        s, i = ix.shape[1], 0
-        while i < ix.shape[0]:
-            take = (width - size) // s
-            if not take and pieces:
-                chunks.append(pieces)
-                pieces, size = [], 0
+    if shapes is None:
+        return [(slice(a, min(a + width, n)), None) for a in range(0, n, width)]
+    chunks, stacks, start, size = [], [], 0, 0
+    for b, s in shapes:
+        while b:
+            take = min(b, (width - size) // s)
+            if take <= 0 and stacks:  # the chunk is full
+                chunks.append((slice(start, start + size), stacks))
+                stacks, start, size = [], start + size, 0
                 continue
-            pieces.append(ix[i : i + max(1, take)])
-            size += pieces[-1].size
-            i += pieces[-1].shape[0]
-    return chunks + [pieces] if pieces else chunks
-
-
-def _open(prep: "PreparedBound", chunk) -> tuple:
-    """prep.points over one of _chunks' chunks, and for a list of pieces
-    its stacks of equal-size blocks as index stacks into those points
-    (None for a range): neighbouring pieces of one block size are one
-    stack where it stays within STACK_ENTRIES."""
-    if isinstance(chunk, slice):
-        return prep.points(chunk), None
-    stacks, start = [], 0
-    for p in chunk:
-        s, last = p.shape[1], stacks[-1] if stacks else None
-        if last is not None and last.shape[1] == s and (
-            (last.size + p.size) * s <= model.STACK_ENTRIES
-        ):
-            stacks[-1] = np.arange(last[0, 0], start + p.size).reshape(-1, s)
-        else:
-            stacks.append(np.arange(start, start + p.size).reshape(p.shape))
-        start += p.size
-    return prep.points(np.concatenate([p.ravel() for p in chunk])), stacks
+            take = max(1, take)
+            joined = stacks[-1][0] + take if stacks and stacks[-1][1] == s else None
+            if joined is not None and joined * s * s <= model.STACK_ENTRIES:
+                stacks[-1] = (joined, s)
+            else:
+                stacks.append((take, s))
+            size += take * s
+            b -= take
+    return chunks + [(slice(start, start + size), stacks)] if stacks else chunks
 
 
 def prepare(x: np.ndarray, y: np.ndarray, state: ModelState) -> PreparedBound:
@@ -368,28 +367,28 @@ def _fit(prep: PreparedBound, chunks, alpha=None, m: float = 1.0, penalty=None, 
     I or with alpha power EP's blkdiag(alpha m D_bb + sigma2 I) on
     gap_factors' factors, its sums added a chunk at a time; given a
     penalty, that penalty's sums (_gap_penalty) from the same chunks; and
-    with keep, for a gradient's pass, (the first chunk as _open gives it,
-    or None, the list of stacks built, or None) a chunk, else None.  The
+    with keep, for a gradient's pass, (the first chunk's prep.points, or
+    None, the list of stacks built, or None) a chunk, else None.  The
     first chunk, held while the others pass, is the one that pass opens
     first, so the cross terms of a bound of one chunk are built once."""
-    gauss = LowRankGaussian(prep.luu, None, prep.sigma2)
+    gauss = LowRankGaussian(prep.luu, prep.sigma2)
     sums = _PenaltySums(penalty, alpha, m)
     kept = [] if keep else None
-    for piece in chunks:
-        chunk, groups = _open(prep, piece)
+    for span, shapes in chunks:
+        chunk = prep.points(span)
         if alpha is None:
             gauss.add(chunk.v, chunk.y)
-            stacks = _penalty_stacks(chunk, groups, penalty)
+            stacks = _penalty_stacks(chunk, shapes, penalty)
         else:  # R_b's factors are the fit's noise and the penalty's
-            stacks = chunk.gap_factors(groups, alpha, m)
+            stacks = chunk.gap_factors(shapes, alpha, m)
         if stacks is not None and (keep or alpha is not None):
             stacks = list(stacks)
         if alpha is not None:
-            gauss.add(chunk.v, chunk.y, [(ix, low, jit) for ix, _, _, low, jit in stacks])
+            gauss.add(chunk.v, chunk.y, [(low, jit) for *_, low, jit in stacks])
         if penalty is not None:
             _gap_penalty(chunk, stacks, sums)
         if keep:
-            kept.append((None if kept else (chunk, groups), stacks))
+            kept.append((None if kept else chunk, stacks))
     return gauss, sums, kept
 
 
@@ -425,10 +424,10 @@ def btsgpr_collapsed(
 
 def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List[np.ndarray]:
     """Per-block optimal scale matrices (I + D_bb / sigma2)^-1."""
-    prep = prepare(x, y, state)
-    _check_partition(prep, partition)
-    scales = {}
-    for ix, _, _, lower, _ in prep.gap_factors(partition.groups):
+    prep = _prepared(x, y, state, "logdet", partition)[0]
+    groups, scales = partition.groups, {}
+    # the stacks come in block order, groups'; each block's is keyed by its first index
+    for ix, (*_, lower, _) in zip(groups, prep.gap_factors([ix.shape for ix in groups])):
         scales.update(zip(ix[:, 0], stack_inverse(lower)))
     return [scales[idx[0]] for idx in partition.blocks]
 
@@ -582,29 +581,33 @@ def _check_partition(prep: PreparedBound, partition: Partition):
 
 def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
               partition: Optional[Partition] = None):
-    """prepare's state and the pass's chunks for penalty: the partition's
-    stacks for the penalties that read blocks, ranges of points for the
-    rest, which read no partition (one given is still checked against
-    the data)."""
+    """prepare's state and the pass's chunks for penalty.  For the
+    penalties that read blocks the state is over the points in the
+    partition's block order (Partition.order), the one gather of the data
+    in a pass, and the chunks are the partition's stack shapes; the rest
+    read no partition (one given is still checked against the data) and
+    keep the caller's order, in ranges of points."""
     if partition is None and penalty in _STACKED_PENALTIES:
         raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
     prep = prepare(x, y, state)
     if partition is not None:
         _check_partition(prep, partition)
-    stacked = partition is not None and penalty in _STACKED_PENALTIES
-    return prep, _chunks(prep, partition.groups if stacked else None)
+    if partition is None or penalty not in _STACKED_PENALTIES:
+        return prep, _chunks(prep)
+    prep = prep.points(partition.order)
+    return prep, _chunks(prep, [ix.shape for ix in partition.groups])
 
 
-def _penalty_stacks(chunk: PreparedBound, groups, penalty: Optional[str], alpha=None, m=1.0):
-    """The gap stacks of a chunk's index stacks groups that _gap_penalty
-    reads for a penalty, built as consumed: gap_stacks' for "shared",
+def _penalty_stacks(chunk: PreparedBound, shapes, penalty: Optional[str], alpha=None, m=1.0):
+    """The gap stacks of a chunk's stack shapes that _gap_penalty reads
+    for a penalty, built as consumed: gap_stacks' for "shared",
     gap_factors' for "logdet" and, at the alpha and m the pass is given
     too, "pep", and none for the diagonal penalties."""
     if penalty == "pep":
-        return chunk.gap_factors(groups, alpha, m)
+        return chunk.gap_factors(shapes, alpha, m)
     if penalty == "shared":
-        return chunk.gap_stacks(groups)
-    return chunk.gap_factors(groups) if penalty == "logdet" else None
+        return chunk.gap_stacks(shapes)
+    return chunk.gap_factors(shapes) if penalty == "logdet" else None
 
 
 class _PenaltySums:
@@ -670,13 +673,13 @@ def _gap_penalty(chunk: PreparedBound, stacks, sums: _PenaltySums, weight: float
     gradient reads, a chunk at a time: adds the chunk's share of sums'
     penalty and the largest jitter its factors needed to sums, reading
     _penalty_stacks' stacks of it once as they come.  Given pull, the
-    gradient at that weight: each stack's D_bb adjoint goes to pull(ix,
+    gradient at that weight: each stack's D_bb adjoint goes to pull(rows,
     K_bb, d_bar), the adjoints on sigma2 and m join sums, and the
     adjoint on the chunk's D diagonal is returned (None where pull took
     it).  "spherical" and "shared" couple every block, so their gradient
     reads sums finished by an earlier pass, which it adds nothing to.
     For "pep" the factors are the fit's block noise R_b too:
-    noise_fit(ix, lower, logdet), which a pass gives, does the fit's
+    noise_fit(rows, lower, logdet), which a pass gives, does the fit's
     share of a stack and returns R_b^-1 and, given pull, the fit's
     adjoint on R_b, which the penalty's joins before the one pull; a
     collapsed value, whose fit read the factors already, gives none.
@@ -687,8 +690,8 @@ def _gap_penalty(chunk: PreparedBound, stacks, sums: _PenaltySums, weight: float
         return -0.5 * w / (s2 + sums.mean)
     if gradient and penalty == "shared":
         cinv = (-0.5 * w / s2) * sums.cinv
-        for ix, kbb, _ in stacks:
-            pull(ix, kbb, np.repeat(cinv[None], ix.shape[0], axis=0))
+        for rows, kbb, _ in stacks:
+            pull(rows, kbb, np.repeat(cinv[None], kbb.shape[0], axis=0))
         return None
     sums.points += chunk.n
     dd = None
@@ -702,32 +705,33 @@ def _gap_penalty(chunk: PreparedBound, stacks, sums: _PenaltySums, weight: float
             dd = -0.5 * w / (s2 + gap)
             sums.g_s2 += 0.5 * w * float(np.sum(gap / s2 / (s2 + gap)))
     elif penalty == "shared":
-        for ix, _, gaps in stacks:
-            if sums.blocks and ix.shape[1] != sums.total.shape[0]:
+        for _, _, gaps in stacks:
+            if sums.blocks and gaps.shape[1] != sums.total.shape[0]:
                 raise ValueError("SharedBlock requires equal block sizes")
             sums.total = sums.total + gaps.sum(axis=0)
-            sums.blocks += ix.shape[0]
+            sums.blocks += gaps.shape[0]
     elif penalty == "logdet":
-        for ix, kbb, gaps, lower, jitter in stacks:
+        for rows, kbb, gaps, lower, jitter in stacks:
             sums.total += 0.5 * stack_logdet(lower)
             sums.jit = max(sums.jit, float(jitter.max()))
             if gradient:
                 cinv = stack_inverse(lower)
                 sums.g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
-                pull(ix, kbb, (-0.5 * w / s2) * cinv)
+                pull(rows, kbb, (-0.5 * w / s2) * cinv)
     else:  # "pep"
         alpha, m, c = sums.alpha, sums.m, _pep_log_det_weight(sums.alpha)
-        for ix, kbb, gaps, lower, jitter in stacks:
+        for rows, kbb, gaps, lower, jitter in stacks:
             logdet_s = stack_logdet(lower)
             sums.total += logdet_s
             sums.jit = max(sums.jit, float(jitter.max()))
             if noise_fit is not None:
-                rinv, r_bar = noise_fit(ix, lower, logdet_s)
+                rinv, r_bar = noise_fit(rows, lower, logdet_s)
             if gradient:
                 r_bar -= (w * c) * rinv
-                sums.g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * ix.size / s2
+                points = rows.stop - rows.start
+                sums.g_s2 += float(np.trace(r_bar, axis1=1, axis2=2).sum()) + w * c * points / s2
                 sums.g_m += alpha * float(np.sum(r_bar * gaps))
-                pull(ix, kbb, (alpha * m) * r_bar)
+                pull(rows, kbb, (alpha * m) * r_bar)
     return dd
 
 
@@ -822,8 +826,8 @@ def block_estimate(
     are "pep"'s alone: with another penalty either raises.
 
     Only Kuu, K_ub and K_bb are built (a PreparedBound on the block's
-    points alone), so a call costs O(N_b M^2 + M^3 + N_b^3) whatever N
-    is.  It is the one-block, weight-B case of the pass (_estimate) that
+    points alone, one (1, N_b) stack), so a call costs O(N_b M^2 + M^3 +
+    N_b^3) whatever N is.  It is the one-block, weight-B case of the pass (_estimate) that
     also gives the collapsed bounds their gradients.  With gradient,
     adjoints run back through the same factors (reverse mode, Murray
     2016): from the terms into R_b or I + D_bb/sigma2, into
@@ -848,9 +852,9 @@ def block_estimate(
         raise ValueError(f"partition covers {partition.n} points but data has {n}")
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
-    block = [np.arange(idx.size)[None]] if penalty in _STACKED_PENALTIES else None
+    shapes = [(1, idx.size)] if penalty in _STACKED_PENALTIES else None
     return _estimate(
-        prep, q, _chunks(prep, block), penalty, float(partition.num_blocks),
+        prep, q, _chunks(prep, shapes), penalty, float(partition.num_blocks),
         alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
     )[0]
 
@@ -870,8 +874,9 @@ def _estimate(
 ) -> Tuple[BlockEstimate, float, float]:
     """-KL[q || p] + weight * sum_b (E_b - penalty_b) + whole, over prep's points.
 
-    The pass: one chunk of _chunks at a time (prep.points), with the
-    chunk's stacks of blocks for the penalties that read blocks; the
+    The pass: one chunk of _chunks at a time (prep.points, views of a
+    range of points), with the chunk's stack shapes for the penalties
+    that read blocks, whose points _prepared put in block order; the
     diagonal penalties ("trace", "diag", "spherical") need none.  E_b is
     block_estimate's fit term; the penalty and whole (power EP's
     whole-data terms over n_total points, default prep's) are
@@ -880,7 +885,9 @@ def _estimate(
     chunk and the stacks an earlier pass built, which this one reads in
     place of building them again (and frees as it goes); a coupled
     penalty's gradient reads totals, the finished sums of an earlier
-    pass.  The pass factors no stack itself.  Each chunk's adjoints reach its K_bb by one stacked
+    pass.  The pass factors no stack itself, and reads and writes each
+    stack's points through reshaped views of the chunk's arrays.  Each
+    chunk's adjoints reach its K_bb by one stacked
     kernel_matrix_adjoint a stack and its K_uc by one
     kernel_matrix_adjoint, and add into M x M and M-sized sums; Kuu's
     adjoint comes once, after the pass.  Returns the estimate, its
@@ -905,11 +912,12 @@ def _estimate(
         aqa, at_rho, at_g = np.zeros((q.dim, q.dim)), np.zeros(q.dim), np.zeros((q.dim, q.dim))
         sum_dd, e_ell, e_ls2, e_z = 0.0, np.zeros(kern.input_dim), 0.0, np.zeros(z.shape)
 
-    for k, piece in enumerate(chunks):
-        opened, stacks = (None, None) if kept is None else kept[k]
+    for k, (span, shapes) in enumerate(chunks):
+        chunk, stacks = (None, None) if kept is None else kept[k]
         if kept is not None:
             kept[k] = None  # freed with its chunk
-        chunk, groups = opened or _open(prep, piece)
+        if chunk is None:
+            chunk = prep.points(span)
         v = chunk.v
         resid = chunk.y - v.T @ w_mean
         h = v.T @ half  # A L_q, A = Kfu Kuu^-1
@@ -920,15 +928,17 @@ def _estimate(
         if pep:
             rho = np.empty(chunk.n)
 
-            def noise_fit(ix, lower, logdet):
+            def noise_fit(rows, lower, logdet):
                 """E_b on a stack of block noise R_b: rho, g and E there, and
                 R_b^-1 with, in a gradient pass, E's adjoint on R_b."""
                 nonlocal e
+                b, s = lower.shape[:2]
                 rinv = stack_inverse(lower)
-                rho_s = (rinv @ resid[ix][..., None])[..., 0]
-                g_s = rinv @ h[ix]
-                e -= 0.5 * (logdet + float(np.sum(resid[ix] * rho_s)) + float(np.sum(h[ix] * g_s)))
-                rho[ix], g[ix] = rho_s, g_s
+                resid_s, h_s = resid[rows].reshape(b, s), h[rows].reshape(b, s, -1)
+                rho_s = (rinv @ resid_s[..., None])[..., 0]
+                g_s = rinv @ h_s
+                e -= 0.5 * (logdet + float(np.sum(resid_s * rho_s)) + float(np.sum(h_s * g_s)))
+                rho[rows], g[rows] = rho_s.ravel(), g_s.reshape(b * s, -1)
                 if not gradient:
                     return rinv, None
                 outer = rho_s[:, :, None] * rho_s[:, None, :] + g_s @ np.swapaxes(g_s, 1, 2)
@@ -942,21 +952,27 @@ def _estimate(
             at_q = np.zeros(at.shape)  # A^T Q_bar
             dd = np.zeros(chunk.n)  # D's diagonal's adjoint
 
-            def pull(ix, kbb, d_bar):
-                """Pass a stack's gap adjoints d_bar on to dd, A^T Q_bar and K_bb."""
+            def pull(rows, kbb, d_bar):
+                """Pass a stack's gap adjoints d_bar on to dd, A^T Q_bar and
+                K_bb, writing dd and A^T Q_bar through views of the stack."""
                 nonlocal e_ell, e_ls2
-                diag = np.arange(ix.shape[1])
-                dd[ix] = d_bar[:, diag, diag] * ~chunk.clamped[ix]
+                b, s = kbb.shape[:2]
+                diag = np.arange(s)
+                dd_s = dd[rows].reshape(b, s)
+                dd_s[...] = d_bar[:, diag, diag] * ~chunk.clamped[rows].reshape(b, s)
                 q_bar = -d_bar
-                q_bar[:, diag, diag] = -dd[ix]
-                at_q[:, ix] = np.moveaxis(np.moveaxis(at[:, ix], 0, -2) @ q_bar, -2, 0)
+                q_bar[:, diag, diag] = -dd_s
+                # the stack's columns of A^T Q_bar, as Q_bar^T A_s = (A_s^T Q_bar)^T
+                # on (B_s, n_s, M) views of A and of (A^T Q_bar)^T
+                a_s = at.T[rows].reshape(b, s, -1)
+                at_q.T[rows].reshape(b, s, -1)[...] = np.swapaxes(q_bar, 1, 2) @ a_s
                 d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
-                xs = chunk.x[ix]
+                xs = chunk.x[rows].reshape(b, s, -1)
                 k_ell, k_s2, _, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
                 e_ell, e_ls2 = e_ell + k_ell, e_ls2 + k_s2
 
         if stacks is None:
-            stacks = _penalty_stacks(chunk, groups, penalty, alpha, m)
+            stacks = _penalty_stacks(chunk, shapes, penalty, alpha, m)
         d_diag = _gap_penalty(chunk, stacks, sums, w, pull, noise_fit)
         if not gradient:
             continue

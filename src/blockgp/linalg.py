@@ -29,7 +29,7 @@ factorization is ever made of a triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -236,25 +236,23 @@ def stack_inverse(lower: np.ndarray) -> np.ndarray:
 class LowRankGaussian:
     """N(0, Q + R) with the low-rank part Q = Kfu Kuu^-1 Kuf, through sums.
 
-    Built from the Cholesky factor Lu of Kuu and from the noise R: sigma2 I,
-    or blkdiag(R_b) given by its factors.  add takes the whitened cross
-    term V = Lu^-1 Kuf (so Q = V^T V) a chunk of columns at a time, with
-    the chunk's targets y and, for block noise, ``stacks``: (ix, lower,
-    jitter) for each (B_s, n_s) stack ix of equal-size blocks into the
-    chunk's columns, with the (B_s, n_s, n_s) lower factors L_b of the R_b
-    and the jitters they needed, as chol_stack returns them, covering each
-    column once.  Each chunk is projected, W_c = blkdiag(L_b)^-1 V_c^T and
-    t_c = blkdiag(L_b)^-1 y_c (stack_half_solve, O(n_s^2 M) a block of n_s
-    points), into the only sums held, each M x M or M-sized: the
-    capacitance B = I + sum_c W_c^T W_c, c = sum_c W_c^T t_c, |t|^2 and
-    sum_b log det R_b.  There is no N x M W:
+    Built empty from the Cholesky factor Lu of Kuu and sigma2; add takes
+    the points a chunk at a time: the chunk's columns of the whitened
+    cross term V = Lu^-1 Kuf (so Q = V^T V), their targets y and the
+    chunk's noise, sigma2 I or, for block noise, ``stacks``: (lower,
+    jitter) for each (B_s, n_s) stack of equal-size blocks in column
+    order, the stacks one after another covering the chunk's columns once,
+    with the (B_s, n_s, n_s) lower factors L_b of the R_b and the jitters
+    they needed, as chol_stack returns them.  Each chunk is projected,
+    W_c = blkdiag(L_b)^-1 V_c^T and t_c = blkdiag(L_b)^-1 y_c
+    (stack_half_solve, O(n_s^2 M) a block of n_s points), into the only
+    sums held, each M x M or M-sized: the capacitance B = I + sum_c W_c^T
+    W_c, c = sum_c W_c^T t_c, |t|^2 and sum_b log det R_b.  There is no
+    N x M W:
 
         log det(Q + R) = log det B + sum_b log det R_b
         y^T (Q + R)^-1 y = |t|^2 - |L_B^-1 c|^2.
 
-    With v None the Gaussian starts empty, for add.  The constructor's v,
-    all N columns of V with their noise stacks, is the one-chunk case: its
-    y is given to logpdf and posterior, which add that chunk again at y.
     ``posterior`` returns mean and covariance of p(u) N(y; A u, R)
     renormalized, with A = Kfu Kuu^-1: S = Lu B^-1 Lu^T,
     m = Lu B^-1 c.  ``logdet_noise`` is sum_b log det R_b, from the factors
@@ -262,23 +260,12 @@ class LowRankGaussian:
     needed.
     """
 
-    def __init__(
-        self, kuu_chol: CholeskyFactor, v: Optional[np.ndarray], sigma2: float,
-        stacks: Iterable = (),
-    ):
+    def __init__(self, kuu_chol: CholeskyFactor, sigma2: float):
         if sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
         self._lu = kuu_chol
         self._sigma2 = sigma2
-        self._held = None
-        self._clear()
-        if v is not None:  # the one-chunk case, at y = 0 until logpdf or posterior
-            v = np.asarray(v, dtype=float)
-            self._held = (v, list(stacks))
-            self.add(v, np.zeros(v.shape[1]), self._held[1])
-
-    def _clear(self):
-        m = self._lu.size
+        m = kuu_chol.size
         self._gram = np.zeros((m + 1, m + 1))  # sum_c [W_c t_c]^T [W_c t_c]
         self._n = self._n_iid = 0
         self._logdet_stacks = 0.0
@@ -291,6 +278,8 @@ class LowRankGaussian:
         m, n = v.shape
         if self._lu.size != m:
             raise ValueError("Kuu factor and V disagree on the number of inducing points")
+        if np.shape(y) != (n,):
+            raise ValueError(f"y has shape {np.shape(y)}, expected ({n},) for V's columns")
         stacks = list(stacks)
         rhs = np.empty((n, m + 1))
         rhs[:, :m] = v.T
@@ -298,10 +287,10 @@ class LowRankGaussian:
         if not stacks:
             self._n_iid += n
         else:
-            covered = np.concatenate([ix.ravel() for ix, _, _ in stacks])
-            if len(covered) != n or not np.array_equal(np.sort(covered), np.arange(n)):
-                raise ValueError("noise stacks must cover each of the N indices once")
-            for _, lower, jitter in stacks:
+            covered = sum(lower.shape[0] * lower.shape[1] for lower, _ in stacks)
+            if covered != n:
+                raise ValueError(f"noise stacks cover {covered} columns, not the chunk's {n}")
+            for lower, jitter in stacks:
                 self._logdet_stacks += stack_logdet(lower)
                 self._noise_jitter = max(self._noise_jitter, float(np.max(jitter)))
         w = self._noise_half_solve(rhs, stacks)
@@ -309,16 +298,17 @@ class LowRankGaussian:
         self._n += n
         self._bchol = None
 
-    def _noise_half_solve(self, b: np.ndarray, stacks=None) -> np.ndarray:
+    def _noise_half_solve(self, b: np.ndarray, stacks) -> np.ndarray:
         """blkdiag(L_b)^-1 b for b of shape (c, k), one stack_half_solve a
-        stack; the stacks are the one-chunk case's unless given."""
-        if stacks is None:
-            stacks = self._held[1]
+        stack of the chunk's stacks, or b / sigma for none."""
         if not stacks:
             return b / np.sqrt(self._sigma2)
-        out = np.empty(b.shape)
-        for ix, lower, _ in stacks:
-            out[ix] = stack_half_solve(lower, b[ix])
+        out, start = np.empty(b.shape), 0
+        for lower, _ in stacks:
+            nb, s = lower.shape[:2]
+            rows = slice(start, start + nb * s)
+            out[rows] = stack_half_solve(lower, b[rows].reshape(nb, s, -1)).reshape(nb * s, -1)
+            start = rows.stop
         return out
 
     @property
@@ -336,35 +326,20 @@ class LowRankGaussian:
             self._bchol = chol(np.eye(m) + self._gram[:m, :m])
         return self._bchol
 
-    def _at(self, y):
-        """Redo the one-chunk case's sums at y, when y is given."""
-        if y is None:
-            return
-        if self._held is None:
-            raise ValueError("a Gaussian built a chunk at a time took its y in add")
-        v, stacks = self._held
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != v.shape[1]:
-            raise ValueError(f"y has length {y.shape[0]}, expected {v.shape[1]}")
-        self._clear()
-        self.add(v, y, stacks)
-
     def _whitened_c(self) -> np.ndarray:
         """L_B^-1 c."""
         m = self._lu.size
         return self._factor().half_solve(self._gram[:m, m])
 
-    def logpdf(self, y: Optional[np.ndarray] = None) -> float:
-        self._at(y)
+    def logpdf(self) -> float:
         m = self._lu.size
         w = self._whitened_c()
         quad = float(self._gram[m, m]) - float(w @ w)
         ld = self.logdet_noise + self._factor().logdet()
         return -0.5 * (self._n * np.log(2.0 * np.pi) + ld + quad)
 
-    def posterior(self, y: Optional[np.ndarray] = None):
+    def posterior(self):
         """Mean and Cholesky factor of the u-posterior under this likelihood."""
-        self._at(y)
         w = self._whitened_c()
         f = self._factor().half_solve(self._lu.lower.T)
         mean = f.T @ w

@@ -98,17 +98,20 @@ class ModelState:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint index blocks covering 0..n-1, each sorted and nonempty."""
+    """Disjoint integer index blocks covering 0..n-1, each sorted and nonempty."""
 
     blocks: List[np.ndarray]
 
     def __post_init__(self):
-        blocks = [np.asarray(b, dtype=int) for b in self.blocks]
+        blocks = [np.asarray(b) for b in self.blocks]
         if not blocks:
             raise ValueError("a partition needs at least one block")
         sizes = np.array([b.size for b in blocks])
         if not sizes.all():
             raise ValueError("partition blocks must be nonempty")
+        if not all(np.issubdtype(t, np.integer) for t in {b.dtype for b in blocks}):
+            raise ValueError("partition blocks hold non-integer block indices")
+        blocks = [b.astype(int, copy=False) for b in blocks]
         flat = np.concatenate(blocks)  # all blocks checked at once
         rises = np.diff(flat) > 0
         rises[np.cumsum(sizes[:-1]) - 1] = True  # the steps from one block into the next
@@ -146,6 +149,12 @@ class Partition:
             per = max(1, STACK_ENTRIES // (s * s))
             out += [rows[i : i + per] for i in range(0, len(rows), per)]
         return out
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """groups raveled: the order the bounds that read blocks take the
+        points in, so that every stack is a range of them."""
+        return np.concatenate([ix.ravel() for ix in self.groups])
 
 
 def make_partition(n: int, num_blocks: int, seed: int = 0) -> Partition:

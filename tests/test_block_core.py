@@ -104,6 +104,12 @@ def _per_block_fit(prep: PreparedBound, blocks, rs):
     return fit, logdet_noise, max(jit, lb.jitter_used), f.T @ w, f.T @ f
 
 
+def _in_block_order(x, y, state, part):
+    """prepare over the points in the partition's block order, as the
+    bounds that read blocks take them, and its stack shapes."""
+    return prepare(x[part.order], y[part.order], state), [ix.shape for ix in part.groups]
+
+
 def _noise_blocks(prep, part, alpha, m):
     return [alpha * m * prep.block_gap(idx) + prep.sigma2 * np.eye(idx.size)
             for idx in part.blocks]
@@ -111,16 +117,17 @@ def _noise_blocks(prep, part, alpha, m):
 
 def test_stacked_gaps_match_kernel_matrix_blocks():
     for _, x, y, state, part in _instances(40):
-        prep = prepare(x, y, state)
-        for ix, _, gaps in prep.gap_stacks(part.groups):
-            for idx, gap in zip(ix, gaps):
+        prep, shapes = _in_block_order(x, y, state, part)
+        for ix, (rows, _, gaps) in zip(part.groups, prep.gap_stacks(shapes)):
+            at = np.arange(rows.start, rows.stop).reshape(ix.shape)  # the blocks' places
+            for idx, pos, gap in zip(ix, at, gaps):
                 kbb = kernel_matrix(x[idx], x[idx], state.kernel)
-                vb = prep.v[:, idx]
+                vb = prep.v[:, pos]
                 ref = kbb - vb.T @ vb
                 ref = 0.5 * (ref + ref.T)
-                np.fill_diagonal(ref, prep.gap_diag[idx])
+                np.fill_diagonal(ref, prep.gap_diag[pos])
                 _close(gap, ref)
-                assert np.array_equal(gap, prep.block_gap(idx))
+                assert np.array_equal(gap, prep.block_gap(pos))
 
 
 def test_partition_groups_stack_blocks_by_size():
@@ -200,14 +207,15 @@ def test_block_noise_gaussian_matches_the_one_block_path(alpha, m, cut):
         prep = prepare(x, y, state)
         rs = _noise_blocks(prep, part, alpha, m)
         fit, logdet_noise, jit, mean, cov = _per_block_fit(prep, part.blocks, rs)
-        stacks = list(prep.gap_factors(part.groups, alpha, m))
-        for ix, _, gaps, lower, _ in stacks:
+        ordered, shapes = _in_block_order(x, y, state, part)
+        stacks = list(ordered.gap_factors(shapes, alpha, m))
+        for ix, (_, _, gaps, lower, _) in zip(part.groups, stacks):
             for idx, gap, low in zip(ix, gaps, lower):
                 _close(gap, prep.block_gap(idx))
                 _close(low, chol(alpha * m * gap + prep.sigma2 * np.eye(idx.size)).lower)
-        factors = [(ix, lower, jitter) for ix, _, _, lower, jitter in stacks]
-        gauss = LowRankGaussian(prep.luu, prep.v, prep.sigma2, factors)
-        _close(gauss.logpdf(prep.y), fit)
+        gauss = LowRankGaussian(prep.luu, prep.sigma2)
+        gauss.add(ordered.v, ordered.y, [(lower, jitter) for *_, lower, jitter in stacks])
+        _close(gauss.logpdf(), fit)
         _close(gauss.logdet_noise, logdet_noise)
         assert gauss.jitter_used == jit
         reg = -(1.0 - alpha) / (2.0 * alpha) * (logdet_noise - prep.n * np.log(prep.sigma2))
@@ -271,11 +279,13 @@ def _duplicate_instance():
 def test_duplicate_inputs_get_the_per_block_jitter(cut):
     x, y, state, part, dup = _duplicate_instance()
     prep = prepare(x, y, state)
+    ordered, shapes = _in_block_order(x, y, state, part)
     s2 = prep.sigma2
     seen = 0
     # BT-SGPR's I + D_bb / sigma2 and T-PEP's a m D_bb + sigma2 I
     for alpha, m in ((None, 1.0), (0.5, 1.3)):
-        for ix, _, gaps, lower, jitter in prep.gap_factors(part.groups, alpha, m):
+        stacks = ordered.gap_factors(shapes, alpha, m)
+        for ix, (_, _, gaps, lower, jitter) in zip(part.groups, stacks):
             eye = np.eye(ix.shape[1])
             stack = gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
             ref = [chol(a) for a in stack]
@@ -293,8 +303,9 @@ def test_duplicate_inputs_get_the_per_block_jitter(cut):
     assert tpep_collapsed(x, y, state, cfg).jitter_used == jit > 0.0
     factors = [chol(np.eye(b.size) + prep.block_gap(b) / s2) for b in part.blocks]
     ours = btsgpr_collapsed(x, y, state, part).jitter_used
-    iid = LowRankGaussian(prep.luu, prep.v, s2).jitter_used
-    assert ours == max(iid, max(f.jitter_used for f in factors)) > 0.0
+    iid = LowRankGaussian(prep.luu, s2)
+    iid.add(prep.v, prep.y)
+    assert ours == max(iid.jitter_used, max(f.jitter_used for f in factors)) > 0.0
 
 
 def test_a_stack_past_the_ladder_raises_by_name():
@@ -306,8 +317,7 @@ def test_a_stack_past_the_ladder_raises_by_name():
     v = np.random.default_rng(48).standard_normal((2, 6))
     noise = 0.5 * np.eye(3) + np.stack([np.zeros((3, 3)), np.diag([1.0, 1.0, -5.0])])
     with pytest.raises(NotPositiveDefiniteError):
-        ix = np.arange(6).reshape(2, 3)
-        LowRankGaussian(chol(np.eye(2)), v, 0.5, [(ix, *chol_stack(noise))])
+        LowRankGaussian(chol(np.eye(2)), 0.5).add(v, np.zeros(6), [chol_stack(noise)])
 
 
 def test_a_stack_past_the_ladder_fails_the_fit(monkeypatch):
@@ -319,9 +329,9 @@ def test_a_stack_past_the_ladder_fails_the_fit(monkeypatch):
     part = _unequal_partition(rng, y.shape[0])
     real = PreparedBound.gap_stacks
 
-    def indefinite(self, groups):
-        for ix, kbb, g in real(self, groups):
-            yield ix, kbb, g + 1e3 * (1.0 - np.eye(g.shape[-1]))
+    def indefinite(self, shapes):
+        for rows, kbb, g in real(self, shapes):
+            yield rows, kbb, g + 1e3 * (1.0 - np.eye(g.shape[-1]))
 
     monkeypatch.setattr(PreparedBound, "gap_stacks", indefinite)
     cfg = PepConfig(alpha=0.5, partition=part)
@@ -347,4 +357,4 @@ def test_stacked_kernel_overflow_raises(log_ell, log_s2):
                      noise=state.noise, inducing=state.inducing)
     prep.state = far
     with pytest.raises(FloatingPointError):
-        list(prep.gap_stacks(make_partition(y.shape[0], 4).groups))
+        list(prep.gap_stacks([ix.shape for ix in make_partition(y.shape[0], 4).groups]))

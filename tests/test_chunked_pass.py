@@ -17,7 +17,7 @@ from blockgp import bounds_vi
 from blockgp.bounds_pep import PepConfig, tpep_optimal_qu, tpep_qu_gradient
 from blockgp.bounds_vi import CHUNK_ENTRIES, optimal_qu, uncollapsed_qu_gradient
 from blockgp.kernels import KernelParams, NoiseParam
-from blockgp.model import METHODS, BoundSpec, ModelState, Partition
+from blockgp.model import METHODS, BoundSpec, ModelState, Partition, make_partition
 from blockgp.training import evaluate_bound
 from blockgp.verify import random_qu
 
@@ -102,3 +102,22 @@ def test_no_call_builds_more_columns_than_a_chunk(monkeypatch):
         widths.clear()
         call(x, y, state, part)
         assert len(widths) > 2 and max(widths) <= width < n
+
+
+def test_a_block_wider_than_a_chunk_is_a_chunk_alone(monkeypatch):
+    # at M = 128 a chunk holds 256 points, so each block of 300 is a chunk
+    x, y, state, _ = _instance(1500, m=128)
+    part = make_partition(1500, 5, seed=2)
+    widths = []
+    real = bounds_vi.kernel_matrix
+
+    def recording(x1, x2, params):
+        widths.append(np.shape(x2)[0])
+        return real(x1, x2, params)
+
+    monkeypatch.setattr(bounds_vi, "kernel_matrix", recording)
+    for method in ("BT-SGPR", "T-PEP", "SharedBlock"):
+        for gradient in (False, True):
+            widths.clear()
+            _evaluate(method, gradient)(x, y, state, part)
+            assert max(widths) == 300, (method, widths)

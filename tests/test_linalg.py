@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import multivariate_normal
 
 from blockgp.linalg import (
@@ -133,20 +133,26 @@ def _random_lowrank(rng, n: int, m: int):
     return kfu, kuu
 
 
-def _lowrank_logpdf(y, kfu, kuu, sigma2, stacks=()):
+def _lowrank(y, kfu, kuu, sigma2, stacks=()):
+    """The Gaussian with all the points added as one chunk."""
     luu = chol(kuu)
-    return LowRankGaussian(luu, luu.half_solve(kfu.T), sigma2, stacks).logpdf(y)
+    gauss = LowRankGaussian(luu, sigma2)
+    gauss.add(luu.half_solve(kfu.T), y, stacks)
+    return gauss
 
 
-def _factored(sigma2, partition, blocks):
-    """(ix, lower, jitter) of sigma2 I + A for each index stack ix and its
-    blocks A, (n, n) or (B, n, n), or None for sigma2 I alone."""
+def _lowrank_logpdf(y, kfu, kuu, sigma2, stacks=()):
+    return _lowrank(y, kfu, kuu, sigma2, stacks).logpdf()
+
+
+def _factored(sigma2, shapes, blocks):
+    """(lower, jitter) of sigma2 I + A for each stack shape (B, n), the
+    stacks in column order, and its blocks A, (n, n) or (B, n, n), or
+    None for sigma2 I alone."""
     stacks = []
-    for ix, a in zip(partition, blocks):
-        ix = np.atleast_2d(ix)
-        n = ix.shape[1]
+    for (b, n), a in zip(shapes, blocks):
         r = sigma2 * np.eye(n) + (0.0 if a is None else np.reshape(a, (-1, n, n)))
-        stacks.append((ix, *chol_stack(np.broadcast_to(r, (ix.shape[0], n, n)))))
+        stacks.append(chol_stack(np.broadcast_to(r, (b, n, n))))
     return stacks
 
 
@@ -156,9 +162,9 @@ def test_block_noise_validation():
     for sigma2 in (0.0, -1.0):
         with pytest.raises(ValueError, match="sigma2 must be positive"):
             _lowrank_logpdf(np.zeros(6), kfu, kuu, sigma2)
-    twice = _factored(0.5, [np.array([[0, 1, 2], [2, 3, 4]]), np.array([5])], [None, None])
-    with pytest.raises(ValueError, match="cover each of the N indices once"):
-        _lowrank_logpdf(np.zeros(6), kfu, kuu, 0.5, twice)
+    seven = _factored(0.5, [(2, 3), (1, 1)], [None, None])  # 7 columns of 6
+    with pytest.raises(ValueError, match="noise stacks cover 7 columns"):
+        _lowrank_logpdf(np.zeros(6), kfu, kuu, 0.5, seven)
 
 
 def test_lowrank_logpdf_iid_matches_dense():
@@ -181,6 +187,7 @@ def test_lowrank_logpdf_block_noise_matches_dense():
         kfu, kuu = _random_lowrank(rng, n, m)
         sigma2 = float(rng.uniform(0.1, 1.0))
         idx = [np.arange(0, 5), np.arange(5, 9), np.arange(9, 12)]
+        shapes = [(1, ix.size) for ix in idx]
         blocks = [_random_spd(rng, 5), None, 0.3 * _random_spd(rng, 3)]
         y = rng.standard_normal(n)
 
@@ -189,7 +196,7 @@ def test_lowrank_logpdf_block_noise_matches_dense():
             if a is not None:
                 cov[np.ix_(ix, ix)] += a
         dense = multivariate_normal(mean=np.zeros(n), cov=cov).logpdf(y)
-        ours = _lowrank_logpdf(y, kfu, kuu, sigma2, _factored(sigma2, idx, blocks))
+        ours = _lowrank_logpdf(y, kfu, kuu, sigma2, _factored(sigma2, shapes, blocks))
         assert_allclose(ours, dense, rtol=1e-9)
 
 
@@ -201,9 +208,7 @@ def test_lowrank_posterior_matches_precision_space_formula():
         sigma2 = float(rng.uniform(0.1, 1.0))
         y = rng.standard_normal(n)
 
-        luu = chol(kuu)
-        v = luu.half_solve(kfu.T)
-        mean, factor = LowRankGaussian(luu, v, sigma2).posterior(y)
+        mean, factor = _lowrank(y, kfu, kuu, sigma2).posterior()
 
         a = np.linalg.solve(kuu, kfu.T).T  # projector Kfu Kuu^-1
         prec = np.linalg.inv(kuu) + a.T @ a / sigma2
@@ -217,14 +222,14 @@ def test_lowrank_rejects_mismatched_shapes():
     kfu, kuu = _random_lowrank(rng, 8, 3)
     luu = chol(kuu)
     v = luu.half_solve(kfu.T)
-    lik = LowRankGaussian(luu, v, 0.5)
+    lik = LowRankGaussian(luu, 0.5)
+    with pytest.raises(ValueError, match=r"expected \(8,\)"):
+        lik.add(v, np.zeros(9))
     with pytest.raises(ValueError):
-        lik.logpdf(np.zeros(9))
-    with pytest.raises(ValueError):
-        LowRankGaussian(chol(np.eye(4)), v, 0.5)
-    bad = _factored(0.5, [np.arange(0, 4)], [None])  # covers 4 of 8 indices
-    with pytest.raises(ValueError, match="cover each of the N indices once"):
-        LowRankGaussian(luu, v, 0.5, bad)
+        LowRankGaussian(chol(np.eye(4)), 0.5).add(v, np.zeros(8))
+    bad = _factored(0.5, [(1, 4)], [None])  # covers 4 of 8 columns
+    with pytest.raises(ValueError, match="noise stacks cover 4 columns"):
+        lik.add(v, np.zeros(8), bad)
 
 
 def test_cholesky_factor_is_frozen():
@@ -281,9 +286,11 @@ def test_stack_half_solve_matches_per_block_lapack_on_both_paths(n, k):
 
 
 def _noise_gaussian(stacks, n):
-    """A LowRankGaussian on the noise stacks with a one-column V."""
+    """A LowRankGaussian on the noise stacks with a one-row V."""
     v = np.random.default_rng(n).standard_normal((1, n))
-    return LowRankGaussian(chol(np.eye(1)), v, 0.3, stacks)
+    gauss = LowRankGaussian(chol(np.eye(1)), 0.3)
+    gauss.add(v, np.zeros(n), stacks)
+    return gauss
 
 
 @pytest.mark.parametrize("n", [3, SUBSTITUTION_MAX + 4])
@@ -294,36 +301,27 @@ def test_block_factors_solve_a_jittered_stack_block_by_block(n):
     rng = np.random.default_rng(n)
     w = rng.standard_normal((5, n))
     blocks = w[:, :, None] * w[:, None, :] - 1e-12 * np.eye(n)
-    ix = np.arange(5 * n).reshape(5, n)
-    stacks = _factored(1e-14, [ix], [blocks])
+    stacks = _factored(1e-14, [(5, n)], [blocks])
     gauss = _noise_gaussian(stacks, 5 * n)
     assert gauss.jitter_used > 0.0
-    ((_, lower, _),) = stacks
+    ((lower, _),) = stacks
     b = rng.standard_normal((5 * n, 3))
-    out = gauss._noise_half_solve(b)
-    _assert_close_relative(out[ix], _per_block_solve(lower, b[ix]))
+    out = gauss._noise_half_solve(b, stacks)
+    _assert_close_relative(out.reshape(5, n, 3), _per_block_solve(lower, b.reshape(5, n, 3)))
 
 
 def test_block_factors_solve_mixed_sizes_against_the_dense_factor():
     # one-point blocks, a substitution stack and a LAPACK stack in one noise
     rng = np.random.default_rng(11)
     sizes = [1, 1, 4, 4, SUBSTITUTION_MAX + 1]
-    cuts = np.cumsum([0] + sizes)
-    perm = rng.permutation(cuts[-1])
-    blocks = [perm[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    partition = [np.stack(blocks[0:2]), np.stack(blocks[2:4]), blocks[4]]
     covs = [0.1 * np.ones((2, 1, 1)), np.stack([_random_spd(rng, 4) for _ in range(2)]),
             _random_spd(rng, sizes[-1])]
-    stacks = _factored(0.3, partition, covs)
-    gauss = _noise_gaussian(stacks, cuts[-1])
-    b = rng.standard_normal((cuts[-1], 6))
-    dense = np.zeros((cuts[-1], cuts[-1]))
-    for ix, lower, _ in stacks:
-        for rows, low in zip(ix, lower):
-            dense[np.ix_(rows, rows)] = low
-    ref = solve_triangular(dense[np.ix_(perm, perm)], b[perm], lower=True)
-    out = gauss._noise_half_solve(b)
-    _assert_close_relative(out[perm], ref)
+    stacks = _factored(0.3, [(2, 1), (2, 4), (1, sizes[-1])], covs)
+    gauss = _noise_gaussian(stacks, sum(sizes))
+    b = rng.standard_normal((sum(sizes), 6))
+    dense = block_diag(*[low for lower, _ in stacks for low in lower])
+    ref = solve_triangular(dense, b, lower=True)
+    _assert_close_relative(gauss._noise_half_solve(b, stacks), ref)
 
 
 @st.composite

@@ -45,6 +45,12 @@ def test_partition_rejects_gaps_overlaps_and_empties():
         Partition([np.array([0]), np.array([2])])  # gap
     with pytest.raises(ValueError, match="must be nonempty"):
         Partition([np.array([0, 1]), np.array([], dtype=int)])  # empty block
+    with pytest.raises(ValueError, match="must be nonempty"):
+        Partition([np.array([0, 1]), []])  # an empty list is a float array, still empty
+    for bad in ([np.array([0.6, 1.7]), np.array([2.0])],  # would truncate to [0, 1], [2]
+                [np.array([0, 1]), np.array([True])]):  # a mask, not indices
+        with pytest.raises(ValueError, match="non-integer block indices"):
+            Partition(bad)
     with pytest.raises(ValueError, match="at least one block"):
         Partition([])
     for bad in ([2, 1], [1, 1]):  # unsorted, duplicate, inside one block
