@@ -38,17 +38,15 @@ from .bounds_vi import (
     BoundBreakdown,
     _LOG_2PI,
     _check_partition,
-    _fit,
-    _optimum,
-    _prepared,
     _qu_gradient,
+    _qu_star,
     block_estimate,
     prepare,
     vi_collapsed,
     vi_uncollapsed,
 )
 from .linalg import CholeskyFactor, LowRankGaussian, chol
-from .model import GaussianQU, ModelState, Partition
+from .model import GaussianQU, ModelState, Partition, check_power
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,7 @@ class PepConfig:
     m_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.m_scale > 0.0:
-            raise ValueError(f"m_scale must be positive, got {self.m_scale}")
-        if not 1.0 + self.alpha * (self.m_scale - 1.0) > 0.0:
-            raise ValueError(
-                f"need 1 + alpha (m - 1) > 0; alpha={self.alpha}, m={self.m_scale}"
-            )
+        check_power(self.alpha, self.m_scale)
 
 # Desk-scale caps: the dense oracle and the fixed-point check refuse
 # above 200 points rather than silently going cubic; pep_iterate, which
@@ -137,8 +128,7 @@ def tpep_collapsed(
 
 def tpep_optimal_qu(x, y, state: ModelState, cfg: PepConfig) -> GaussianQU:
     """The q(u) at which the uncollapsed objective meets the collapsed one."""
-    prep, chunks = _prepared(x, y, state, "pep", cfg.partition)
-    return _optimum(_fit(prep, chunks, cfg.alpha, cfg.m_scale)[0])
+    return _qu_star(x, y, state, "pep", cfg.partition, cfg.alpha, cfg.m_scale)
 
 
 def tpep_uncollapsed(
@@ -208,8 +198,7 @@ def general_pep_oracle(
     alpha -> 0 limit to the parametric block-variational bound.  D^(1/2)
     comes from an eigendecomposition with eigenvalues clamped at zero.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_power(alpha)
     prep = prepare(x, y, state)
     n = prep.n
     _check_partition(prep, partition)

@@ -72,7 +72,7 @@ from .linalg import (
     stack_logdet,
 )
 from . import model
-from .model import METHODS, GaussianQU, ModelState, Partition
+from .model import METHODS, GaussianQU, ModelState, Partition, check_power
 
 # Dense oracles refuse anything bigger than this.
 DENSE_CAP = 2000
@@ -466,7 +466,13 @@ def btsgpr_parametric(
 def sharedblock_collapsed(
     x, y, state: ModelState, partition: Partition, gradient: bool = False
 ) -> BoundBreakdown:
-    """Collapsed bound with one scale matrix shared by all equal-size blocks."""
+    """Collapsed bound with one scale matrix shared by all equal-size blocks.
+
+    The scale (I + mean_b D_bb / sigma2)^-1 averages the D_bb entry by
+    entry, pairing the i-th points of all blocks, in each block's sorted
+    index order; so unlike the other bounds that read blocks, this one
+    depends on the order of the points within each block, and reordering
+    the data with the partition mapped along changes it."""
     return vi_collapsed(x, y, state, "shared", partition, gradient)
 
 
@@ -536,8 +542,20 @@ def optimal_qu(x, y, state: ModelState) -> GaussianQU:
     q(u) is the exact posterior of u under y = A u + e, e ~ N(0, sigma2 I),
     with A = Kfu Kuu^-1 and prior u ~ N(0, Kuu).
     """
-    prep, chunks = _prepared(x, y, state)
-    return _optimum(_fit(prep, chunks)[0])
+    return _qu_star(x, y, state)
+
+
+def _qu_star(x, y, state: ModelState, penalty: Optional[str] = None,
+             partition: Optional[Partition] = None, alpha=None, m: float = 1.0) -> GaussianQU:
+    """The q(u) at which the uncollapsed bound at penalty meets the
+    collapsed one: for "pep" (alpha, m), the posterior under the block
+    noise of partition's blocks; for the variational penalties, whose fit
+    noise is sigma2 I, their one optimum, which reads no blocks, over the
+    points in the caller's order."""
+    if penalty != "pep":
+        penalty = partition = None
+    prep, chunks = _prepared(x, y, state, penalty, partition)
+    return _optimum(_fit(prep, chunks, alpha, m)[0])
 
 
 def kl_qu(q: GaussianQU, state: ModelState) -> float:
@@ -559,19 +577,17 @@ def _kl_terms(luu: CholeskyFactor, q: GaussianQU):
 
 
 def _check_penalty(penalty: str, alpha: Optional[float], m: float = 1.0):
-    """Raise unless penalty is one of the _PENALTIES, with alpha in (0, 1]
-    given, and a gap scale m other than 1, for "pep" alone."""
+    """Raise unless penalty is one of the _PENALTIES, with alpha given,
+    and a gap scale m other than 1, for "pep" alone, at an (alpha, m)
+    that check_power accepts."""
     pep = penalty == "pep"
-    if (
-        penalty not in _PENALTIES
-        or (alpha is None) == pep
-        or alpha is not None and not 0.0 < alpha <= 1.0
-        or m != 1.0 and not pep
-    ):
+    if penalty not in _PENALTIES or (alpha is None) == pep or m != 1.0 and not pep:
         raise ValueError(
-            f"penalty must be one of {_PENALTIES}, with alpha in (0, 1] and a gap "
-            f"scale m other than 1 for 'pep' alone; got {penalty!r}, alpha {alpha} and m {m}"
+            f"penalty must be one of {_PENALTIES}, with alpha and a gap scale m other "
+            f"than 1 for 'pep' alone; got {penalty!r}, alpha {alpha} and m {m}"
         )
+    if pep:
+        check_power(alpha, m)
 
 
 def _check_partition(prep: PreparedBound, partition: Partition):
@@ -661,7 +677,7 @@ class _PenaltySums:
             alpha, m = self.alpha, self.m
             n_total = n if n_total is None else n_total
             if gradient:  # of the whole-data terms
-                self.g_m += 0.5 * n_total * (1.0 / m - 1.0 / (1.0 + alpha * (m - 1.0)))
+                self.g_m += 0.5 * n_total * (1.0 / m - 1.0 / _pep_shift(alpha, m)[0])
             pen, whole = _pep_penalty(t, n, s2, alpha, m, n_total)
         self.finished = pen, whole
         return pen, whole
@@ -745,11 +761,21 @@ def _pep_penalty(logdet_noise, n: int, s2: float, alpha: float, m: float, n_tota
     from logdet_noise = sum_b log det R_b over n points, and its
     whole-data terms -N/(2a) log(1 + a(m-1)) + N/2 log m over n_total
     points, which vanish at m = 1 and at a = 1."""
-    whole = (
-        -n_total / (2.0 * alpha) * float(np.log1p(alpha * (m - 1.0)))
-        + 0.5 * n_total * float(np.log(m))
-    )
+    whole = -n_total / (2.0 * alpha) * _pep_shift(alpha, m)[1] + 0.5 * n_total * float(np.log(m))
     return _pep_log_det_weight(alpha) * (logdet_noise - n * np.log(s2)), whole
+
+
+def _pep_shift(alpha: float, m: float):
+    """1 + a(m-1) and its log, positive for every a in (0, 1] and m > 0.
+    Where a(m-1) > -1/2 the log is log1p's; below, where m - 1 may have
+    rounded m away, both come from (1 - a) + a m, whose terms are exact or
+    nearly so there: at a = 1 it is m itself, and the whole-data terms
+    and their m-adjoint cancel exactly."""
+    t = alpha * (m - 1.0)
+    if t > -0.5:
+        return 1.0 + t, float(np.log1p(t))
+    shift = (1.0 - alpha) + alpha * m
+    return shift, float(np.log(shift))
 
 
 def vi_uncollapsed(

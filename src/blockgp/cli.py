@@ -22,8 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds_pep import PepConfig, tpep_optimal_qu, tpep_uncollapsed
-from .bounds_vi import optimal_qu, vi_uncollapsed
 from .data import (
     DataFormatError,
     Dataset,
@@ -44,9 +42,7 @@ from .model import (
     BoundSpec,
     GaussianQU,
     ModelState,
-    Partition,
     make_partition,
-    singleton_partition,
 )
 from .prediction import PredictiveGaussian, metrics, predict
 from .training import (
@@ -57,6 +53,8 @@ from .training import (
     evaluate_bound,
     fit_collapsed,
     fit_stochastic,
+    qu_optimum,
+    uncollapsed_bound,
 )
 from .verify import format_report, run_all
 
@@ -145,6 +143,15 @@ def _ensure_out(path) -> Path:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj) + "\n")
+
+
+def _csv(header: Sequence[str], rows) -> str:
+    """The header line, then one line per row: strings as they are, numbers
+    at 17 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _fmt_float(c) for c in row))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,6 @@ class RunResult:
     state: ModelState
     q: GaussianQU
     trace: TrainTrace
-    partition: Optional[Partition]
     initial_objective: float
     objective: float  # collapsed bound at the final state
     fit_term: float
@@ -351,33 +357,20 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
 
     uncollapsed = None
     if cfg["trainer"] == "stochastic":
-        if partition is None:
-            partition = make_partition(train.n, int(cfg["blocks"]), seed=seed)
-        state, q, trace = fit_stochastic(train.x, train.y, state0, partition, train_cfg)
-        if spec.is_pep:
-            pep = PepConfig(alpha=spec.alpha, partition=partition, m_scale=state.m_scale)
-            uncollapsed = tpep_uncollapsed(train.x, train.y, state, pep, q).total
-        else:
-            uncollapsed = vi_uncollapsed(
-                train.x, train.y, state, partition, q, penalty=spec.row.penalty
-            ).total
+        # an SGPR or T-SGPR run's blocks, which only its estimator reads
+        blocks = partition or make_partition(train.n, int(cfg["blocks"]), seed=seed)
+        state, q, trace = fit_stochastic(train.x, train.y, state0, blocks, train_cfg)
+        uncollapsed = uncollapsed_bound(train.x, train.y, state, spec, q, partition).total
     else:
         state, trace = fit_collapsed(train.x, train.y, state0, train_cfg, partition)
-        if spec.is_pep:
-            part = partition if partition is not None else singleton_partition(train.n)
-            pep = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
-            q = tpep_optimal_qu(train.x, train.y, state, pep)
-        else:
-            q = optimal_qu(train.x, train.y, state)
+        q = qu_optimum(train.x, train.y, state, spec, partition)
 
-    reads = partition if spec.uses_partition else None  # not a stochastic SGPR run's blocks
-    final = evaluate_bound(train.x, train.y, state, spec, reads)
+    final = evaluate_bound(train.x, train.y, state, spec, partition)
     return RunResult(
         spec=spec,
         state=state,
         q=q,
         trace=trace,
-        partition=partition,
         initial_objective=init_value,
         objective=final.total,
         fit_term=final.fit_term,
@@ -425,18 +418,11 @@ def _trace_csv(trace: TrainTrace, input_dim: int) -> str:
     cols = ["step", "objective", "sigma2", "kernel_var"]
     cols += [f"lengthscale_{i + 1}" for i in range(input_dim)]
     cols += ["m"]
-    lines = [",".join(cols)]
-    for i in range(len(trace)):
-        row = [
-            str(i + 1),
-            _fmt_float(trace.objective[i]),
-            _fmt_float(trace.sigma2[i]),
-            _fmt_float(trace.kernel_variance[i]),
-        ]
-        row += [_fmt_float(v) for v in trace.lengthscales[i]]
-        row.append(_fmt_float(trace.m_scale[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv(cols, (
+        [str(i + 1), trace.objective[i], trace.sigma2[i], trace.kernel_variance[i],
+         *trace.lengthscales[i], trace.m_scale[i]]
+        for i in range(len(trace))
+    ))
 
 
 def _model_payload(cfg: dict, cfg_hash: str, run: RunResult, train: Dataset) -> dict:
@@ -523,16 +509,6 @@ def _prediction_curve(
     return x_out, mean, mean - half, mean + half
 
 
-def _curve_csv(curve) -> str:
-    x_out, mean, lower, upper = curve
-    lines = ["x_grid,mean,lower,upper"]
-    for i in range(x_out.shape[0]):
-        lines.append(
-            ",".join(_fmt_float(v) for v in (x_out[i], mean[i], lower[i], upper[i]))
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _method_slug(method: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", method.lower()).strip("_")
 
@@ -602,23 +578,16 @@ def cmd_compare(args) -> int:
         rows.append(row)
         if train.dim == 1:
             curve = _prediction_curve(cfg, train, run.state, run.q)
-            (out / f"curve_{_method_slug(method)}.csv").write_text(_curve_csv(curve))
+            (out / f"curve_{_method_slug(method)}.csv").write_text(
+                _csv(["x_grid", "mean", "lower", "upper"], zip(*curve))
+            )
 
-    input_dim = train.dim
-    cols = ["method", "objective_init", "objective", "rmse", "mean_ll", "sigma2",
-            "kernel_variance", "m"]
-    cols += [f"lengthscale_{i + 1}" for i in range(input_dim)]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = [row["method"]]
-        cells += [
-            _fmt_float(row[c])
-            for c in ("objective_init", "objective", "rmse", "mean_ll", "sigma2",
-                      "kernel_variance", "m")
-        ]
-        cells += [_fmt_float(v) for v in row["lengthscales"]]
-        lines.append(",".join(cells))
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    scalars = ["objective_init", "objective", "rmse", "mean_ll", "sigma2",
+               "kernel_variance", "m"]
+    cols = ["method", *scalars] + [f"lengthscale_{i + 1}" for i in range(train.dim)]
+    (out / "compare.csv").write_text(_csv(cols, (
+        [row["method"], *(row[c] for c in scalars), *row["lengthscales"]] for row in rows
+    )))
     _write_json(
         out / "compare.json",
         {
@@ -724,21 +693,13 @@ def cmd_predict(args) -> int:
     out = _ensure_out(args.out)
     cols = [f"feature_{j + 1}" for j in range(input_dim)]
     cols += ["mean", "variance", "lower", "upper"]
+    columns = [mean, var, mean - half, mean + half]
     if y_raw is not None:
         cols.append("target")
-    lines = [",".join(cols)]
-    for i in range(x_raw.shape[0]):
-        cells = [_fmt_float(v) for v in x_raw[i]]
-        cells += [
-            _fmt_float(mean[i]),
-            _fmt_float(var[i]),
-            _fmt_float(mean[i] - half[i]),
-            _fmt_float(mean[i] + half[i]),
-        ]
-        if y_raw is not None:
-            cells.append(_fmt_float(y_raw[i]))
-        lines.append(",".join(cells))
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+        columns.append(y_raw)
+    (out / "predictions.csv").write_text(
+        _csv(cols, ([*x, *c] for x, c in zip(x_raw, zip(*columns))))
+    )
 
     if y_raw is not None:
         y_std_scale = (y_raw - stats.y_mean) / stats.y_std if stats is not None else y_raw

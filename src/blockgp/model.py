@@ -27,13 +27,11 @@ class Method:
     """One row of the method table.
 
     penalty: the gap penalty the collapsed bound charges on top of the
-    Gaussian fit ("pep": power EP's block noise), None for Exact and the
-    oracles.  partition: "required", "optional" (power EP defaults to one
-    point per block) or "rejected".  alpha: the power is required, else
-    rejected.  stochastic: the penalty is block-separable, so
-    fit_stochastic can cycle blocks.  gap_scale: the state carries the
-    gap scale m.  oracle: takes explicit scale matrices to check the
-    others; never trained.
+    Gaussian fit ("pep": power EP's block noise), None for Exact.
+    partition: "required", "optional" (power EP defaults to one point per
+    block) or "rejected".  alpha: the power is required, else rejected.
+    stochastic: the penalty is block-separable, so fit_stochastic can
+    cycle blocks.  gap_scale: the state carries the gap scale m.
     """
 
     penalty: Optional[str]
@@ -41,23 +39,30 @@ class Method:
     alpha: bool
     stochastic: bool
     gap_scale: bool
-    oracle: bool
 
 
 # Every method name accepted anywhere, in the order error messages list them.
 METHODS = {
-    #                           penalty      partition   alpha  stoch. gap_m  oracle
-    "Exact":             Method(None,        "rejected", False, False, False, False),
-    "SGPR":              Method("trace",     "rejected", False, True,  False, False),
-    "T-SGPR":            Method("diag",      "rejected", False, True,  False, False),
-    "BT-SGPR":           Method("logdet",    "required", False, True,  False, False),
-    "SharedBlock":       Method("shared",    "required", False, False, False, False),
-    "Spherical":         Method("spherical", "rejected", False, False, False, False),
-    "PEP":               Method("pep",       "optional", True,  True,  False, False),
-    "T-PEP":             Method("pep",       "optional", True,  True,  True,  False),
-    "GeneralC-Oracle":   Method(None,        "rejected", False, False, False, True),
-    "GeneralPEP-Oracle": Method(None,        "optional", True,  False, False, True),
+    #                     penalty      partition   alpha  stoch. gap_m
+    "Exact":       Method(None,        "rejected", False, False, False),
+    "SGPR":        Method("trace",     "rejected", False, True,  False),
+    "T-SGPR":      Method("diag",      "rejected", False, True,  False),
+    "BT-SGPR":     Method("logdet",    "required", False, True,  False),
+    "SharedBlock": Method("shared",    "required", False, False, False),
+    "Spherical":   Method("spherical", "rejected", False, False, False),
+    "PEP":         Method("pep",       "optional", True,  True,  False),
+    "T-PEP":       Method("pep",       "optional", True,  True,  True),
 }
+
+
+def check_power(alpha: float, m: float = 1.0) -> None:
+    """Raise unless the power alpha lies in (0, 1] and the gap scale m is
+    finite and positive: the one rule for power EP's (alpha, m), under
+    which 1 + alpha (m - 1) = (1 - alpha) + alpha m > 0."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0.0 < m < np.inf:
+        raise ValueError(f"the gap scale m must be finite and positive, got {m}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +213,8 @@ class BoundSpec:
             raise ValueError(f"method {self.method} requires alpha")
         if not row.alpha and self.alpha is not None:
             raise ValueError(f"method {self.method} does not take alpha")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.alpha is not None:
+            check_power(self.alpha)
         if self.num_blocks is not None:
             if row.partition == "rejected":
                 raise ValueError(f"method {self.method} does not take num_blocks")

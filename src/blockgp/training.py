@@ -1,7 +1,16 @@
 """Fitting: gradients, Adam and L-BFGS drivers, and the full-batch /
 block-cycling training loops.
 
-Two entry points.  fit_collapsed moves hyperparameters (and the scalar
+Every entry point that takes a BoundSpec reads the method's row in
+model.METHODS through one resolver, which checks the spec against the
+state and the partition and gives the penalty, partition and alpha that
+the bodies take beside the state's gap scale m: evaluate_bound (the
+collapsed bound), stochastic_estimate (its one-block estimator),
+qu_optimum (the optimal q(u)), uncollapsed_bound (the bound at a given
+q(u)) and the two trainers.  A caller who holds a spec need not know
+which family it names.
+
+Two trainers.  fit_collapsed moves hyperparameters (and the scalar
 gap scale, when the state carries one) on a collapsed objective.
 fit_stochastic moves hyperparameters and an explicit q(u) together,
 taking one gradient step per block while cycling blocks in a seeded
@@ -40,10 +49,12 @@ from .bounds_pep import PepConfig, tpep_stochastic
 from .bounds_vi import (
     BlockEstimate,
     BoundBreakdown,
+    _qu_star,
     block_estimate,
     exact_lml,
     vi_collapsed,
     vi_stochastic,
+    vi_uncollapsed,
 )
 from .kernels import QUIET, KernelParams, NoiseParam, kernel_matrix
 from .linalg import CholeskyFactor, NotPositiveDefiniteError, chol
@@ -301,10 +312,30 @@ class ParameterPack:
         return np.concatenate([np.asarray(d_mean, dtype=float).ravel(), d[il]])
 
 
-def _resolve_partition(
-    n: int, spec: BoundSpec, partition: Optional[Partition]
-) -> Partition:
-    if partition is not None:
+def _resolve(y, state: ModelState, spec: BoundSpec, partition: Optional[Partition],
+             stochastic: bool = False):
+    """(penalty, partition, alpha) of spec's row in METHODS over the points
+    of y, which every spec-level entry point passes to the bodies with the
+    gap scale m of the state it evaluates at: read there, so that an m
+    that overflows fails a trainer's first evaluation like any other.
+    Raises by name where the row has no block-separable estimator (with
+    stochastic), where state's m does not fit the row, and where a bound,
+    not an estimator, is given a partition its row rejects.  Any other
+    partition must cover y and have the spec's num_blocks; power EP's
+    defaults to one point per block."""
+    row, n = spec.row, np.asarray(y).reshape(-1).shape[0]
+    if stochastic and not row.stochastic:
+        raise ValueError(
+            f"method {spec.method} has no block-separable estimator; "
+            f"choose from {tuple(name for name, r in METHODS.items() if r.stochastic)}"
+        )
+    spec.check_state(state)
+    if not (stochastic or spec.uses_partition):
+        if partition is not None:
+            raise ValueError(
+                f"method {spec.method} takes no partition; its bound reads no blocks"
+            )
+    elif partition is not None:
         if partition.n != n:
             raise ValueError(f"partition covers {partition.n} points but data has {n}")
         if spec.num_blocks is not None and partition.num_blocks != spec.num_blocks:
@@ -312,10 +343,11 @@ def _resolve_partition(
                 f"spec asks for {spec.num_blocks} blocks but the partition "
                 f"has {partition.num_blocks}"
             )
-        return partition
-    if spec.row.partition == "optional" and spec.num_blocks is None:
-        return singleton_partition(n)
-    raise ValueError(f"method {spec.method} needs an explicit partition")
+    elif row.partition == "optional" and spec.num_blocks is None:
+        partition = singleton_partition(n)
+    else:
+        raise ValueError(f"method {spec.method} needs an explicit partition")
+    return row.penalty, partition, spec.alpha
 
 
 def evaluate_bound(
@@ -333,20 +365,43 @@ def evaluate_bound(
     row in METHODS picks the body: Exact's dense form, or vi_collapsed at
     the row's penalty (power EP's with the spec's alpha and the state's
     gap scale m).  A partition given to a method whose row rejects one
-    raises.  The oracle methods are rejected here: they take explicit
-    scale matrices and exist to check the others, not to be trained.
+    raises.
     """
-    row = spec.row
-    if row.oracle:
-        raise ValueError(f"{spec.method} takes explicit scale matrices; call it directly")
-    spec.check_state(state)
-    if partition is not None and not spec.uses_partition:
-        raise ValueError(f"method {spec.method} takes no partition; its bound reads no blocks")
-    if row.penalty is None:
+    penalty, part, alpha = _resolve(y, state, spec, partition)
+    if penalty is None:
         return exact_lml(x, y, state, gradient)
-    n = np.asarray(y).reshape(-1).shape[0]
-    part = _resolve_partition(n, spec, partition) if spec.uses_partition else None
-    return vi_collapsed(x, y, state, row.penalty, part, gradient, spec.alpha, state.m_scale)
+    return vi_collapsed(x, y, state, penalty, part, gradient, alpha, state.m_scale)
+
+
+def qu_optimum(
+    x, y, state: ModelState, spec: BoundSpec, partition: Optional[Partition] = None
+) -> GaussianQU:
+    """The q(u) at which spec's uncollapsed bound meets its collapsed one.
+
+    For the variational rows it is optimal_qu's, which reads no blocks;
+    for power EP the posterior under the block noise of the partition
+    (one point per block where none is given) at the spec's alpha and the
+    state's gap scale m, tpep_optimal_qu's.  The partition rules are
+    evaluate_bound's; Exact has no q(u) and raises.
+    """
+    penalty, part, alpha = _resolve(y, state, spec, partition)
+    if penalty is None:
+        raise ValueError(f"method {spec.method} has no q(u)")
+    return _qu_star(x, y, state, penalty, part, alpha, state.m_scale)
+
+
+def uncollapsed_bound(
+    x, y, state: ModelState, spec: BoundSpec, q: GaussianQU,
+    partition: Optional[Partition] = None,
+) -> BoundBreakdown:
+    """spec's uncollapsed bound at q(u): vi_uncollapsed at the row's
+    penalty, power EP's at the spec's alpha and the state's gap scale m.
+    At qu_optimum it equals evaluate_bound.  The partition rules are
+    evaluate_bound's; Exact has no q(u) and raises."""
+    penalty, part, alpha = _resolve(y, state, spec, partition)
+    if penalty is None:
+        raise ValueError(f"method {spec.method} has no q(u)")
+    return vi_uncollapsed(x, y, state, part, q, penalty, alpha, state.m_scale)
 
 
 # What an objective raises where it cannot be evaluated: a factorization that
@@ -557,9 +612,7 @@ def fit_collapsed(
     stops at such a point.
     """
     spec = cfg.objective
-    n = np.asarray(y).reshape(-1).shape[0]
-    # a partition the row rejects goes on to evaluate_bound, which raises
-    part = _resolve_partition(n, spec, partition) if spec.uses_partition else partition
+    part = _resolve(y, state, spec, partition)[1]
     pack = ParameterPack.for_state(state)
 
     def objective(theta):
@@ -607,22 +660,11 @@ def stochastic_estimate(
     """block_estimate at the penalty of spec's row in METHODS, which must
     be stochastic, on a partition that fits spec; power EP's block noise
     is at the state's gap scale m."""
-    _check_stochastic(spec, state)
-    partition = _resolve_partition(np.asarray(y).reshape(-1).shape[0], spec, partition)
+    penalty, part, alpha = _resolve(y, state, spec, partition, stochastic=True)
     return block_estimate(
-        x, y, state, partition, q, block_index, penalty=spec.row.penalty,
-        alpha=spec.alpha, m_scale=state.m_scale, gradient=gradient,
+        x, y, state, part, q, block_index, penalty=penalty,
+        alpha=alpha, m_scale=state.m_scale, gradient=gradient,
     )
-
-
-def _check_stochastic(spec: BoundSpec, state: ModelState) -> None:
-    """Raise unless spec's penalty is block-separable and state fits it."""
-    if not spec.row.stochastic:
-        raise ValueError(
-            f"method {spec.method} has no block-separable estimator; "
-            f"choose from {tuple(n for n, row in METHODS.items() if row.stochastic)}"
-        )
-    spec.check_state(state)
 
 
 def _initial_qu(state: ModelState) -> GaussianQU:
@@ -661,11 +703,9 @@ def fit_stochastic(
     the method has one; q defaults to the prior at the initial state.
     """
     spec = cfg.objective
-    _check_stochastic(spec, state)
+    penalty, part, alpha = _resolve(y, state, spec, partition, stochastic=True)
     if cfg.optimizer != "adam":
         raise ValueError("stochastic training cycles blocks; use optimizer='adam'")
-    n = np.asarray(y).reshape(-1).shape[0]
-    part = _resolve_partition(n, spec, partition)
     if q is None:
         q = _initial_qu(state)
     pack = ParameterPack.for_state(state, with_q=True)
@@ -678,10 +718,10 @@ def fit_stochastic(
     def block_value(theta_vec, b):
         st = pack.unpack_state(theta_vec)
         qu = pack.unpack_q(theta_vec)
-        if spec.is_pep:
-            pcfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=st.m_scale)
+        if alpha is not None:
+            pcfg = PepConfig(alpha=alpha, partition=part, m_scale=st.m_scale)
             return tpep_stochastic(x, y, st, pcfg, qu, b)
-        return vi_stochastic(x, y, st, part, qu, b, penalty=spec.row.penalty)
+        return vi_stochastic(x, y, st, part, qu, b, penalty=penalty)
 
     def value_and_gradient(theta_vec):
         b = next(blocks)

@@ -18,35 +18,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds_pep import (
     PepConfig,
     general_pep_oracle,
-    pep_collapsed,
     pep_iterate,
     tpep_collapsed,
     tpep_optimal_qu,
     tpep_qu_gradient,
-    tpep_stochastic,
     tpep_uncollapsed,
     verify_site_fixed_point,
 )
 from .bounds_vi import (
-    btsgpr_collapsed,
     btsgpr_optimal_scales,
-    exact_lml,
     general_c_optimum,
     general_c_oracle,
-    optimal_qu,
     prepare,
-    sgpr_collapsed,
-    sharedblock_collapsed,
-    spherical_collapsed,
     spherical_optimal_scale,
-    tsgpr_collapsed,
     uncollapsed_qu_gradient,
     vi_stochastic,
     vi_uncollapsed,
@@ -60,13 +51,14 @@ from .model import (
     ModelState,
     Partition,
     make_partition,
-    singleton_partition,
 )
 from .training import (
     ParameterPack,
     evaluate_bound,
     finite_difference_gradient,
+    qu_optimum,
     stochastic_estimate,
+    uncollapsed_bound,
 )
 
 # Tolerances, one name per claim.
@@ -253,26 +245,21 @@ def check_ordering_chain(ctx: CheckContext) -> str:
     rng = np.random.default_rng((ctx.seed, 1))
     count = ctx.count(20, 200)
     worst = np.inf
+    chain = ("SGPR", "Spherical", "T-SGPR", "BT-SGPR", "Exact")
     for k in range(count):
         x, y, state = random_instance(rng)
         part = equal_blocks(rng, y.shape[0])
-        vals = [
-            sgpr_collapsed(x, y, state).total + ctx.tamper_bias,
-            spherical_collapsed(x, y, state).total,
-            tsgpr_collapsed(x, y, state).total,
-            btsgpr_collapsed(x, y, state, part).total,
-            exact_lml(x, y, state).total,
-        ]
-        names = ["trace", "spherical", "per-point", "per-block", "exact"]
+        vals = [_value(x, y, state, _spec(name, part), part) for name in chain]
+        vals[0] += ctx.tamper_bias
         for lo, hi in zip(range(4), range(1, 5)):
             gap = vals[hi] - vals[lo]
             worst = min(worst, gap)
             if gap < -ORDERING_SLACK:
                 raise CheckFailure(
-                    f"instance {k}: {names[lo]} bound exceeds {names[hi]} "
+                    f"instance {k}: {chain[lo]} bound exceeds {chain[hi]} "
                     f"by {-gap:.3e}"
                 )
-        shared = sharedblock_collapsed(x, y, state, part).total
+        shared = _value(x, y, state, _spec("SharedBlock", part), part)
         gap = vals[3] - shared
         worst = min(worst, gap)
         if gap < -ORDERING_SLACK:
@@ -295,37 +282,21 @@ def check_collapse_identities(ctx: CheckContext) -> str:
         n = y.shape[0]
         part = random_blocks(rng, n)
         eq_part = equal_blocks(rng, n)
-        q_star = optimal_qu(x, y, state)
-        pairs = [
-            ("trace", part, sgpr_collapsed(x, y, state).total),
-            ("diag", part, tsgpr_collapsed(x, y, state).total),
-            ("logdet", part, btsgpr_collapsed(x, y, state, part).total),
-            ("shared", eq_part, sharedblock_collapsed(x, y, state, eq_part).total),
-            ("spherical", part, spherical_collapsed(x, y, state).total),
-        ]
-        for penalty, p, collapsed in pairs:
-            un = vi_uncollapsed(x, y, state, p, q_star, penalty=penalty).total
-            dev = _rel(un, collapsed)
+        for name, row in METHODS.items():
+            if row.penalty is None:
+                continue
+            p = eq_part if name == "SharedBlock" else part
+            spec = _spec(name, p, alphas[k % 3])
+            st, reads = _fitting(spec, state, p, ms[k % 2])
+            un = uncollapsed_bound(x, y, st, spec, qu_optimum(x, y, st, spec, reads), reads)
+            dev = _rel(un.total, evaluate_bound(x, y, st, spec, reads).total)
             worst = max(worst, dev)
             if dev > COLLAPSE_RTOL:
                 raise CheckFailure(
-                    f"instance {k}: {penalty} uncollapsed at optimal q off its "
-                    f"collapsed value by {dev:.3e} relative"
+                    f"instance {k}: {name} uncollapsed at optimal q off its collapsed "
+                    f"value by {dev:.3e} relative (alpha={spec.alpha}, m={st.m_scale})"
                 )
-        cfg = PepConfig(
-            alpha=alphas[k % 3], partition=part, m_scale=ms[k % 2]
-        )
-        q_pep = tpep_optimal_qu(x, y, state, cfg)
-        un = tpep_uncollapsed(x, y, state, cfg, q_pep).total
-        collapsed = tpep_collapsed(x, y, state, cfg).total
-        dev = _rel(un, collapsed)
-        worst = max(worst, dev)
-        if dev > COLLAPSE_RTOL:
-            raise CheckFailure(
-                f"instance {k}: scaled power-EP uncollapsed at optimal q off "
-                f"by {dev:.3e} relative (alpha={cfg.alpha}, m={cfg.m_scale})"
-            )
-    return f"{count} instances x 6 identities, worst rel dev {worst:.3e}"
+    return f"{count} instances x 7 identities, worst rel dev {worst:.3e}"
 
 
 def check_limit_lattice(ctx: CheckContext) -> str:
@@ -341,11 +312,11 @@ def check_limit_lattice(ctx: CheckContext) -> str:
     for k in range(count):
         x, y, state = gentle_instance(rng)
         n = y.shape[0]
-        singles = singleton_partition(n)
         part = random_blocks(rng, n)
 
-        cfg0 = PepConfig(alpha=tiny, partition=singles)
-        dev = abs(pep_collapsed(x, y, state, cfg0).total - sgpr_collapsed(x, y, state).total)
+        # power EP without num_blocks puts one point in each block
+        sgpr = _value(x, y, state, BoundSpec("SGPR"))
+        dev = abs(_value(x, y, state, BoundSpec("PEP", tiny)) - sgpr)
         worst_abs = max(worst_abs, dev)
         if dev > LIMIT_ATOL:
             raise CheckFailure(
@@ -353,10 +324,9 @@ def check_limit_lattice(ctx: CheckContext) -> str:
             )
 
         m_star = spherical_optimal_scale(x, y, state)
-        cfg_m = PepConfig(alpha=tiny, partition=singles, m_scale=m_star)
         dev = abs(
-            tpep_collapsed(x, y, state, cfg_m).total
-            - spherical_collapsed(x, y, state).total
+            _value(x, y, state, BoundSpec("T-PEP", tiny), m=m_star)
+            - _value(x, y, state, BoundSpec("Spherical"))
         )
         worst_abs = max(worst_abs, dev)
         if dev > LIMIT_ATOL:
@@ -368,7 +338,7 @@ def check_limit_lattice(ctx: CheckContext) -> str:
         scales = btsgpr_optimal_scales(x, y, state, part)
         dev = abs(
             general_pep_oracle(x, y, state, tiny, part, scales).total
-            - btsgpr_collapsed(x, y, state, part).total
+            - _value(x, y, state, _spec("BT-SGPR", part), part)
         )
         worst_abs = max(worst_abs, dev)
         if dev > LIMIT_ATOL:
@@ -377,8 +347,7 @@ def check_limit_lattice(ctx: CheckContext) -> str:
                 f"is {dev:.3e} from the per-block bound"
             )
 
-        cfg1 = PepConfig(alpha=1.0, partition=singles)
-        pep1 = pep_collapsed(x, y, state, cfg1).total
+        pep1 = _value(x, y, state, BoundSpec("PEP", 1.0))
         prep = prepare(x, y, state)
         cov = prep.v.T @ prep.v
         cov[np.diag_indices(n)] = kernel_diag(x, state.kernel) + prep.sigma2
@@ -394,11 +363,9 @@ def check_limit_lattice(ctx: CheckContext) -> str:
             )
 
         alpha = float(rng.uniform(0.2, 1.0))
-        cfg_a = PepConfig(alpha=alpha, partition=part)
-        cfg_a1 = PepConfig(alpha=alpha, partition=part, m_scale=1.0)
         dev = _rel(
-            tpep_collapsed(x, y, state, cfg_a1).total,
-            pep_collapsed(x, y, state, cfg_a).total,
+            _value(x, y, state, _spec("T-PEP", part, alpha), part, m=1.0),
+            _value(x, y, state, _spec("PEP", part, alpha), part),
         )
         worst_rel = max(worst_rel, dev)
         if dev > M_ONE_RTOL:
@@ -464,11 +431,12 @@ def check_stochastic_unbiasedness(ctx: CheckContext) -> str:
         n = y.shape[0]
         part = random_blocks(rng, n)
         q = random_qu(rng, state.num_inducing)
-        for penalty in ("trace", "diag", "logdet"):
-            full = vi_uncollapsed(x, y, state, part, q, penalty=penalty).total
+        for spec in _specs(lambda row: row.stochastic, part, alpha=0.5):
+            st, reads = _fitting(spec, state, part, 1.2)
+            full = uncollapsed_bound(x, y, st, spec, q, reads).total
             mean_est = (
                 sum(
-                    vi_stochastic(x, y, state, part, q, b, penalty=penalty)
+                    stochastic_estimate(x, y, st, part, q, b, spec).value
                     for b in range(part.num_blocks)
                 )
                 / part.num_blocks
@@ -477,23 +445,10 @@ def check_stochastic_unbiasedness(ctx: CheckContext) -> str:
             worst = max(worst, dev)
             if dev > UNBIASED_RTOL:
                 raise CheckFailure(
-                    f"instance {k}: {penalty} estimator mean off the full bound "
+                    f"instance {k}: {spec.method} estimator mean off the full bound "
                     f"by {dev:.3e} relative"
                 )
-        cfg = PepConfig(alpha=0.5, partition=part, m_scale=1.2)
-        full = tpep_uncollapsed(x, y, state, cfg, q).total
-        mean_est = (
-            sum(tpep_stochastic(x, y, state, cfg, q, b) for b in range(part.num_blocks))
-            / part.num_blocks
-        )
-        dev = _rel(mean_est, full)
-        worst = max(worst, dev)
-        if dev > UNBIASED_RTOL:
-            raise CheckFailure(
-                f"instance {k}: power-EP estimator mean off the full objective "
-                f"by {dev:.3e} relative"
-            )
-    return f"{count} instances x 4 estimators, worst rel dev {worst:.3e}"
+    return f"{count} instances x 5 estimators, worst rel dev {worst:.3e}"
 
 
 def check_general_scale_optimality(ctx: CheckContext) -> str:
@@ -508,7 +463,7 @@ def check_general_scale_optimality(ctx: CheckContext) -> str:
         x, y, state = spread_instance(rng)
         n = y.shape[0]
         whole = make_partition(n, 1)
-        best = btsgpr_collapsed(x, y, state, whole).total
+        best = _value(x, y, state, _spec("BT-SGPR", whole), whole)
         c_star = general_c_optimum(x, y, state)
         at_star = general_c_oracle(x, y, state, c_star).total
         dev = _rel(at_star, best)
@@ -605,9 +560,9 @@ def check_gradient_checks(ctx: CheckContext) -> str:
 
         # hyperparameters (log m where the method has it) and q(u)
         # together, against differences of the same single-block value
-        stochastic = _specs(lambda row: row.stochastic, part.num_blocks)
+        stochastic = _specs(lambda row: row.stochastic, part)
         for spec in stochastic:
-            st = state.with_(log_m_scale=np.log(1.3)) if spec.row.gap_scale else state
+            st = _fitting(spec, state, part)[0]
             spack = ParameterPack.for_state(st, with_q=True)
             b = int(rng.integers(part.num_blocks))
 
@@ -622,10 +577,9 @@ def check_gradient_checks(ctx: CheckContext) -> str:
 
         # every objective fit_collapsed trains, log m included: the envelope
         # gradient (the dense form for Exact) against differences of the value
-        collapsed = _specs(lambda row: not row.oracle, part.num_blocks)
+        collapsed = _specs(lambda row: True, part)
         for spec in collapsed:
-            st = state.with_(log_m_scale=np.log(1.3)) if spec.row.gap_scale else state
-            spart = part if spec.uses_partition else None
+            st, spart = _fitting(spec, state, part)
             cpack = ParameterPack.for_state(st)
 
             def bound(t, spec=spec, spart=spart, cpack=cpack):
@@ -642,19 +596,38 @@ def check_gradient_checks(ctx: CheckContext) -> str:
     )
 
 
-# The power each power-EP method is checked at.
+# The power each power-EP method is checked at, where a check names none.
 _CHECK_ALPHA = {"PEP": 0.5, "T-PEP": 0.35}
 
 
-def _specs(test, num_blocks: int) -> Tuple[BoundSpec, ...]:
-    """A spec for each method whose row in METHODS passes test, in table
-    order, on num_blocks blocks where the method takes a partition."""
-    return tuple(
-        BoundSpec(name, _CHECK_ALPHA.get(name),
-                  None if row.partition == "rejected" else num_blocks)
-        for name, row in METHODS.items()
-        if test(row)
+def _spec(name: str, part: Partition, alpha: Optional[float] = None) -> BoundSpec:
+    """name's spec, on part's blocks where its row takes a partition and
+    at alpha (default _CHECK_ALPHA's) where it takes a power."""
+    row = METHODS[name]
+    return BoundSpec(
+        name,
+        (_CHECK_ALPHA[name] if alpha is None else alpha) if row.alpha else None,
+        None if row.partition == "rejected" else part.num_blocks,
     )
+
+
+def _specs(test, part: Partition, alpha: Optional[float] = None) -> Tuple[BoundSpec, ...]:
+    """_spec of each method whose row in METHODS passes test, in table order."""
+    return tuple(_spec(name, part, alpha) for name, row in METHODS.items() if test(row))
+
+
+def _fitting(spec: BoundSpec, state: ModelState, part: Optional[Partition], m: float = 1.3):
+    """The state and partition spec's bounds take: state with the gap
+    scale m where the row has one, and part where the row reads blocks."""
+    st = state.with_(log_m_scale=np.log(m)) if spec.row.gap_scale else state
+    return st, part if spec.uses_partition else None
+
+
+def _value(x, y, state: ModelState, spec: BoundSpec, part: Optional[Partition] = None,
+           m: float = 1.3) -> float:
+    """evaluate_bound's total for spec, at _fitting's state and partition."""
+    st, reads = _fitting(spec, state, part, m)
+    return evaluate_bound(x, y, st, spec, reads).total
 
 
 CHECKS: List[Tuple[str, Callable[[CheckContext], str]]] = [

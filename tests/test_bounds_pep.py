@@ -32,8 +32,20 @@ from blockgp.bounds_vi import (
     spherical_collapsed,
     spherical_optimal_scale,
 )
-from blockgp.model import singleton_partition
+from blockgp import bounds_vi
+from blockgp.model import BoundSpec, make_partition, singleton_partition
+from blockgp.training import (
+    ParameterPack,
+    TrainConfig,
+    evaluate_bound,
+    finite_difference_gradient,
+    fit_collapsed,
+    fit_stochastic,
+    stochastic_estimate,
+)
 from blockgp.verify import (
+    GRAD_ATOL,
+    GRAD_RTOL,
     gentle_instance,
     random_blocks,
     random_instance,
@@ -254,6 +266,81 @@ def test_config_validation():
         PepConfig(alpha=1.2, partition=part)
     with pytest.raises(ValueError):
         PepConfig(alpha=0.5, partition=part, m_scale=-1.0)
+    # one (alpha, m) rule: alpha in (0, 1], m finite and positive, so
+    # 1 + alpha (m - 1) > 0 holds even where m - 1 rounds to -1
+    PepConfig(alpha=1.0, partition=part, m_scale=4.2e-18)
+    for alpha, m in ((float("nan"), 1.0), (0.5, 0.0), (0.5, float("inf")), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            PepConfig(alpha=alpha, partition=part, m_scale=m)
+    rng = np.random.default_rng(15)
+    x, y, state = small_instance(rng)
+    n = y.shape[0]
+    part = singleton_partition(n)
+    q = random_qu(rng, state.num_inducing)
+    for m in (0.0, -0.5, float("inf")):
+        for call in (
+            lambda: bounds_vi.vi_collapsed(x, y, state, "pep", part, alpha=0.5, m=m),
+            lambda: bounds_vi.vi_uncollapsed(x, y, state, part, q, "pep", 0.5, m),
+            lambda: bounds_vi.block_estimate(x, y, state, part, q, 0, "pep", 0.5, m),
+        ):
+            with pytest.raises(ValueError, match="gap scale m must be finite and positive"):
+                call()
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie"):
+            general_pep_oracle(x, y, state, alpha, part, [np.eye(1)] * n)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            bounds_vi.vi_collapsed(x, y, state, "pep", part, alpha=alpha)
+
+
+def test_alpha_one_at_a_vanishing_gap_scale_is_finite_with_no_regularizer():
+    # at alpha = 1 the whole-data terms -N/(2a) log(1 + a(m-1)) + N/2 log m
+    # cancel exactly; with m = e^-40, m - 1 rounds to -1, and they must not
+    # turn into log 0: the value, its log m gradient, the one-block
+    # estimate and both trainers stay finite
+    x, y, state = small_instance(np.random.default_rng(0))
+    state = state.with_(log_m_scale=-40.0)
+    part = make_partition(y.shape[0], 4, seed=1)
+    spec = BoundSpec("T-PEP", alpha=1.0, num_blocks=4)
+    out = evaluate_bound(x, y, state, spec, part, gradient=True)
+    assert np.isfinite(out.total) and abs(out.regularizer) <= 1e-12 * abs(out.fit_term)
+    assert out.total == evaluate_bound(x, y, state, spec, part).total
+    pack = ParameterPack.for_state(state)
+    fd = finite_difference_gradient(
+        lambda t: evaluate_bound(x, y, pack.unpack_state(t), spec, part).total,
+        pack.pack(state),
+    )
+    assert np.allclose(pack.pack_estimate_gradient(None, out.gradient), fd,
+                       rtol=GRAD_RTOL, atol=GRAD_ATOL)
+    q = random_qu(np.random.default_rng(1), state.num_inducing)
+    est = stochastic_estimate(x, y, state, part, q, 0, spec, gradient=True)
+    assert np.isfinite(est.value) and np.isfinite(est.d_log_m_scale)
+    cfg = TrainConfig(objective=spec, optimizer="adam", epochs=2, learning_rate=1e-3)
+    assert np.isfinite(fit_collapsed(x, y, state, cfg, part)[1].objective).all()
+    assert np.isfinite(fit_stochastic(x, y, state, part, cfg)[2].objective).all()
+
+
+@pytest.mark.parametrize("alpha, m", [(1.0, 0.3), (0.9, 0.05), (1.0, 1e-9)])
+def test_the_whole_data_terms_below_a_half_shift_match_differences(alpha, m):
+    # where alpha (m - 1) <= -1/2 the whole-data terms are taken through
+    # (1 - alpha) + alpha m: the value matches the high-precision formula and
+    # the log m gradient central differences
+    from decimal import Decimal, getcontext
+
+    x, y, state = small_instance(np.random.default_rng(3))
+    state = state.with_(log_m_scale=float(np.log(m)))
+    part = make_partition(y.shape[0], 3, seed=2)
+    n = y.shape[0]
+    getcontext().prec = 40
+    a, mm = Decimal(alpha), Decimal(state.m_scale)
+    exact = n * (mm.ln() / 2 - (1 + a * (mm - 1)).ln() / (2 * a))
+    whole = bounds_vi._pep_penalty(0.0, 0, 1.0, alpha, state.m_scale, n)[1]
+    assert abs(whole - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
+    spec = BoundSpec("T-PEP", alpha=alpha, num_blocks=3)
+    grad = evaluate_bound(x, y, state, spec, part, gradient=True).gradient.d_log_m_scale
+    log_m, h = state.log_m_scale, 1e-5 * max(1.0, abs(state.log_m_scale))
+    hi, lo = (evaluate_bound(x, y, state.with_(log_m_scale=log_m + s), spec, part).total
+              for s in (h, -h))
+    assert np.allclose(grad, (hi - lo) / (2 * h), rtol=GRAD_RTOL, atol=GRAD_ATOL)
 
 
 def test_partition_size_mismatch_is_rejected():

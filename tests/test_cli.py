@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockgp.cli import main
+from blockgp.bounds_pep import PepConfig, tpep_optimal_qu, tpep_uncollapsed
+from blockgp.bounds_vi import optimal_qu, vi_uncollapsed
+from blockgp.cli import CONFIG_DEFAULTS, _load_model, _prepare_data, main
+from blockgp.model import METHODS, make_partition, singleton_partition
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -57,10 +60,31 @@ def test_fit_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_fit_stochastic_path(tmp_path):
+def _fitted(cfg):
+    """The run's training data and partition (None where the method's row
+    rejects one), and the state and q(u) its model.json saved."""
+    full = dict(CONFIG_DEFAULTS, **cfg)
+    train, _ = _prepare_data(full)
+    row = METHODS[full["method"]]
+    part = None
+    if row.partition != "rejected" or full["trainer"] == "stochastic":
+        part = make_partition(train.n, full["blocks"], seed=full["seed"])
+    state, q = _load_model(str(Path(cfg["out"]) / "model.json"))[:2]
+    return train, part, state, q
+
+
+def _pep_config(cfg, n, part, state):
+    if part is None:
+        part = singleton_partition(n)
+    return PepConfig(alpha=cfg["alpha"], partition=part, m_scale=state.m_scale)
+
+
+@pytest.mark.parametrize("method", ["SGPR", "T-SGPR", "BT-SGPR", "PEP", "T-PEP"])
+def test_fit_stochastic_path(tmp_path, method):
     cfg_path, cfg = _write_config(
         tmp_path,
-        method="BT-SGPR",
+        method=method,
+        alpha=0.5,
         blocks=4,
         trainer="stochastic",
         optimizer="adam",
@@ -70,8 +94,32 @@ def test_fit_stochastic_path(tmp_path):
     assert main(["fit", "--config", cfg_path]) == 0
     report = json.loads((Path(cfg["out"]) / "report.json").read_text())
     assert report["steps"] == 2 * 4  # one step per block per epoch
-    assert "objective_uncollapsed" in report
     assert report["objective_uncollapsed"] <= report["objective"] + 1e-9
+    # the reported uncollapsed bound is the method's own at the saved (state, q)
+    train, part, state, q = _fitted(cfg)
+    if METHODS[method].alpha:
+        pep = _pep_config(cfg, train.n, part, state)
+        expected = tpep_uncollapsed(train.x, train.y, state, pep, q)
+    else:
+        expected = vi_uncollapsed(train.x, train.y, state, part, q,
+                                  penalty=METHODS[method].penalty)
+    assert report["objective_uncollapsed"] == expected.total
+
+
+@pytest.mark.parametrize(
+    "method", ["SGPR", "T-SGPR", "BT-SGPR", "SharedBlock", "Spherical", "PEP", "T-PEP"]
+)
+def test_fit_collapsed_saves_the_methods_optimal_qu(tmp_path, method):
+    cfg_path, cfg = _write_config(tmp_path, method=method, alpha=0.5, blocks=4, epochs=4)
+    assert main(["fit", "--config", cfg_path]) == 0
+    train, part, state, q = _fitted(cfg)
+    if METHODS[method].alpha:
+        expected = tpep_optimal_qu(train.x, train.y, state,
+                                   _pep_config(cfg, train.n, part, state))
+    else:
+        expected = optimal_qu(train.x, train.y, state)
+    assert np.array_equal(q.mean, expected.mean)
+    assert np.array_equal(q.cov_chol.lower, expected.cov_chol.lower)
 
 
 @pytest.mark.parametrize(

@@ -15,23 +15,34 @@ from blockgp.bounds_pep import (
     PepConfig,
     pep_collapsed,
     tpep_collapsed,
+    tpep_optimal_qu,
     tpep_qu_gradient,
     tpep_stochastic,
+    tpep_uncollapsed,
 )
 from blockgp.bounds_vi import (
     btsgpr_collapsed,
     exact_lml,
+    optimal_qu,
     sgpr_collapsed,
     sharedblock_collapsed,
     spherical_collapsed,
     tsgpr_collapsed,
     uncollapsed_qu_gradient,
     vi_stochastic,
+    vi_uncollapsed,
 )
 from blockgp import training
 from blockgp.linalg import CholeskyFactor, NotPositiveDefiniteError, chol
 from blockgp.kernels import NoiseParam, kernel_matrix
-from blockgp.model import METHODS, BoundSpec, GaussianQU, Partition, make_partition
+from blockgp.model import (
+    METHODS,
+    BoundSpec,
+    GaussianQU,
+    Partition,
+    make_partition,
+    singleton_partition,
+)
 from blockgp.training import (
     Diverged,
     EvaluationFailed,
@@ -43,7 +54,9 @@ from blockgp.training import (
     fit_stochastic,
     maximize_adam,
     maximize_lbfgs,
+    qu_optimum,
     stochastic_estimate,
+    uncollapsed_bound,
 )
 from blockgp.verify import random_blocks, random_qu, small_instance
 
@@ -191,7 +204,7 @@ def test_evaluate_bound_dispatch():
         "PEP": BoundSpec(method="PEP", alpha=0.5, num_blocks=3),
         "T-PEP": BoundSpec(method="T-PEP", alpha=0.35, num_blocks=3),
     }
-    assert sorted(specs) == sorted(name for name, row in METHODS.items() if not row.oracle)
+    assert sorted(specs) == sorted(METHODS)
     outcomes = {}
     for k, part in enumerate(partitions):
         direct = {
@@ -227,8 +240,10 @@ def test_evaluate_bound_dispatch():
 def test_evaluate_bound_rejects_oracles_and_mismatched_partitions():
     rng = np.random.default_rng(2)
     x, y, state = small_instance(rng)
-    with pytest.raises(ValueError):
-        evaluate_bound(x, y, state, BoundSpec(method="GeneralC-Oracle"))
+    # the dense oracles take explicit scale matrices, so no spec names them
+    for name in ("GeneralC-Oracle", "GeneralPEP-Oracle"):
+        with pytest.raises(ValueError, match="unknown method"):
+            BoundSpec(method=name)
     part2 = make_partition(y.shape[0], 2)
     with pytest.raises(ValueError):
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), part2)
@@ -241,9 +256,12 @@ def test_a_partition_the_method_does_not_read_raises_by_name():
     # here of the wrong size too, is a mistake, not something to ignore
     x, y, state = small_instance(np.random.default_rng(0))
     part = make_partition(5, 2)
+    q = _prior_qu(state)
     for call in (
         lambda: evaluate_bound(x, y, state, BoundSpec("SGPR"), part),
         lambda: fit_collapsed(x, y, state, TrainConfig(objective=BoundSpec("SGPR")), part),
+        lambda: qu_optimum(x, y, state, BoundSpec("SGPR"), part),
+        lambda: uncollapsed_bound(x, y, state, BoundSpec("SGPR"), q, part),
     ):
         with pytest.raises(ValueError, match="method SGPR takes no partition"):
             call()
@@ -289,6 +307,49 @@ def test_a_state_carries_the_gap_scale_exactly_where_the_method_has_one(method, 
         evaluate_bound(x, y, state, spec, part)
     with pytest.raises(ValueError, match=f"method {method} "):
         fit_collapsed(x, y, state, TrainConfig(objective=spec, epochs=1), part)
+    with pytest.raises(ValueError, match=f"method {method} "):
+        qu_optimum(x, y, state, spec, part)
+    with pytest.raises(ValueError, match=f"method {method} "):
+        uncollapsed_bound(x, y, state, spec, _prior_qu(state), part)
+
+
+def test_the_spec_level_optimum_and_uncollapsed_bound_are_the_methods_own():
+    # qu_optimum and uncollapsed_bound are the per-family functions of each
+    # row, bit for bit: optimal_qu and vi_uncollapsed at the row's penalty,
+    # or tpep_optimal_qu and tpep_uncollapsed at the spec's alpha and the
+    # state's m (one point per block where no partition is given); they
+    # meet evaluate_bound at the optimum, and Exact, with no q(u), raises
+    rng = np.random.default_rng(31)
+    for k in range(3):
+        x, y, state = small_instance(rng)
+        n = y.shape[0]
+        part = make_partition(n, 2 if n % 2 == 0 else 1, seed=k)
+        q = random_qu(rng, state.num_inducing)
+        for name, row in METHODS.items():
+            st = state.with_(log_m_scale=np.log(0.7)) if row.gap_scale else state
+            # power EP's optional partition: given, and one point per block
+            choices = {"required": [part], "optional": [part, None], "rejected": [None]}
+            for reads in choices[row.partition]:
+                num_blocks = None if reads is None else reads.num_blocks
+                spec = BoundSpec(name, 0.6 if row.alpha else None, num_blocks)
+                if row.penalty is None:
+                    for call in (lambda: qu_optimum(x, y, st, spec),
+                                 lambda: uncollapsed_bound(x, y, st, spec, q)):
+                        with pytest.raises(ValueError, match="method Exact has no q"):
+                            call()
+                    continue
+                if row.alpha:
+                    cfg = PepConfig(0.6, reads or singleton_partition(n), st.m_scale)
+                    star, at_q = tpep_optimal_qu(x, y, st, cfg), tpep_uncollapsed(x, y, st, cfg, q)
+                else:
+                    star = optimal_qu(x, y, st)
+                    at_q = vi_uncollapsed(x, y, st, part, q, penalty=row.penalty)
+                got = qu_optimum(x, y, st, spec, reads)
+                assert np.array_equal(got.mean, star.mean), name
+                assert np.array_equal(got.cov_chol.lower, star.cov_chol.lower), name
+                assert uncollapsed_bound(x, y, st, spec, q, reads) == at_q, name
+                meet = uncollapsed_bound(x, y, st, spec, got, reads).total
+                assert_allclose(meet, evaluate_bound(x, y, st, spec, reads).total, rtol=1e-8)
 
 
 def test_fit_collapsed_lbfgs_improves_and_traces():
