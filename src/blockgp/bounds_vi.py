@@ -859,8 +859,11 @@ def block_estimate(
     2016): from the terms into R_b or I + D_bb/sigma2, into
     D_bb = K_bb - K_bu Kuu^-1 K_ub, through Kuu^-1 into the KL term, and
     through the kernel into its parameters and the inducing inputs.  A
-    clamped entry on D's diagonal gets adjoint 0; jitter a factor needed
-    is held constant.
+    clamped entry on D's diagonal gets adjoint 0.  Each factor's jitter
+    is frozen, so the gradient is that of the value with every jitter
+    held at what chol chose; since chol scales the jitter with the
+    matrix's mean diagonal, where a factor needed jitter the gradient
+    can be far off the value's slope.
     """
     _check_penalty(penalty, alpha, m_scale)
     if penalty not in _BLOCK_PENALTIES:

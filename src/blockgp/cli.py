@@ -538,11 +538,14 @@ def cmd_fit(args) -> int:
         f"{method}: objective {run.objective:.6f} after {len(run.trace)} steps, "
         f"rmse {m['rmse']:.6f}, mean_ll {m['mean_ll']:.6f} ({eval_on})"
     )
-    if run.trace.stop_message is not None:
+    trace = run.trace
+    if trace.function_evals is not None:
         print(
-            f"L-BFGS-B stopped: {run.trace.stop_message} ({len(run.trace)} iterations, "
-            f"{run.trace.function_evals} value-and-gradient evaluations)"
+            f"L-BFGS-B stopped: {trace.stop_message} ({len(trace)} iterations, "
+            f"{trace.function_evals} value-and-gradient evaluations)"
         )
+    else:
+        print(f"Adam stopped: {trace.stop_message}")
     print(f"wrote {out / 'model.json'}, {out / 'trace.csv'}, {out / 'report.json'}")
     return 0
 

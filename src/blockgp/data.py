@@ -10,12 +10,12 @@ warning.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .kernels import KernelParams, NoiseParam
 from .model import ModelState
@@ -245,8 +245,11 @@ def init_lengthscales_median(data: Dataset, seed: int = 0) -> KernelParams:
 
     Distances come from a seeded subsample of at most MEDIAN_SUBSAMPLE
     points (the full set, hence the exact median, below that size).
-    Signal variance starts at 1.
+    Signal variance starts at 1.  scipy.spatial is imported here, on
+    the first call, so loading a saved model never reads it.
     """
+    from scipy.spatial.distance import pdist
+
     if data.n < 2:
         raise ValueError("median-distance init needs at least two points")
     x = data.x
@@ -316,10 +319,14 @@ def init_inducing_kmeans(
     Lloyd iterations until no center moves by KMEANS_TOL in any
     coordinate, or max_iter; a center that loses all its points stays
     where it is.  Each iteration costs O(NMD) time and holds a few
-    length-N vectors next to the inputs, whatever M is.
+    length-N vectors next to the inputs, whatever M is.  max_iter 0
+    returns the k-means++ seeds.
     """
     if not 1 <= num_inducing <= data.n:
         raise ValueError(f"num_inducing must be in [1, {data.n}], got {num_inducing}")
+    integral = isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
+    if not (integral and max_iter >= 0):
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     x = data.x
     rng = np.random.default_rng(seed)
     centers = np.empty((num_inducing, data.dim))
@@ -361,8 +368,11 @@ def initial_state(
 
     Median-distance lengthscales, unit signal variance, noise variance
     0.1, inducing inputs from a random subset or k-means centers, and
-    (with with_m) the scalar gap scale starting at 1.
+    (with with_m) the scalar gap scale starting at 1.  noise_variance
+    must be positive and finite.
     """
+    if not 0.0 < noise_variance < np.inf:
+        raise ValueError(f"noise_variance must be positive and finite, got {noise_variance}")
     kernel = init_lengthscales_median(data, seed=seed)
     if inducing == "subset":
         z = init_inducing_subset(data, num_inducing, seed=seed)

@@ -38,12 +38,12 @@ tested against.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .bounds_pep import PepConfig, tpep_stochastic
 from .bounds_vi import (
@@ -117,8 +117,12 @@ class TrainConfig:
                 f"gradient_mode must be one of {_GRADIENT_MODES}, "
                 f"got {self.gradient_mode!r}"
             )
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
@@ -129,10 +133,11 @@ class TrainTrace:
 
     One row per optimizer step actually taken (L-BFGS iteration, Adam
     step, or per-block stochastic step).  wall_time holds seconds spent
-    on each step.  m_scale is 1 for states without the gap scale.  An
-    L-BFGS run also keeps scipy's stop message and its count of
-    objective evaluations (each one value and one gradient); other runs
-    leave them None.
+    on each step.  m_scale is 1 for states without the gap scale.
+    stop_message says why the run stopped: scipy's message for an
+    L-BFGS run, the step budget that ran out for an Adam run.  Only an
+    L-BFGS run keeps its count of objective evaluations (each one value
+    and one gradient) in function_evals; an Adam run leaves it None.
     """
 
     objective: np.ndarray  # (S,)
@@ -172,7 +177,7 @@ class _TraceBuilder:
         )
         self._last = now
 
-    def build(self, stop_message=None, function_evals=None) -> TrainTrace:
+    def build(self, stop_message: str, function_evals=None) -> TrainTrace:
         if self.rows:
             obj, s2, kv, ell, m, wt = zip(*self.rows)
             ell_arr = np.vstack(ell)
@@ -487,7 +492,12 @@ def maximize_lbfgs(
     scipy's result for the minimized negation: the final parameters x,
     the iteration count nit, the evaluation count nfev and the stop
     message.
+
+    scipy.optimize is imported here, on the first call, so a run that
+    trains only with Adam never loads it.
     """
+    from scipy import optimize
+
     failed = set()
     last = [None, None]  # the most recently evaluated point and its value
 
@@ -590,6 +600,11 @@ def maximize_adam(
     return theta
 
 
+def _budget_message(steps: int) -> str:
+    """An Adam run's stop message: it always takes every step it is given."""
+    return f"step budget of {steps} steps ran out"
+
+
 def fit_collapsed(
     x,
     y,
@@ -605,11 +620,12 @@ def fit_collapsed(
     analytic gradient from one prepared state, whatever
     cfg.gradient_mode says.  The trace records each accepted step with
     the value the optimizer's own call there returned; only Adam's last
-    point costs one more, value-only, evaluation.  An L-BFGS trace also
-    keeps scipy's stop message and evaluation count.  An Adam step that
-    lands where the objective or its gradient cannot be evaluated or is
-    not finite raises EvaluationFailed, and so does an L-BFGS run that
-    stops at such a point.
+    point costs one more, value-only, evaluation.  An L-BFGS trace keeps
+    scipy's stop message and evaluation count, an Adam trace the step
+    budget that ran out.  An Adam step that lands where the objective or
+    its gradient cannot be evaluated or is not finite raises
+    EvaluationFailed, and so does an L-BFGS run that stops at such a
+    point.
     """
     spec = cfg.objective
     part = _resolve(y, state, spec, partition)[1]
@@ -644,7 +660,7 @@ def fit_collapsed(
         learning_rate=cfg.learning_rate,
         on_step=on_step,
     )
-    return pack.unpack_state(theta), builder.build()
+    return pack.unpack_state(theta), builder.build(_budget_message(cfg.epochs))
 
 
 def stochastic_estimate(
@@ -697,8 +713,9 @@ def fit_stochastic(
     point, which no step evaluates, costs one value-only pass on the
     last scheduled block.  So a step costs one block pass ("analytic")
     or 2P+1 ("fd").  A point where the estimate or its gradient cannot
-    be evaluated or is not finite raises EvaluationFailed.  Only
-    block-separable objectives (a stochastic row in METHODS) are
+    be evaluated or is not finite raises EvaluationFailed.  The trace's
+    stop message names the step budget, epochs times the block count.
+    Only block-separable objectives (a stochastic row in METHODS) are
     accepted, with a state that carries the gap scale m exactly where
     the method has one; q defaults to the prior at the initial state.
     """
@@ -745,4 +762,5 @@ def fit_stochastic(
     theta = maximize_adam(
         value_and_gradient, theta, len(order), cfg.learning_rate, on_step=on_step
     )
-    return pack.unpack_state(theta), pack.unpack_q(theta), builder.build()
+    trace = builder.build(_budget_message(len(order)))
+    return pack.unpack_state(theta), pack.unpack_q(theta), trace

@@ -33,6 +33,7 @@ from blockgp.bounds_vi import (
 )
 from blockgp.kernels import KernelParams, NoiseParam, kernel_matrix, kernel_stack
 from blockgp.linalg import (
+    JITTER_GROWTH,
     LowRankGaussian,
     NotPositiveDefiniteError,
     chol,
@@ -40,7 +41,7 @@ from blockgp.linalg import (
 )
 from blockgp import model
 from blockgp.model import STACK_ENTRIES, BoundSpec, ModelState, Partition, make_partition
-from blockgp.training import EvaluationFailed, TrainConfig, fit_collapsed
+from blockgp.training import EvaluationFailed, TrainConfig, evaluate_bound, fit_collapsed
 from blockgp.verify import random_instance, random_qu
 
 RTOL = 1e-12
@@ -306,6 +307,34 @@ def test_duplicate_inputs_get_the_per_block_jitter(cut):
     iid = LowRankGaussian(prep.luu, s2)
     iid.add(prep.v, prep.y)
     assert ours == max(iid.jitter_used, max(f.jitter_used for f in factors)) > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: the adjoints freeze each factor's jitter, which chol "
+    "scales with the matrix's mean diagonal"
+))
+def test_tpep_gradient_on_the_duplicate_follows_the_value_on_one_rung():
+    # T-PEP at alpha 0.5, m = 1 factors the duplicate's block noise with
+    # jitter about 8e6 sigma2; the analytic lengthscale gradient reads 888
+    # against a slope of -1.36e9
+    x, y, state, part, _ = _duplicate_instance()
+    state = state.with_(log_m_scale=0.0)
+    spec = BoundSpec(method="T-PEP", alpha=0.5, num_blocks=part.num_blocks)
+    analytic = evaluate_bound(x, y, state, spec, part, gradient=True)
+    steps = np.linspace(-1e-3, 1e-3, 9)
+    values, jitters = [], []
+    for h in steps:
+        ell = state.kernel.log_lengthscales.copy()
+        ell[0] += h
+        kernel = KernelParams(ell, state.kernel.log_signal_variance)
+        out = evaluate_bound(x, y, state.with_(kernel=kernel), spec, part)
+        values.append(out.total)
+        jitters.append(out.jitter_used)
+    # every point on one rung of the ladder, so the value is smooth there
+    assert 0.0 < max(jitters) < np.sqrt(JITTER_GROWTH) * min(jitters)
+    # a cubic fit moves the least-squares slope by 0.3 %
+    slope = np.polyfit(steps, values, 1)[0]
+    np.testing.assert_allclose(analytic.gradient.d_log_lengthscales[0], slope, rtol=1e-2)
 
 
 def test_a_stack_past_the_ladder_raises_by_name():

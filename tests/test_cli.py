@@ -300,3 +300,17 @@ def test_fit_reports_why_lbfgs_stopped_and_reruns_stay_byte_identical(tmp_path, 
     assert f"{report['lbfgs_function_evals']} value-and-gradient evaluations" in line[0]
     assert main(["fit", "--config", cfg_path]) == 0
     assert (out / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("trainer,steps", [("collapsed", 6), ("stochastic", 12)])
+def test_fit_reports_why_adam_stopped_and_keeps_no_lbfgs_count(tmp_path, capsys, trainer,
+                                                                steps):
+    cfg_path, cfg = _write_config(tmp_path, method="BT-SGPR", blocks=2, trainer=trainer,
+                                  optimizer="adam")
+    assert main(["fit", "--config", cfg_path]) == 0
+    report = json.loads((Path(cfg["out"]) / "report.json").read_text())
+    assert report["steps"] == steps
+    assert "lbfgs_function_evals" not in report
+    out = capsys.readouterr().out.splitlines()
+    assert f"Adam stopped: step budget of {steps} steps ran out" in out
+    assert not any("L-BFGS-B" in line for line in out)

@@ -345,6 +345,19 @@ def test_initial_state_wiring():
         initial_state(data, 26)
     with pytest.raises(ValueError):
         initial_state(data, 5, inducing="grid")
+    for noise_variance in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+            initial_state(data, 5, noise_variance=noise_variance)
+
+
+def test_kmeans_names_a_negative_or_fractional_max_iter():
+    data = Dataset(x=np.random.default_rng(8).standard_normal((30, 2)), y=np.zeros(30))
+    for max_iter in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            init_inducing_kmeans(data, 4, max_iter=max_iter)
+    # no Lloyd iteration: the k-means++ seeds are rows of the data
+    seeds = init_inducing_kmeans(data, 4, max_iter=0)
+    assert all((data.x == row).all(axis=1).any() for row in seeds)
 
 
 def test_synthetic_1d_reproducible():

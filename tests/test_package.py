@@ -1,12 +1,24 @@
-"""The package's public names, and the README against the method table."""
+"""The package's public names, the README against the method table, and
+what importing and running the package loads."""
 
+import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import blockgp
 from blockgp.model import METHODS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = ROOT / "src"
+
+# Third-party modules a blockgp module may import at module level; any
+# other (scipy.optimize, scipy.spatial, ...) is imported where it is called.
+MODULE_LEVEL_THIRD_PARTY = ("numpy", "scipy.linalg")
 
 
 def test_every_exported_name_resolves_and_the_list_is_sorted_and_unique():
@@ -55,3 +67,74 @@ def test_the_readme_method_table_and_config_rows_match_the_method_table():
     assert _ticked(config["method"][2]) == trainable
     with_alpha = [name for name in trainable if METHODS[name].alpha]
     assert _ticked(config["alpha"][2]) == with_alpha
+
+
+# Each phase prints whether scipy.optimize and scipy.spatial are loaded.
+_LOADS_SCRIPT = """
+import json, sys
+def loaded(phase):
+    print(json.dumps([phase, "scipy.optimize" in sys.modules, "scipy.spatial" in sys.modules]))
+import blockgp as bg
+loaded("import")
+data = bg.synthetic_1d(60, seed=0)
+state = bg.initial_state(data, 5, seed=0)
+spec = bg.BoundSpec(method="BT-SGPR", num_blocks=3)
+part = bg.make_partition(data.n, 3, seed=0)
+adam = bg.TrainConfig(objective=spec, optimizer="adam", epochs=2)
+fitted, q, _ = bg.fit_stochastic(data.x, data.y, state, part, adam)
+bg.predict(data.x, fitted, bg.optimal_qu(data.x, data.y, fitted))
+loaded("adam")
+lbfgs = bg.TrainConfig(objective=spec, optimizer="lbfgs", epochs=3)
+_, trace = bg.fit_collapsed(data.x, data.y, state, lbfgs, part)
+assert len(trace) >= 1 and trace.function_evals >= 1
+loaded("lbfgs")
+"""
+
+
+def test_scipy_optimize_and_spatial_load_only_where_they_are_called():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-3000:]
+    phases = [json.loads(line) for line in run.stdout.splitlines()]
+    # a fresh import loads neither; the median-heuristic start loads
+    # scipy.spatial, and only an L-BFGS fit loads scipy.optimize
+    assert phases == [["import", False, False], ["adam", False, True],
+                      ["lbfgs", True, True]]
+
+
+def _module_level_imports(tree):
+    """Every import statement outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _in_budget(name):
+    return name.split(".")[0] in sys.stdlib_module_names or any(
+        name == top or name.startswith(top + ".") for top in MODULE_LEVEL_THIRD_PARTY
+    )
+
+
+def _outside_budget(node):
+    """The modules an import statement loads that the budget does not allow."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level or _in_budget(node.module):
+            return []
+        # `from scipy import linalg` loads scipy.linalg
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        names = [alias.name for alias in node.names]
+    return [name for name in names if not _in_budget(name)]
+
+
+def test_module_level_imports_stay_within_numpy_scipy_linalg_and_the_stdlib():
+    bad = []
+    for path in sorted((SRC / "blockgp").glob("*.py")):
+        for node in _module_level_imports(ast.parse(path.read_text())):
+            bad += [f"{path.name}:{node.lineno} imports {name}" for name in _outside_budget(node)]
+    assert bad == [], "import these where they are called: " + "; ".join(bad)

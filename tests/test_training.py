@@ -69,10 +69,16 @@ def test_train_config_validation():
     TrainConfig(objective=spec)
     with pytest.raises(ValueError):
         TrainConfig(objective=spec, optimizer="sgd")
-    with pytest.raises(ValueError):
-        TrainConfig(objective=spec, learning_rate=0.0)
+    for rate in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(objective=spec, learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(objective=spec, epochs=0)
+    # a float or a bool would fail later, in range() or in scipy
+    for epochs in (2.5, True):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(objective=spec, epochs=epochs)
+    assert TrainConfig(objective=spec, epochs=np.int64(3)).epochs == 3
     with pytest.raises(ValueError):
         TrainConfig(objective=spec, gradient_mode="autodiff")
 
@@ -449,6 +455,8 @@ def test_fit_collapsed_adam_takes_exactly_epochs_steps():
     )
     _, trace = fit_collapsed(x, y, state, cfg)
     assert len(trace) == 8
+    assert trace.stop_message == "step budget of 8 steps ran out"
+    assert trace.function_evals is None
 
 
 def test_fit_collapsed_moves_the_gap_scale():
@@ -481,6 +489,8 @@ def test_fit_stochastic_trace_length_and_bitwise_determinism():
     s1, q1, t1 = fit_stochastic(x, y, state, part, cfg)
     s2, q2, t2 = fit_stochastic(x, y, state, part, cfg)
     assert len(t1) == 4 * 3
+    assert t1.stop_message == "step budget of 12 steps ran out"
+    assert t1.function_evals is None
     assert np.array_equal(t1.objective, t2.objective)
     assert np.array_equal(s1.inducing, s2.inducing)
     assert np.array_equal(q1.mean, q2.mean)
