@@ -313,7 +313,7 @@ def exact_lml(
     if gradient:
         a = lk.half_solve_t(w)
         k_bar = 0.5 * (np.outer(a, a) - lk.solve(np.eye(n)))
-        d_ell, d_ls2, _, _ = kernel_matrix_adjoint(x, x, state.kernel, kff, k_bar)
+        d_ell, d_ls2, _ = kernel_matrix_adjoint(x, x, state.kernel, kff, k_bar)
         grad = BlockEstimate(
             value=total,
             d_log_lengthscales=d_ell,
@@ -997,7 +997,7 @@ def _estimate(
                 at_q.T[rows].reshape(b, s, -1)[...] = np.swapaxes(q_bar, 1, 2) @ a_s
                 d_bar[:, diag, diag] = 0.0  # K_bb's diagonal is not in D
                 xs = chunk.x[rows].reshape(b, s, -1)
-                k_ell, k_s2, _, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
+                k_ell, k_s2, _ = kernel_matrix_adjoint(xs, xs, kern, kbb, d_bar)
                 e_ell, e_ls2 = e_ell + k_ell, e_ls2 + k_s2
 
         if stacks is None:
@@ -1024,7 +1024,7 @@ def _estimate(
             g_uc *= 2.0
             g_uc += (w * p_mean)[:, None] * rho
             g_uc -= (w * p_lq) @ g.T
-            k_ell, k_s2, k_z, _ = kernel_matrix_adjoint(z, chunk.x, kern, chunk.kuf, g_uc)
+            k_ell, k_s2, k_z = kernel_matrix_adjoint(z, chunk.x, kern, chunk.kuf, g_uc)
             e_ell, e_ls2, e_z = e_ell + k_ell, e_ls2 + k_s2, e_z + k_z
 
     pen, whole = sums.finish(s2, w, gradient, n_total) if totals is None else totals.finished
@@ -1048,7 +1048,8 @@ def _estimate(
         g_uu = 0.5 * (g_uu + g_uu.T)
         d_mean = w * at_rho - p_mean
         d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
-        d_ell, d_ls2, d_z1, d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
+        d_ell, d_ls2, d_z1 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
+        d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu.T, g_uu.T)[2]  # z as x2
         # K's diagonal, the signal variance, is D's diagonal's other part
         d_ls2 += e_ls2 + kern.signal_variance * sum_dd
         est = BlockEstimate(

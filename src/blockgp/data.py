@@ -212,6 +212,11 @@ def standardize(data: Dataset) -> Dataset:
 
 def apply_standardization(data: Dataset, stats: StandardizationStats) -> Dataset:
     """Standardize with someone else's statistics (for held-out data)."""
+    if data.dim != np.size(stats.x_mean):
+        raise ValueError(
+            f"data has {data.dim} feature columns but the statistics have "
+            f"{np.size(stats.x_mean)}"
+        )
     return replace(
         data,
         x=(data.x - stats.x_mean) / stats.x_std,

@@ -300,9 +300,10 @@ class LowRankGaussian:
 
     def _noise_half_solve(self, b: np.ndarray, stacks) -> np.ndarray:
         """blkdiag(L_b)^-1 b for b of shape (c, k), one stack_half_solve a
-        stack of the chunk's stacks, or b / sigma for none."""
+        stack of the chunk's stacks, or for none b / sigma, divided in place."""
         if not stacks:
-            return b / np.sqrt(self._sigma2)
+            b /= np.sqrt(self._sigma2)
+            return b
         out, start = np.empty(b.shape), 0
         for lower, _ in stacks:
             nb, s = lower.shape[:2]

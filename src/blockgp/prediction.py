@@ -92,14 +92,22 @@ def predict(
     return PredictiveGaussian(mean=mean, variance=var, clamped=bad)
 
 
-def rmse(pred: PredictiveGaussian, y_true: np.ndarray) -> float:
+def _targets(pred: PredictiveGaussian, y_true: np.ndarray) -> np.ndarray:
+    """y_true as a vector, one target for each predicted point."""
     y_true = np.asarray(y_true, dtype=float).reshape(-1)
+    if y_true.shape != np.shape(pred.mean):
+        raise ValueError(f"{y_true.size} targets for {np.size(pred.mean)} predicted points")
+    return y_true
+
+
+def rmse(pred: PredictiveGaussian, y_true: np.ndarray) -> float:
+    y_true = _targets(pred, y_true)
     return float(np.sqrt(np.mean((pred.mean - y_true) ** 2)))
 
 
 def mean_log_likelihood(pred: PredictiveGaussian, y_true: np.ndarray) -> float:
     """Average predictive log density, which needs the noisy variance."""
-    y_true = np.asarray(y_true, dtype=float).reshape(-1)
+    y_true = _targets(pred, y_true)
     var = pred.variance
     if np.any(var <= 0.0):
         raise ValueError("mean_log_likelihood needs strictly positive variances; "

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
-from blockgp.kernels import kernel_matrix
+from blockgp.kernels import QUIET, kernel_matrix
 from blockgp.linalg import chol
 from blockgp.model import ModelState, Partition
 
@@ -21,6 +21,39 @@ def mvn_logpdf(y: np.ndarray, cov: np.ndarray) -> float:
     return float(
         multivariate_normal(mean=np.zeros(y.shape[0]), cov=cov).logpdf(y)
     )
+
+
+def se_oracle(x1: np.ndarray, x2: np.ndarray, params) -> np.ndarray:
+    """The SE kernel in the textbook order, s2 * exp(-0.5 * max(S - 2 a b^T,
+    0)) with a = x1 / l, b = x2 / l and S = |a|^2 + |b|^2, over the last two
+    axes; non-finite entries are returned, not raised."""
+    ell = params.lengthscales
+    with np.errstate(**QUIET):
+        a = x1 / ell
+        b = x2 / ell
+        sq = (a * a).sum(axis=-1)[..., :, None] + (b * b).sum(axis=-1)[..., None, :]
+        sq -= 2.0 * (a @ np.swapaxes(b, -1, -2))
+        np.maximum(sq, 0.0, out=sq)
+        return params.signal_variance * np.exp(-0.5 * sq)
+
+
+def se_adjoint_oracle(x1, x2, params, k, k_bar):
+    """Every adjoint of K = k(x1, x2) under k_bar, each input's by its own
+    formula: (d_log_lengthscales, d_log_signal_variance, d_x1, d_x2)."""
+    inv = params.lengthscales ** -2.0
+    w = k_bar * k
+    rows = w.sum(axis=-1)
+    cols = w.sum(axis=-2)
+    w_x2 = w @ x2
+    d_x1 = (w_x2 - rows[..., None] * x1) * inv
+    d_x2 = (np.swapaxes(w, -1, -2) @ x1 - cols[..., None] * x2) * inv
+    dim = x1.shape[-1]
+    d_ell = (
+        rows.reshape(-1) @ (x1 * x1).reshape(-1, dim)
+        + cols.reshape(-1) @ (x2 * x2).reshape(-1, dim)
+        - 2.0 * np.sum((x1 * w_x2).reshape(-1, dim), axis=0)
+    ) * inv
+    return d_ell, float(w.sum()), d_x1, d_x2
 
 
 def dense_parts(x: np.ndarray, state: ModelState):

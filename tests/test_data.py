@@ -150,6 +150,15 @@ def test_apply_standardization_uses_foreign_stats():
     assert held.stats is stats
 
 
+def test_apply_standardization_names_a_column_count_mismatch():
+    # an (n, 1) x against 3-column statistics used to broadcast to (n, 3)
+    rng = np.random.default_rng(0)
+    stats = standardize(Dataset(x=rng.standard_normal((20, 3)), y=rng.standard_normal(20))).stats
+    narrow = Dataset(x=rng.standard_normal((5, 1)), y=rng.standard_normal(5))
+    with pytest.raises(ValueError, match="data has 1 feature columns but the statistics have 3"):
+        apply_standardization(narrow, stats)
+
+
 def test_split_sizes_disjointness_and_determinism():
     rng = np.random.default_rng(1)
     data = Dataset(x=rng.standard_normal((23, 2)), y=rng.standard_normal(23))

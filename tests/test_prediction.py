@@ -114,6 +114,16 @@ def test_metrics_bundle():
     assert_allclose(out["rmse"], 1.0, rtol=1e-15)
 
 
+@pytest.mark.parametrize("score", [rmse, mean_log_likelihood, metrics])
+def test_scores_name_a_target_count_that_is_not_the_prediction_count(score):
+    # a length-1 y_true used to broadcast: metrics' rmse read 0.3 here
+    pred = PredictiveGaussian(mean=np.zeros(5), variance=np.ones(5))
+    with pytest.raises(ValueError, match="1 targets for 5 predicted points"):
+        score(pred, [0.3])
+    with pytest.raises(ValueError, match="6 targets for 5 predicted points"):
+        score(pred, np.zeros(6))
+
+
 def test_dimension_mismatch_raises():
     rng = np.random.default_rng(6)
     x, y, state = small_instance(rng)
