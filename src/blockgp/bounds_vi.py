@@ -213,12 +213,12 @@ class PreparedBound:
         and factored as consumed."""
         s2 = self.sigma2
         for rows, kbb, gaps in self.gap_stacks(shapes):
-            eye = np.eye(kbb.shape[1])
             # the matrix factored is a temporary, freed before the yield: one
             # more stack held across it made glibc trim and re-fault about
             # 7.5 MB of heap a BT-SGPR gradient on btsgpr-lbfgs
             lower, jitter = chol_stack(
-                gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
+                _add_to_diagonal(gaps / s2, 1.0) if alpha is None
+                else _add_to_diagonal((alpha * m) * gaps, s2)
             )
             yield rows, kbb, gaps, lower, jitter
 
@@ -232,6 +232,13 @@ class PreparedBound:
     def projector_t(self) -> np.ndarray:
         """A^T = Kuu^-1 Kuf, shape (M, N); A maps u to the prior mean of f."""
         return self.luu.half_solve_t(self.v)
+
+
+def _add_to_diagonal(a: np.ndarray, c: float) -> np.ndarray:
+    """a + c I for a (B, n, n) stack, in a's own memory."""
+    diag = np.arange(a.shape[-1])
+    a[:, diag, diag] += c
+    return a
 
 
 def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndarray:
@@ -733,7 +740,8 @@ def _gap_penalty(chunk: PreparedBound, stacks, sums: _PenaltySums, weight: float
             if gradient:
                 cinv = stack_inverse(lower)
                 sums.g_s2 += 0.5 * w * float(np.sum(cinv * gaps)) / s2**2
-                pull(rows, kbb, (-0.5 * w / s2) * cinv)
+                cinv *= -0.5 * w / s2
+                pull(rows, kbb, cinv)
     else:  # "pep"
         alpha, m, c = sums.alpha, sums.m, _pep_log_det_weight(sums.alpha)
         for rows, kbb, gaps, lower, jitter in stacks:

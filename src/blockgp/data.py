@@ -306,7 +306,10 @@ def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     rounds differently from summing (x - c)^2, so a near tie could go
     the other way; tests/_oracles.py keeps the direct form to check it.
     """
-    neg2ct = -2.0 * centers.T
+    # C-ordered, since centers.T is F-ordered: with one BLAS thread on a
+    # 2-core Xeon, x @ neg2ct at 6000x2 @ 2x8 took 45 us F-ordered, 14 us
+    # C-ordered, with the same bits
+    neg2ct = np.ascontiguousarray(-2.0 * centers.T)
     cc = np.einsum("ij,ij->i", centers, centers)
     assign = np.empty(x.shape[0], dtype=np.intp)
     for rows in _row_chunks(x.shape[0], centers.shape[0]):

@@ -24,6 +24,17 @@ so a C-ordered right-hand side needs no reordering copy); a stack's
 small blocks by forward substitution vectorized over the stack, large
 ones by LAPACK's trtrs one block at a time (stack_half_solve).  No LU
 factorization is ever made of a triangle.
+
+A stack of blocks up to BATCHED_INVERSE_MAX (64) points is factored by
+one batched np.linalg.cholesky and inverted by batched substitution, so
+the many small blocks of a fine partition cost a few array calls.  A
+stack of larger blocks goes one block at a time through LAPACK: potrf
+for the factor, and for the inverse (L L^T)^-1 a recursive triangular
+inverse whose off-diagonal pieces are gemm products (_lower_inverse)
+and lauum's (L^-1)^T L^-1.  At 200 points a block, one BLAS thread,
+chol_stack took 185 us a block against 451 for a symmetrizing pass and
+one batched call, and stack_inverse 286 against potri's 497; at 400,
+1182 against 1891 and 1723 against 3330.
 """
 
 from __future__ import annotations
@@ -145,28 +156,63 @@ def chol(a: np.ndarray) -> CholeskyFactor:
             )
 
 
+# Blocks up to this size are factored and inverted batched over the stack:
+# one np.linalg.cholesky call, and L_b^-1 by stack_half_solve on the
+# identity with one batched product.  Larger ones go one at a time: LAPACK's
+# potrf, and _lower_inverse's L^-1, with lauum's (L^-1)^T L^-1.  With one
+# BLAS thread on a 2-core Xeon, stacks of 2^16 entries, 10 alternating
+# repeats, median us a block, batched against one block at a time:
+#   points                      32     48     64     65     96    128
+#   factor (potrf)             4/7  14/14  16/15  18/16  35/34 124/117
+#   inverse (_lower_inverse) 20/19  35/34  46/44  50/38 174/73 299/154
+# (the batched factor won 10, 9, 0, 0, 0 and 2 of 10; the batched inverse
+# 2, 2, 0, 1, 0 and 0).  Up to 64 points the two are within 10 % but for
+# the factor at 32, so those blocks keep the batched path and its bits;
+# past 64 the inverse is 1.3 to 2.4 times faster alone.  The same size is
+# _lower_inverse's leaf: one 200-point block took 442, 437, 428 and 435 us
+# with leaves of 32, 48, 64 and 96 points, and 1231, 1197, 1215 and 1249
+# at 300, against potri's 779 and 1900.
+BATCHED_INVERSE_MAX = 64
+
+
 def chol_stack(a: np.ndarray):
     """Cholesky factors of a (B, n, n) stack, with chol's jitter ladder.
 
-    The stack is symmetrized and factored in one call, and each block's
-    smallest squared pivot is held to chol's rule (above eps times the
-    block's trace) in a fixed number of array operations.  If any matrix
-    in it is not positive definite, or fails the pivot rule, every matrix
-    of the stack goes through chol one at a time, so the jitter each one
-    gets, and the error past the ladder's cap, are chol's.  Returns the
-    (B, n, n) lower factors and the (B,) jitters.
+    Every matrix of the stack must be symmetric to the bit, as gap_factors
+    builds them: only the lower triangle is read, and nothing symmetrizes
+    it first.  A stack of blocks up to BATCHED_INVERSE_MAX points is
+    factored in one batched call, a larger one by LAPACK's potrf a block
+    at a time; then each block's smallest squared pivot is held to chol's
+    rule (above eps times the block's trace) in a fixed number of array
+    operations.  If any matrix in it is not positive definite, or fails
+    the pivot rule, every matrix of the stack goes through chol one at a
+    time, so the jitter each one gets, and the error past the ladder's
+    cap, are chol's.  Returns the (B, n, n) lower factors and the (B,)
+    jitters.
     """
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    else:
+    lower = _factor_stack(a)
+    if lower is not None:
         pivots = np.diagonal(lower, 0, 1, 2)
         if np.all(np.min(pivots, axis=1) ** 2 > np.finfo(float).eps * np.trace(a, 0, 1, 2)):
             return lower, np.zeros(a.shape[0])
     factors = [chol(ab) for ab in a]
     return np.stack([f.lower for f in factors]), np.array([f.jitter_used for f in factors])
+
+
+def _factor_stack(a: np.ndarray):
+    """The lower Cholesky factors of a symmetric (B, n, n) stack, zero
+    above the diagonal, or None if a matrix in it is not positive definite."""
+    if a.shape[-1] <= BATCHED_INVERSE_MAX:
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
+    lower = np.empty(a.shape)
+    for b, ab in enumerate(a):
+        lower[b], info = lapack.dpotrf(ab, lower=1, clean=1)
+        if info != 0:
+            return None
+    return lower
 
 
 def stack_logdet(lower: np.ndarray) -> float:
@@ -177,12 +223,14 @@ def stack_logdet(lower: np.ndarray) -> float:
 # Blocks up to this size are solved by forward substitution vectorized over
 # the stack (n steps, each one batched row-times-solution product); larger
 # ones go one at a time through LAPACK's trtrs.  With one BLAS thread on a
-# 2-core Xeon, stacks of 2^16 entries, one right-hand side: substitution
-# 2.3, 5.9 and 11 us a block at 24, 32 and 40 points, trtrs 3.8, 4.0 and
-# 4.4 us; 32 right-hand sides: substitution 10, 17 and 27 us, trtrs 16, 20
-# and 24 us.  A factor's solves come in such pairs (W and y in
-# LowRankGaussian), which cost the same either way at 32 points; trtrs is
-# 5 times faster at 200.
+# 2-core Xeon, stacks of 2^16 entries, median of 10 repeats, one
+# right-hand side: substitution 1.2, 3.2 and 4.5 us a block at 24, 32 and
+# 40 points, trtrs 1.5, 1.7 and 1.7 us; 32 right-hand sides: substitution
+# 7.4, 15 and 13 us, trtrs 11, 15 and 11 us.  A factor's solves come in
+# such pairs (W and y in LowRankGaussian), within 15 % of each other
+# either way at 32 points; trtrs is 5 times faster at 200.  stack_inverse's
+# batched path solves through here on the identity, so its blocks of 33 to
+# BATCHED_INVERSE_MAX points go through trtrs.
 SUBSTITUTION_MAX = 32
 
 
@@ -203,34 +251,56 @@ def stack_half_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# Blocks up to this size are inverted batched, L_b^-1 by stack_half_solve
-# on the identity and one batched product; larger ones go one at a time
-# through LAPACK's potri.  With one BLAS thread on a 2-core Xeon, stacks of
-# 2^16 entries, 10 alternating repeats, median us a block, batched against
-# potri: 30/49 at 32 points, 33/60 at 40, 53/84 at 48, 74/96 at 64 (the
-# batched path won 10 of 10 at each), 210/204 at 96 (6 of 10) and 424/382
-# at 128 (3 of 10).
-BATCHED_INVERSE_MAX = 64
-
-
 def stack_inverse(lower: np.ndarray) -> np.ndarray:
     """(L_b L_b^T)^-1 for a (B, n, n) stack of lower factors (zero above
-    the diagonal, as chol_stack gives them), symmetric."""
-    if lower.shape[-1] <= BATCHED_INVERSE_MAX:
-        eye = np.broadcast_to(np.eye(lower.shape[-1]), lower.shape)
+    the diagonal, as chol_stack gives them), symmetric to the bit."""
+    n = lower.shape[-1]
+    if n <= BATCHED_INVERSE_MAX:
+        eye = np.broadcast_to(np.eye(n), lower.shape)
         inv_l = stack_half_solve(lower, eye)
         return np.swapaxes(inv_l, -1, -2) @ inv_l
     out = np.empty(lower.shape)
-    diag = np.arange(lower.shape[-1])
+    inv_l = np.empty((n, n))
+    diag = np.arange(n)
     for b, low in enumerate(lower):
-        inv, info = lapack.dpotri(low, lower=1)
+        _lower_inverse(low, inv_l)
+        # inv_l.T is (L^-1)^T, upper and in Fortran order, so lauum forms
+        # (L^-1)^T L^-1 in place in the lower triangle of inv_l
+        tri, info = lapack.dlauum(inv_l.T, lower=0, overwrite_c=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"potri failed on block {b} (info {info})")
-        # potri fills the lower triangle and leaves L's zero upper one, so
-        # inv + inv^T is the inverse but for its doubled diagonal
-        np.add(inv, inv.T, out=out[b])
-        out[b, diag, diag] = inv[diag, diag]
+            raise np.linalg.LinAlgError(f"lauum failed on block {b} (info {info})")
+        tri = tri.T
+        # tri is zero above the diagonal, so tri + tri^T is the inverse
+        # but for its doubled diagonal
+        np.add(tri, tri.T, out=out[b])
+        out[b, diag, diag] = tri[diag, diag]
     return out
+
+
+def _lower_inverse(low: np.ndarray, out: np.ndarray):
+    """L^-1 of a lower factor into out, zero above the diagonal.
+
+    L = [[A, 0], [B, C]] has the inverse [[A^-1, 0], [-C^-1 B A^-1, C^-1]]:
+    A^-1 and C^-1 recursively, down to pieces of at most
+    BATCHED_INVERSE_MAX points that LAPACK's trtri inverts, and the corner
+    in two matrix products, at gemm speed where trtri's own triangular
+    kernels are slow.  This is the recursive form of LAPACK's blocked
+    trtri, with its products by gemm rather than trmm, and in the same
+    stability class (Du Croz and Higham 1992).
+    """
+    n = low.shape[0]
+    if n <= BATCHED_INVERSE_MAX:
+        out[...], info = lapack.dtrtri(low, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtri failed on a factor of size {n} (info {info})")
+        return
+    h = n // 2
+    _lower_inverse(low[:h, :h], out[:h, :h])
+    _lower_inverse(low[h:, h:], out[h:, h:])
+    out[:h, h:] = 0.0
+    corner = low[h:, :h] @ out[:h, :h]
+    np.negative(corner, out=corner)
+    np.matmul(out[h:, h:], corner, out=out[h:, :h])
 
 
 class LowRankGaussian:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -220,6 +221,11 @@ class ParameterPack:
             with_q=with_q,
         )
 
+    @cached_property
+    def _tril(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The q(u) factor's lower-triangle indices, row by row, built once."""
+        return np.tril_indices(self.num_inducing)
+
     @property
     def num_hyper(self) -> int:
         d, m = self.input_dim, self.num_inducing
@@ -244,7 +250,7 @@ class ParameterPack:
         if self.with_q:
             if q is None:
                 raise ValueError("pack tracks q(u) but none was given")
-            il = np.tril_indices(self.num_inducing)
+            il = self._tril
             vals = q.cov_chol.lower[il].copy()
             on_diag = il[0] == il[1]
             vals[on_diag] = np.log(np.diag(q.cov_chol.lower))
@@ -284,8 +290,7 @@ class ParameterPack:
         mean = theta[base : base + m].copy()
         vals = theta[base + m :]
         lower = np.zeros((m, m))
-        il = np.tril_indices(m)
-        lower[il] = vals
+        lower[self._tril] = vals
         diag = np.arange(m)
         with np.errstate(**QUIET):
             lower[diag, diag] = np.exp(lower[diag, diag])
@@ -313,8 +318,7 @@ class ParameterPack:
         d = np.asarray(d_lower, dtype=float).copy()
         diag = np.arange(self.num_inducing)
         d[diag, diag] *= q.cov_chol.lower[diag, diag]
-        il = np.tril_indices(self.num_inducing)
-        return np.concatenate([np.asarray(d_mean, dtype=float).ravel(), d[il]])
+        return np.concatenate([np.asarray(d_mean, dtype=float).ravel(), d[self._tril]])
 
 
 def _resolve(y, state: ModelState, spec: BoundSpec, partition: Optional[Partition],

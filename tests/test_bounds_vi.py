@@ -20,6 +20,7 @@ from _oracles import (
     dense_spherical,
     dense_tsgpr,
 )
+from blockgp import bounds_vi
 from blockgp.bounds_vi import (
     btsgpr_collapsed,
     btsgpr_optimal_scales,
@@ -160,7 +161,7 @@ def test_optimal_scales_closed_forms():
 
 def test_optimal_block_scales_on_both_inverse_paths():
     # blocks of up to BATCHED_INVERSE_MAX points are inverted batched, larger
-    # ones by potri; both match a plain inverse of I + D_bb / sigma2
+    # ones one at a time; both match a plain inverse of I + D_bb / sigma2
     rng = np.random.default_rng(12)
     sizes = [1, 10, 10, BATCHED_INVERSE_MAX, BATCHED_INVERSE_MAX + 1, 45]
     n, d = sum(sizes), 2
@@ -178,6 +179,33 @@ def test_optimal_block_scales_on_both_inverse_paths():
     for ix, mb in zip(part.blocks, btsgpr_optimal_scales(x, y, state, part)):
         ref = np.linalg.inv(np.eye(ix.size) + prep.block_gap(ix) / prep.sigma2)
         assert np.max(np.abs(mb - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha,m", [(None, 1.0), (0.5, 1.3)])
+def test_gap_factors_hand_chol_stack_matrices_symmetric_to_the_bit(monkeypatch, alpha, m):
+    # chol_stack reads only the lower triangle and does not symmetrize, so
+    # BT-SGPR's I + D_bb / sigma2 and power EP's alpha m D_bb + sigma2 I must
+    # come to it symmetric, on both sides of BATCHED_INVERSE_MAX
+    rng = np.random.default_rng(21)
+    shapes = [(3, 10), (1, BATCHED_INVERSE_MAX + 1), (2, 100)]
+    n, d = sum(b * s for b, s in shapes), 2
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    state = ModelState(
+        kernel=KernelParams(log_lengthscales=np.zeros(d), log_signal_variance=0.0),
+        noise=NoiseParam(log_noise_variance=np.log(0.05)),
+        inducing=rng.uniform(-2.0, 2.0, (6, d)),
+    )
+    seen = []
+    real_chol_stack = bounds_vi.chol_stack
+
+    def checking_chol_stack(a):
+        assert np.array_equal(a, np.swapaxes(a, 1, 2))
+        seen.append(a.shape)
+        return real_chol_stack(a)
+
+    monkeypatch.setattr(bounds_vi, "chol_stack", checking_chol_stack)
+    stacks = list(prepare(x, rng.standard_normal(n), state).gap_factors(shapes, alpha, m))
+    assert seen == [(b, s, s) for b, s in shapes] and len(stacks) == len(shapes)
 
 
 def test_parametric_block_bound_peaks_at_optimal_scales():

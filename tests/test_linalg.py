@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag, lapack, solve_triangular
 from scipy.stats import multivariate_normal
 
 from blockgp.linalg import (
@@ -246,7 +246,8 @@ def test_cholesky_factor_is_frozen():
 )
 def test_stack_inverse_matches_numpy_on_both_paths(n):
     # the batched path solves by substitution up to SUBSTITUTION_MAX points
-    # and by trtrs above it; potri takes over past BATCHED_INVERSE_MAX
+    # and by trtrs above it; past BATCHED_INVERSE_MAX each block is inverted
+    # alone, by the recursive triangular inverse and lauum
     rng = np.random.default_rng(n)
     a = np.stack([_random_spd(rng, n) for _ in range(3)])
     inv = stack_inverse(np.linalg.cholesky(a))
@@ -255,14 +256,100 @@ def test_stack_inverse_matches_numpy_on_both_paths(n):
 
 
 @pytest.mark.parametrize("blocks,n", [(1, 200), (4, BATCHED_INVERSE_MAX + 1)])
-def test_potri_inverses_are_symmetric_to_the_bit(blocks, n):
-    # past BATCHED_INVERSE_MAX each block's potri triangle is mirrored in
+def test_per_block_inverses_are_symmetric_to_the_bit(blocks, n):
+    # past BATCHED_INVERSE_MAX each block's lauum triangle is mirrored in
     # one pass, which must leave no rounding-level asymmetry
     rng = np.random.default_rng(13 + n)
     a = np.stack([_random_spd(rng, n) for _ in range(blocks)])
     inv = stack_inverse(np.linalg.cholesky(a))
     assert np.array_equal(inv, np.swapaxes(inv, 1, 2))
     assert_allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+
+
+def _spd_with_condition(rng, n: int, cond: float) -> np.ndarray:
+    """A symmetric positive-definite block with eigenvalues spread
+    geometrically from 1 to 1 / cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _jittered_block(n: int) -> np.ndarray:
+    """A kernel block over n points of which two are equal, plus a noise
+    variance far below the ladder's first rung, so chol must jitter it."""
+    x = np.linspace(-2.0, 2.0, n)
+    x[1] = x[0]
+    return np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2) + 1e-18 * np.eye(n)
+
+
+def _potri_inverse(low: np.ndarray) -> np.ndarray:
+    inv, info = lapack.dpotri(low, lower=1)
+    assert info == 0
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
+@pytest.mark.parametrize("n", [BATCHED_INVERSE_MAX + 1, 97, 200, 301])
+def test_per_block_inverse_is_as_accurate_as_potri_on_hard_blocks(n):
+    # the recursive inverse splits 65, 97 and 301 points unevenly; its error
+    # against a plain inverse stays within a small factor of LAPACK's potri
+    # on the same factor, from benign blocks to condition numbers of 1e10
+    # and a block that needed jitter
+    rng = np.random.default_rng(n)
+    blocks = [_spd_with_condition(rng, n, cond) for cond in (1e2, 1e6, 1e10)]
+    blocks.append(_jittered_block(n))
+    lower, jitter = chol_stack(np.stack(blocks))
+    assert jitter[:3].max() == 0.0 and jitter[3] > 0.0
+    inv = stack_inverse(lower)
+    assert np.array_equal(inv, np.swapaxes(inv, 1, 2))
+    for low, got, block, j in zip(lower, inv, blocks, jitter):
+        ref = np.linalg.inv(block + j * np.eye(n))
+        scale = np.max(np.abs(ref))
+        err = np.max(np.abs(got - ref)) / scale
+        potri_err = np.max(np.abs(_potri_inverse(low) - ref)) / scale
+        assert err <= 4.0 * potri_err
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("n", [BATCHED_INVERSE_MAX + 1, 200, 257])
+def test_large_blocks_are_factored_by_potrf_one_at_a_time(n, blocks):
+    # past BATCHED_INVERSE_MAX each block is LAPACK's potrf of it, bit for
+    # bit; numpy's batched Cholesky, which smaller blocks take, is a build
+    # of OpenBLAS of its own, so it agrees to the last bit only
+    rng = np.random.default_rng(n + blocks)
+    a = np.stack([_random_spd(rng, n) for _ in range(blocks)])
+    lower, jitter = chol_stack(a)
+    assert np.array_equal(jitter, np.zeros(blocks))
+    for low, ab in zip(lower, a):
+        assert np.array_equal(low, lapack.dpotrf(ab, lower=1, clean=1)[0])
+    ref = np.linalg.cholesky(a)
+    assert np.max(np.abs(lower - ref)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def _large_noise_pivot_block(n: int) -> np.ndarray:
+    """_noise_pivot_block in the corner of an n x n block whose other
+    pivots are large enough to pass the rule, so only the noise pivot fails."""
+    block = _NOISE_PIVOT_A * np.eye(n)
+    block[:2, :2] = _noise_pivot_block()
+    return block
+
+
+def test_a_large_stack_jitters_only_the_rounding_noise_block():
+    n = BATCHED_INVERSE_MAX + 1
+    good = _random_spd(np.random.default_rng(3), n)
+    noisy = _large_noise_pivot_block(n)
+    assert lapack.dpotrf(noisy, lower=1)[1] == 0  # LAPACK alone accepts it
+    lower, jitter = chol_stack(np.stack([good, noisy, good]))
+    assert jitter[0] == jitter[2] == 0.0 and jitter[1] > 0.0
+    assert np.array_equal(lower[0], chol(good).lower)
+    assert np.array_equal(lower[1], chol(noisy).lower)
+
+
+def test_a_large_stack_past_the_ladder_raises_by_name():
+    n = BATCHED_INVERSE_MAX + 1
+    indefinite = np.eye(n)
+    indefinite[-1, -1] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite at jitter"):
+        chol_stack(np.stack([np.eye(n), indefinite, 2.0 * np.eye(n)]))
 
 
 def _per_block_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
