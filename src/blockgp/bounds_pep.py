@@ -37,7 +37,6 @@ import numpy as np
 from .bounds_vi import (
     BoundBreakdown,
     _LOG_2PI,
-    _check_partition,
     _qu_gradient,
     _qu_star,
     block_estimate,
@@ -201,7 +200,7 @@ def general_pep_oracle(
     check_power(alpha)
     prep = prepare(x, y, state)
     n = prep.n
-    _check_partition(prep, partition)
+    partition.check_covers(prep.n)
     if n > ORACLE_CAP:
         raise ValueError(f"general_pep_oracle is dense; refusing N={n} > {ORACLE_CAP}")
     if len(scales) != partition.num_blocks:
@@ -255,7 +254,7 @@ def verify_site_fixed_point(
     beyond rtol.
     """
     prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
+    cfg.partition.check_covers(prep.n)
     if prep.n > ORACLE_CAP:
         raise ValueError(
             f"verify_site_fixed_point is dense; refusing N={prep.n} > {ORACLE_CAP}"
@@ -314,7 +313,7 @@ def pep_iterate(x, y, state: ModelState, cfg: PepConfig) -> PepResult:
     the fixed-point claim the tests and verify check.
     """
     prep = prepare(x, y, state)
-    _check_partition(prep, cfg.partition)
+    cfg.partition.check_covers(prep.n)
     if prep.n > ITERATE_CAP:
         raise ValueError(
             f"pep_iterate is desk scale; refusing N={prep.n} > {ITERATE_CAP}"

@@ -448,7 +448,7 @@ def btsgpr_parametric(
     Maximized over M_b it reproduces btsgpr_collapsed.
     """
     prep = prepare(x, y, state)
-    _check_partition(prep, partition)
+    partition.check_covers(prep.n)
     if len(scales) != partition.num_blocks:
         raise ValueError("need one scale matrix per block")
     reg = 0.0
@@ -597,11 +597,6 @@ def _check_penalty(penalty: str, alpha: Optional[float], m: float = 1.0):
         check_power(alpha, m)
 
 
-def _check_partition(prep: PreparedBound, partition: Partition):
-    if partition.n != prep.n:
-        raise ValueError(f"partition covers {partition.n} points but data has {prep.n}")
-
-
 def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
               partition: Optional[Partition] = None):
     """prepare's state and the pass's chunks for penalty.  For the
@@ -614,7 +609,7 @@ def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
         raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
     prep = prepare(x, y, state)
     if partition is not None:
-        _check_partition(prep, partition)
+        partition.check_covers(prep.n)
     if partition is None or penalty not in _STACKED_PENALTIES:
         return prep, _chunks(prep)
     prep = prep.points(partition.order)
@@ -885,8 +880,7 @@ def block_estimate(
     n = y.shape[0]
     if x.ndim != 2 or x.shape[0] != n:
         raise ValueError(f"x of shape {x.shape} does not match {n} targets")
-    if partition.n != n:
-        raise ValueError(f"partition covers {partition.n} points but data has {n}")
+    partition.check_covers(n)
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
     shapes = [(1, idx.size)] if penalty in _STACKED_PENALTIES else None

@@ -191,6 +191,9 @@ def _as_number(cfg: dict, field: str) -> float:
     v = cfg[field]
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         raise ConfigError(field, f"expected a number, got {v!r}")
+    # JSON's parser takes NaN and Infinity, and an integer may pass float's range
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(field, f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -342,9 +345,10 @@ class RunResult:
 def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> RunResult:
     spec = _spec_for(cfg, method)
     seed = int(cfg["seed"])
-    partition = (
-        make_partition(train.n, spec.num_blocks, seed=seed) if spec.num_blocks else None
-    )
+    # the run's one partition, which every call takes and only those that
+    # read blocks use
+    blocks = cfg["blocks"]
+    partition = None if blocks is None else make_partition(train.n, int(blocks), seed=seed)
     train_cfg = TrainConfig(
         objective=spec,
         optimizer=cfg["optimizer"],
@@ -357,9 +361,7 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
 
     uncollapsed = None
     if cfg["trainer"] == "stochastic":
-        # an SGPR or T-SGPR run's blocks, which only its estimator reads
-        blocks = partition or make_partition(train.n, int(cfg["blocks"]), seed=seed)
-        state, q, trace = fit_stochastic(train.x, train.y, state0, blocks, train_cfg)
+        state, q, trace = fit_stochastic(train.x, train.y, state0, partition, train_cfg)
         uncollapsed = uncollapsed_bound(train.x, train.y, state, spec, q, partition).total
     else:
         state, trace = fit_collapsed(train.x, train.y, state0, train_cfg, partition)
@@ -395,13 +397,21 @@ def _eval_metrics(cfg: dict, data: Dataset, state: ModelState, q: GaussianQU) ->
     pred = predict(data.x, state, q, include_noise=True)
     if cfg["destandardize_metrics"] and data.stats is not None:
         s = data.stats
-        pred = PredictiveGaussian(
-            mean=pred.mean * s.y_std + s.y_mean,
-            variance=pred.variance * s.y_std ** 2,
-            clamped=pred.clamped,
-        )
-        return metrics(pred, data.y * s.y_std + s.y_mean)
+        return metrics(_destandardize(pred, s), data.y * s.y_std + s.y_mean)
     return metrics(pred, data.y)
+
+
+def _destandardize(
+    pred: PredictiveGaussian, stats: Optional[StandardizationStats]
+) -> PredictiveGaussian:
+    """pred in the targets' original units; pred itself without stats."""
+    if stats is None:
+        return pred
+    return PredictiveGaussian(
+        mean=pred.mean * stats.y_std + stats.y_mean,
+        variance=pred.variance * stats.y_std ** 2,
+        clamped=pred.clamped,
+    )
 
 
 def _metrics_scale(cfg: dict, data: Dataset) -> str:
@@ -497,16 +507,11 @@ def _prediction_curve(
     lo, hi = float(xs.min()), float(xs.max())
     pad = 0.1 * ((hi - lo) or 1.0)
     grid = np.linspace(lo - pad, hi + pad, int(cfg["grid_points"]))
-    pred = predict(grid[:, None], state, q, include_noise=True)
-    mean, var = pred.mean, pred.variance
-    x_out = grid
-    if train.stats is not None:
-        s = train.stats
-        x_out = grid * s.x_std[0] + s.x_mean[0]
-        mean = mean * s.y_std + s.y_mean
-        var = var * s.y_std ** 2
-    half = 1.96 * np.sqrt(var)
-    return x_out, mean, mean - half, mean + half
+    s = train.stats
+    pred = _destandardize(predict(grid[:, None], state, q, include_noise=True), s)
+    x_out = grid if s is None else grid * s.x_std[0] + s.x_mean[0]
+    half = 1.96 * np.sqrt(pred.variance)
+    return x_out, pred.mean, pred.mean - half, pred.mean + half
 
 
 def _method_slug(method: str) -> str:
@@ -687,10 +692,8 @@ def cmd_predict(args) -> int:
 
     x_std = (x_raw - stats.x_mean) / stats.x_std if stats is not None else x_raw
     pred = predict(x_std, state, q, include_noise=True)
-    mean, var = pred.mean, pred.variance
-    if stats is not None:
-        mean = mean * stats.y_std + stats.y_mean
-        var = var * stats.y_std ** 2
+    original = _destandardize(pred, stats)
+    mean, var = original.mean, original.variance
     half = 1.96 * np.sqrt(var)
 
     out = _ensure_out(args.out)
@@ -715,7 +718,6 @@ def cmd_predict(args) -> int:
         report.update(metrics(pred, y_std_scale))
         report["metrics_scale"] = "standardized" if stats is not None else "original"
         if stats is not None:
-            original = PredictiveGaussian(mean=mean, variance=var, clamped=pred.clamped)
             for key, value in metrics(original, y_raw).items():
                 report[f"{key}_original"] = value
         _write_json(out / "metrics.json", report)

@@ -137,6 +137,11 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    def check_covers(self, n: int) -> None:
+        """Raise unless the partition covers the n points of the data."""
+        if self.n != n:
+            raise ValueError(f"partition covers {self.n} points but data has {n}")
+
     @property
     def block_sizes(self) -> List[int]:
         return self._sizes.tolist()
@@ -226,14 +231,6 @@ class BoundSpec:
     @property
     def row(self) -> Method:
         return METHODS[self.method]
-
-    @property
-    def is_pep(self) -> bool:
-        return self.row.alpha
-
-    @property
-    def uses_partition(self) -> bool:
-        return self.row.partition != "rejected"
 
     def check_state(self, state: ModelState) -> None:
         """Raise unless state carries the gap scale m exactly where the

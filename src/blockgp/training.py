@@ -8,7 +8,8 @@ the bodies take beside the state's gap scale m: evaluate_bound (the
 collapsed bound), stochastic_estimate (its one-block estimator),
 qu_optimum (the optimal q(u)), uncollapsed_bound (the bound at a given
 q(u)) and the two trainers.  A caller who holds a spec need not know
-which family it names.
+which family it names, nor which of these calls read blocks: one run's
+partition can go to all of them (the rule is _resolve's).
 
 Two trainers.  fit_collapsed moves hyperparameters (and the scalar
 gap scale, when the state carries one) on a collapsed objective.
@@ -322,40 +323,48 @@ class ParameterPack:
 
 
 def _resolve(y, state: ModelState, spec: BoundSpec, partition: Optional[Partition],
-             stochastic: bool = False):
+             call: str = "bound"):
     """(penalty, partition, alpha) of spec's row in METHODS over the points
     of y, which every spec-level entry point passes to the bodies with the
     gap scale m of the state it evaluates at: read there, so that an m
     that overflows fails a trainer's first evaluation like any other.
-    Raises by name where the row has no block-separable estimator (with
-    stochastic), where state's m does not fit the row, and where a bound,
-    not an estimator, is given a partition its row rejects.  Any other
-    partition must cover y and have the spec's num_blocks; power EP's
-    defaults to one point per block."""
+    call is what the entry point evaluates: a "bound", an "estimator" or
+    an "optimum" q(u).  Raises by name where the row has no
+    block-separable estimator, and where state's m does not fit the row.
+
+    One partition rule holds for every call.  A partition given is always
+    checked: it must cover y and have the spec's num_blocks, if it names
+    one.  It is passed on only where the call reads blocks: every
+    estimator (its one block), a bound whose row takes a partition, and
+    power EP's optimum, whose block noise enters the fit.  Elsewhere the
+    call is the one without a partition, bit for bit.  A call that reads
+    blocks and is given none raises, except power EP without num_blocks,
+    which puts one point in each block."""
     row, n = spec.row, np.asarray(y).reshape(-1).shape[0]
-    if stochastic and not row.stochastic:
+    if call == "estimator" and not row.stochastic:
         raise ValueError(
             f"method {spec.method} has no block-separable estimator; "
             f"choose from {tuple(name for name, r in METHODS.items() if r.stochastic)}"
         )
     spec.check_state(state)
-    if not (stochastic or spec.uses_partition):
-        if partition is not None:
-            raise ValueError(
-                f"method {spec.method} takes no partition; its bound reads no blocks"
-            )
-    elif partition is not None:
-        if partition.n != n:
-            raise ValueError(f"partition covers {partition.n} points but data has {n}")
+    if partition is not None:
+        partition.check_covers(n)
         if spec.num_blocks is not None and partition.num_blocks != spec.num_blocks:
             raise ValueError(
                 f"spec asks for {spec.num_blocks} blocks but the partition "
                 f"has {partition.num_blocks}"
             )
-    elif row.partition == "optional" and spec.num_blocks is None:
+    reads = {
+        "bound": row.partition != "rejected",
+        "estimator": True,
+        "optimum": row.penalty == "pep",
+    }[call]
+    if not reads:
+        partition = None
+    elif partition is None:
+        if row.partition != "optional" or spec.num_blocks is not None:
+            raise ValueError(f"method {spec.method} needs an explicit partition")
         partition = singleton_partition(n)
-    else:
-        raise ValueError(f"method {spec.method} needs an explicit partition")
     return row.penalty, partition, spec.alpha
 
 
@@ -373,8 +382,7 @@ def evaluate_bound(
     every trained coordinate, from the same prepared state.  The method's
     row in METHODS picks the body: Exact's dense form, or vi_collapsed at
     the row's penalty (power EP's with the spec's alpha and the state's
-    gap scale m).  A partition given to a method whose row rejects one
-    raises.
+    gap scale m).  The partition rule is _resolve's.
     """
     penalty, part, alpha = _resolve(y, state, spec, partition)
     if penalty is None:
@@ -387,13 +395,13 @@ def qu_optimum(
 ) -> GaussianQU:
     """The q(u) at which spec's uncollapsed bound meets its collapsed one.
 
-    For the variational rows it is optimal_qu's, which reads no blocks;
-    for power EP the posterior under the block noise of the partition
-    (one point per block where none is given) at the spec's alpha and the
-    state's gap scale m, tpep_optimal_qu's.  The partition rules are
-    evaluate_bound's; Exact has no q(u) and raises.
+    For the variational rows it is optimal_qu's, which reads no blocks
+    (a partition given is checked, then ignored); for power EP the
+    posterior under the block noise of the partition (one point per
+    block where none is given) at the spec's alpha and the state's gap
+    scale m, tpep_optimal_qu's.  Exact has no q(u) and raises.
     """
-    penalty, part, alpha = _resolve(y, state, spec, partition)
+    penalty, part, alpha = _resolve(y, state, spec, partition, "optimum")
     if penalty is None:
         raise ValueError(f"method {spec.method} has no q(u)")
     return _qu_star(x, y, state, penalty, part, alpha, state.m_scale)
@@ -405,8 +413,8 @@ def uncollapsed_bound(
 ) -> BoundBreakdown:
     """spec's uncollapsed bound at q(u): vi_uncollapsed at the row's
     penalty, power EP's at the spec's alpha and the state's gap scale m.
-    At qu_optimum it equals evaluate_bound.  The partition rules are
-    evaluate_bound's; Exact has no q(u) and raises."""
+    At qu_optimum it equals evaluate_bound.  The partition rule is
+    _resolve's; Exact has no q(u) and raises."""
     penalty, part, alpha = _resolve(y, state, spec, partition)
     if penalty is None:
         raise ValueError(f"method {spec.method} has no q(u)")
@@ -678,9 +686,9 @@ def stochastic_estimate(
     gradient: bool = False,
 ) -> BlockEstimate:
     """block_estimate at the penalty of spec's row in METHODS, which must
-    be stochastic, on a partition that fits spec; power EP's block noise
-    is at the state's gap scale m."""
-    penalty, part, alpha = _resolve(y, state, spec, partition, stochastic=True)
+    be stochastic, on a partition that fits spec (power EP's defaults to
+    one point per block); its block noise is at the state's gap scale m."""
+    penalty, part, alpha = _resolve(y, state, spec, partition, "estimator")
     return block_estimate(
         x, y, state, part, q, block_index, penalty=penalty,
         alpha=alpha, m_scale=state.m_scale, gradient=gradient,
@@ -724,7 +732,7 @@ def fit_stochastic(
     the method has one; q defaults to the prior at the initial state.
     """
     spec = cfg.objective
-    penalty, part, alpha = _resolve(y, state, spec, partition, stochastic=True)
+    penalty, part, alpha = _resolve(y, state, spec, partition, "estimator")
     if cfg.optimizer != "adam":
         raise ValueError("stochastic training cycles blocks; use optimizer='adam'")
     if q is None:

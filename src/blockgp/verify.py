@@ -287,9 +287,9 @@ def check_collapse_identities(ctx: CheckContext) -> str:
                 continue
             p = eq_part if name == "SharedBlock" else part
             spec = _spec(name, p, alphas[k % 3])
-            st, reads = _fitting(spec, state, p, ms[k % 2])
-            un = uncollapsed_bound(x, y, st, spec, qu_optimum(x, y, st, spec, reads), reads)
-            dev = _rel(un.total, evaluate_bound(x, y, st, spec, reads).total)
+            st = _fitting(spec, state, ms[k % 2])
+            un = uncollapsed_bound(x, y, st, spec, qu_optimum(x, y, st, spec, p), p)
+            dev = _rel(un.total, evaluate_bound(x, y, st, spec, p).total)
             worst = max(worst, dev)
             if dev > COLLAPSE_RTOL:
                 raise CheckFailure(
@@ -432,8 +432,8 @@ def check_stochastic_unbiasedness(ctx: CheckContext) -> str:
         part = random_blocks(rng, n)
         q = random_qu(rng, state.num_inducing)
         for spec in _specs(lambda row: row.stochastic, part, alpha=0.5):
-            st, reads = _fitting(spec, state, part, 1.2)
-            full = uncollapsed_bound(x, y, st, spec, q, reads).total
+            st = _fitting(spec, state, 1.2)
+            full = uncollapsed_bound(x, y, st, spec, q, part).total
             mean_est = (
                 sum(
                     stochastic_estimate(x, y, st, part, q, b, spec).value
@@ -562,7 +562,7 @@ def check_gradient_checks(ctx: CheckContext) -> str:
         # together, against differences of the same single-block value
         stochastic = _specs(lambda row: row.stochastic, part)
         for spec in stochastic:
-            st = _fitting(spec, state, part)[0]
+            st = _fitting(spec, state)
             spack = ParameterPack.for_state(st, with_q=True)
             b = int(rng.integers(part.num_blocks))
 
@@ -579,14 +579,14 @@ def check_gradient_checks(ctx: CheckContext) -> str:
         # gradient (the dense form for Exact) against differences of the value
         collapsed = _specs(lambda row: True, part)
         for spec in collapsed:
-            st, spart = _fitting(spec, state, part)
+            st = _fitting(spec, state)
             cpack = ParameterPack.for_state(st)
 
-            def bound(t, spec=spec, spart=spart, cpack=cpack):
-                return evaluate_bound(x, y, cpack.unpack_state(t), spec, spart).total
+            def bound(t, spec=spec, cpack=cpack):
+                return evaluate_bound(x, y, cpack.unpack_state(t), spec, part).total
 
             fd = finite_difference_gradient(bound, cpack.pack(st))
-            grad = evaluate_bound(x, y, st, spec, spart, gradient=True).gradient
+            grad = evaluate_bound(x, y, st, spec, part, gradient=True).gradient
             analytic = cpack.pack_estimate_gradient(None, grad)
             compare(f"{spec.method} collapsed", analytic, fd, k)
     return (
@@ -616,18 +616,16 @@ def _specs(test, part: Partition, alpha: Optional[float] = None) -> Tuple[BoundS
     return tuple(_spec(name, part, alpha) for name, row in METHODS.items() if test(row))
 
 
-def _fitting(spec: BoundSpec, state: ModelState, part: Optional[Partition], m: float = 1.3):
-    """The state and partition spec's bounds take: state with the gap
-    scale m where the row has one, and part where the row reads blocks."""
-    st = state.with_(log_m_scale=np.log(m)) if spec.row.gap_scale else state
-    return st, part if spec.uses_partition else None
+def _fitting(spec: BoundSpec, state: ModelState, m: float = 1.3) -> ModelState:
+    """The state spec's bounds take: state with the gap scale m where the
+    row has one."""
+    return state.with_(log_m_scale=np.log(m)) if spec.row.gap_scale else state
 
 
 def _value(x, y, state: ModelState, spec: BoundSpec, part: Optional[Partition] = None,
            m: float = 1.3) -> float:
-    """evaluate_bound's total for spec, at _fitting's state and partition."""
-    st, reads = _fitting(spec, state, part, m)
-    return evaluate_bound(x, y, st, spec, reads).total
+    """evaluate_bound's total for spec on part, at _fitting's state."""
+    return evaluate_bound(x, y, _fitting(spec, state, m), spec, part).total
 
 
 CHECKS: List[Tuple[str, Callable[[CheckContext], str]]] = [

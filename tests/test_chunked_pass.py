@@ -48,7 +48,7 @@ def _evaluate(method, gradient):
         spec = _spec(method, part)
         if spec.row.gap_scale:
             state = state.with_(log_m_scale=0.1)
-        return evaluate_bound(x, y, state, spec, part if spec.uses_partition else None, gradient)
+        return evaluate_bound(x, y, state, spec, part, gradient)
     return call
 
 

@@ -149,6 +149,12 @@ def test_invalid_configs_exit_2_and_name_the_field(tmp_path, capsys):
         ({"test_fraction": 1.0}, "test_fraction"),
         ({"num_inducing": 600}, "num_inducing"),  # exceeds the training size
         ({"mystery_knob": 1}, "mystery_knob"),
+        # JSON's NaN and Infinity parse as floats, and no field takes them
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"synthetic_noise_std": float("inf")}, "synthetic_noise_std"),
+        ({"test_fraction": float("-inf")}, "test_fraction"),
+        ({"synthetic_noise_std": 10 ** 400}, "synthetic_noise_std"),  # past float's range
     ]
     for overrides, field in cases:
         cfg_path, _ = _write_config(tmp_path, name=f"{field}.json", **overrides)

@@ -149,8 +149,6 @@ def test_bound_spec_rules(method):
         else:
             BoundSpec(method=method, alpha=a)
         spec = BoundSpec(method=method, alpha=a, num_blocks=4)
-    assert spec.is_pep == (alpha == "required")
-    assert spec.uses_partition == (blocks != "rejected")
 
     # the single-block estimator and the command line's stochastic trainer
     # each take exactly the stochastic methods

@@ -67,6 +67,8 @@ def test_the_readme_method_table_and_config_rows_match_the_method_table():
     assert _ticked(config["method"][2]) == trainable
     with_alpha = [name for name in trainable if METHODS[name].alpha]
     assert _ticked(config["alpha"][2]) == with_alpha
+    needing_blocks = [name for name in trainable if METHODS[name].partition == "required"]
+    assert _ticked(config["blocks"][2]) == needing_blocks
 
 
 # Each phase prints whether scipy.optimize and scipy.spatial are loaded.

@@ -81,8 +81,7 @@ def _cases(method: str):
 
 
 def _evaluate(x, y, state, spec, part, perm, gradient, blocks=None):
-    given = _mapped(part, perm, blocks) if spec.uses_partition else None
-    return evaluate_bound(x[perm], y[perm], state, spec, given, gradient)
+    return evaluate_bound(x[perm], y[perm], state, spec, _mapped(part, perm, blocks), gradient)
 
 
 @pytest.mark.parametrize("method", PENALIZED)

@@ -46,7 +46,7 @@ def _with_scale(state, method, m=1.4):
 
 
 def _value_only(x, y, state, part, q, b, spec):
-    if spec.is_pep:
+    if spec.row.alpha:
         cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
         return tpep_stochastic(x, y, state, cfg, q, b)
     penalty = {"SGPR": "trace", "T-SGPR": "diag", "BT-SGPR": "logdet"}[spec.method]
@@ -183,7 +183,7 @@ def test_block_index_outside_the_partition_raises(block_index):
 
 
 def _final_objective(x, y, state, q, part, spec):
-    if spec.is_pep:
+    if spec.row.alpha:
         cfg = PepConfig(alpha=spec.alpha, partition=part, m_scale=state.m_scale)
         return tpep_uncollapsed(x, y, state, cfg, q).total
     penalty = {"SGPR": "trace", "T-SGPR": "diag", "BT-SGPR": "logdet"}[spec.method]

@@ -227,16 +227,13 @@ def test_evaluate_bound_dispatch():
         }
         for method, spec in specs.items():
             st = st_m if method == "T-PEP" else state
-            reads = part if METHODS[method].partition != "rejected" else None
+            # the rows that read no blocks ignore the partition they are given
             for gradient in (False, True):
                 got = _outcome(
-                    lambda g: evaluate_bound(x, y, st, spec, reads, gradient=g), gradient
+                    lambda g: evaluate_bound(x, y, st, spec, part, gradient=g), gradient
                 )
                 assert got == _outcome(direct[method], gradient), (method, gradient)
                 outcomes[method, k, gradient] = got
-                if reads is None:  # a partition the row rejects raises by name
-                    with pytest.raises(ValueError, match=f"method {method} takes no partition"):
-                        evaluate_bound(x, y, st, spec, part, gradient=gradient)
     assert all(len(outcomes[method, 0, True]) > 4 for method in specs)  # gradients compared
     # SharedBlock ran on the equal blocks and refused the unequal ones
     assert not isinstance(outcomes["SharedBlock", 0, True], str)
@@ -257,20 +254,102 @@ def test_evaluate_bound_rejects_oracles_and_mismatched_partitions():
         evaluate_bound(x, y, state, BoundSpec(method="BT-SGPR", num_blocks=3), None)
 
 
-def test_a_partition_the_method_does_not_read_raises_by_name():
-    # SGPR's collapsed bound reads no blocks, so a partition given to it,
-    # here of the wrong size too, is a mistake, not something to ignore
+# The six spec-level entry points, each called as (x, y, state, spec,
+# partition, q), the trainers for one epoch.
+ENTRY_POINTS = {
+    "evaluate_bound": lambda x, y, st, spec, part, q: evaluate_bound(
+        x, y, st, spec, part, gradient=True),
+    "uncollapsed_bound": lambda x, y, st, spec, part, q: uncollapsed_bound(
+        x, y, st, spec, q, part),
+    "qu_optimum": lambda x, y, st, spec, part, q: qu_optimum(x, y, st, spec, part),
+    "fit_collapsed": lambda x, y, st, spec, part, q: fit_collapsed(
+        x, y, st, TrainConfig(objective=spec, epochs=1), part),
+    "stochastic_estimate": lambda x, y, st, spec, part, q: stochastic_estimate(
+        x, y, st, part, q, 0, spec, gradient=True),
+    "fit_stochastic": lambda x, y, st, spec, part, q: fit_stochastic(
+        x, y, st, part, TrainConfig(objective=spec, optimizer="adam", epochs=1)),
+}
+
+
+ESTIMATORS = ("stochastic_estimate", "fit_stochastic")
+
+
+def _defined(entry, row):
+    """Whether entry exists for row: only a stochastic row has an
+    estimator, and Exact has no q(u)."""
+    if entry in ESTIMATORS:
+        return row.stochastic
+    return row.penalty is not None or entry in ("evaluate_bound", "fit_collapsed")
+
+
+def _reads_blocks(entry, row):
+    """Whether entry reads blocks for row: every estimator does; a bound
+    where its row takes a partition; the optimum only for power EP, whose
+    block noise enters the fit."""
+    if entry in ESTIMATORS:
+        return True
+    if entry == "qu_optimum":
+        return row.alpha
+    return row.partition != "rejected"
+
+
+def _bits(out):
+    """Every number and string in out, wall-clock times aside, as bytes."""
+    if isinstance(out, tuple):
+        return [b for part in out for b in _bits(part)]
+    if dataclasses.is_dataclass(out):
+        return [b for f in dataclasses.fields(out) if f.name != "wall_time"
+                for b in _bits(getattr(out, f.name))]
+    if out is None or isinstance(out, str):
+        return [repr(out)]
+    return [np.asarray(out, dtype=float).tobytes()]
+
+
+def test_one_partition_rule_over_every_entry_point_and_method():
+    # one run holds one partition: every entry point checks one it is
+    # given (it must cover the data and have the spec's block count),
+    # requires one only where it reads blocks (power EP without
+    # num_blocks puts one point in each block), and where it reads none
+    # gives bit for bit the call without it
     x, y, state = small_instance(np.random.default_rng(0))
-    part = make_partition(5, 2)
-    q = _prior_qu(state)
-    for call in (
-        lambda: evaluate_bound(x, y, state, BoundSpec("SGPR"), part),
-        lambda: fit_collapsed(x, y, state, TrainConfig(objective=BoundSpec("SGPR")), part),
-        lambda: qu_optimum(x, y, state, BoundSpec("SGPR"), part),
-        lambda: uncollapsed_bound(x, y, state, BoundSpec("SGPR"), q, part),
-    ):
-        with pytest.raises(ValueError, match="method SGPR takes no partition"):
-            call()
+    x, y = x[:24], y[:24]
+    q = random_qu(np.random.default_rng(1), state.num_inducing)
+    part = make_partition(24, 3, seed=0)
+    too_few = make_partition(23, 3, seed=0)
+    four = make_partition(24, 4, seed=0)
+    checked = 0
+    for name, row in METHODS.items():
+        st = state.with_(log_m_scale=np.log(1.3)) if row.gap_scale else state
+        alpha = 0.5 if row.alpha else None
+        counts = {"required": [3], "optional": [3, None], "rejected": [None]}
+        for num_blocks in counts[row.partition]:
+            spec = BoundSpec(name, alpha, num_blocks)
+            for entry, call in ENTRY_POINTS.items():
+                if not _defined(entry, row):
+                    with pytest.raises(ValueError, match=f"method {name} has no "):
+                        call(x, y, st, spec, part, q)
+                    continue
+                where = (name, num_blocks, entry)
+                with pytest.raises(ValueError, match="partition covers 23 points but data has 24"):
+                    call(x, y, st, spec, too_few, q)
+                if num_blocks is not None:
+                    with pytest.raises(ValueError, match="spec asks for 3 blocks but the partition"):
+                        call(x, y, st, spec, four, q)
+                with_part = _bits(call(x, y, st, spec, part, q))
+                reads = _reads_blocks(entry, row)
+                if reads and (num_blocks is not None or row.partition != "optional"):
+                    with pytest.raises(ValueError, match=f"method {name} needs an explicit partition"):
+                        call(x, y, st, spec, None, q)
+                else:
+                    without = _bits(call(x, y, st, spec, None, q))
+                    if not reads:
+                        assert with_part == without, where
+                        if num_blocks is None:  # then any block count passes the check
+                            assert _bits(call(x, y, st, spec, four, q)) == without, where
+                checked += 1
+    # Exact 2 calls, Spherical and SharedBlock 4, SGPR, T-SGPR and BT-SGPR 6,
+    # PEP and T-PEP 6 with num_blocks and 6 without
+    assert checked == 2 + 2 * 4 + 3 * 6 + 2 * 12
 
 
 def test_stochastic_estimate_checks_the_partition_against_the_spec():
@@ -388,7 +467,7 @@ def test_lbfgs_trace_reuses_the_line_search_value(monkeypatch):
     for spec, part in ((BoundSpec(method="SGPR"), None),
                        (BoundSpec(method="T-PEP", alpha=0.5, num_blocks=4),
                         make_partition(y.shape[0], 4, seed=0))):
-        start = state.with_(log_m_scale=0.0) if spec.is_pep else state
+        start = state.with_(log_m_scale=0.0) if spec.row.gap_scale else state
         calls, prepares = [], [0]
 
         def counting(*args, **kwargs):
@@ -429,7 +508,7 @@ def test_adam_trace_reuses_the_next_steps_value(monkeypatch):
     for spec, part in ((BoundSpec(method="SGPR"), None),
                        (BoundSpec(method="T-PEP", alpha=0.5, num_blocks=4),
                         make_partition(y.shape[0], 4, seed=0))):
-        start = state.with_(log_m_scale=0.0) if spec.is_pep else state
+        start = state.with_(log_m_scale=0.0) if spec.row.gap_scale else state
         calls = []
 
         def counting(x, y, point, *args, **kwargs):
