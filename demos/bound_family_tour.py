@@ -15,10 +15,7 @@ from blockgp import (
     NoiseParam,
     btsgpr_collapsed,
     btsgpr_optimal_scales,
-    btsgpr_parametric,
     exact_lml,
-    general_c_oracle,
-    general_c_optimum,
     kernel_matrix,
     make_partition,
     merge_pairs,
@@ -33,6 +30,7 @@ from blockgp import (
 )
 from blockgp.bounds_vi import prepare
 from blockgp.linalg import chol
+from blockgp.oracles import btsgpr_parametric, general_c_optimum, general_c_oracle
 
 rng = np.random.default_rng(7)
 

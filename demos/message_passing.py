@@ -20,16 +20,15 @@ from blockgp import (
     kernel_matrix,
     make_partition,
     pep_collapsed,
-    pep_iterate,
     sgpr_collapsed,
     singleton_partition,
     spherical_collapsed,
     spherical_optimal_scale,
     tpep_collapsed,
     tpep_optimal_qu,
-    verify_site_fixed_point,
 )
 from blockgp.linalg import chol
+from blockgp.oracles import pep_iterate, verify_site_fixed_point
 
 rng = np.random.default_rng(23)
 

@@ -26,8 +26,7 @@ collapsed value keeps its own fit term, the Woodbury
 LowRankGaussian.logpdf, on purpose: taken as the pass at the optimum
 instead, it moved power EP at alpha = 1e-6 off the trace bound by 4.5e-3
 (verify's window is 1e-4) and gentle instances by up to 8.7e-8
-relative.  A dense oracle over arbitrary PSD scalings C of the full
-conditional covariance backs the optimality claims.
+relative.
 
 Every value, optimum and gradient reads the data a chunk at a time
 (_chunks), a range of at most CHUNK_ENTRIES // M points.  The bounds that
@@ -74,7 +73,8 @@ from .linalg import (
 from . import model
 from .model import METHODS, GaussianQU, ModelState, Partition, check_power
 
-# Dense oracles refuse anything bigger than this.
+# exact_lml and every dense reference in oracles refuse more points than
+# this, before they form an N x N matrix.
 DENSE_CAP = 2000
 
 # The gap penalties of the METHODS rows, once each in table order: all of
@@ -117,17 +117,16 @@ class PreparedBound:
     and Lu: one chunk of the pass.  Its cross terms, built on first use,
     are Kuf and the whitened V = Lu^-1 Kuf, and the clamped diagonal of the
     conditional gap D = Kff - V^T V (clamped marks the entries the clamp
-    raised or that came out exactly 0).  Over all N points they are the
-    dense (M, N) form that the oracles, pep_iterate and verify read; no
-    bound does.  Dense D blocks are built on demand, a whole stack of
-    equal-size blocks at a time: gap_stacks and gap_factors take stack
-    shapes (B_s, n_s), the stacks one after another over these points,
-    each a range of them (block_gap(idx) takes any indices, for the
-    oracles); the full N x N gap is never built by the bounds
-    themselves.  gap_factors is the one place a gap stack is
-    factored: the log-det penalty of BT-SGPR and the block noise of power
-    EP are both a scaling of D_bb plus a multiple of I, and every value,
-    optimum and gradient of theirs reads that one factor.
+    raised or that came out exactly 0).  Over all N points Kuf and V are
+    dense (M, N) arrays, which no bound builds.  Dense D blocks are built
+    on demand, a whole stack of equal-size blocks at a time: gap_stacks
+    and gap_factors take stack shapes (B_s, n_s), the stacks one after
+    another over these points, each a range of them, and block_gap(idx)
+    one block of any indices; the bounds never build the full N x N gap.
+    gap_factors is the one place a gap stack is factored: the log-det
+    penalty of BT-SGPR and the block noise of power EP are both a scaling
+    of D_bb plus a multiple of I, and every value, optimum and gradient of
+    theirs reads that one factor.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, state: ModelState):
@@ -228,10 +227,6 @@ class PreparedBound:
         idx = np.asarray(idx)
         kbb = kernel_stack(self.x[idx][None], self.state.kernel)
         return _gap_block(kbb, self.v[:, idx][None], self.gap_diag[idx][None])[0]
-
-    def projector_t(self) -> np.ndarray:
-        """A^T = Kuu^-1 Kuf, shape (M, N); A maps u to the prior mean of f."""
-        return self.luu.half_solve_t(self.v)
 
 
 def _add_to_diagonal(a: np.ndarray, c: float) -> np.ndarray:
@@ -439,37 +434,6 @@ def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List
     return [scales[idx[0]] for idx in partition.blocks]
 
 
-def btsgpr_parametric(
-    x, y, state: ModelState, partition: Partition, scales: List[np.ndarray]
-) -> BoundBreakdown:
-    """Block bound at explicit PSD scale matrices, before optimizing them out.
-
-    Penalty per block: tr(M_b D_bb)/(2 sigma2) + (tr M_b - log det M_b - N_b)/2.
-    Maximized over M_b it reproduces btsgpr_collapsed.
-    """
-    prep = prepare(x, y, state)
-    partition.check_covers(prep.n)
-    if len(scales) != partition.num_blocks:
-        raise ValueError("need one scale matrix per block")
-    reg = 0.0
-    jit = 0.0
-    for idx, mb in zip(partition.blocks, scales):
-        mb = np.asarray(mb, dtype=float)
-        if mb.shape != (idx.size, idx.size):
-            raise ValueError("scale matrix shape does not match its block")
-        lm = chol(mb)
-        jit = max(jit, lm.jitter_used)
-        reg -= 0.5 * (
-            float(np.sum(mb * prep.block_gap(idx))) / prep.sigma2
-            + float(np.trace(mb))
-            - lm.logdet()
-            - idx.size
-        )
-    gauss = _fit(prep, _chunks(prep))[0]
-    fit = gauss.logpdf()
-    return BoundBreakdown(fit + reg, fit, reg, max(gauss.jitter_used, jit))
-
-
 def sharedblock_collapsed(
     x, y, state: ModelState, partition: Partition, gradient: bool = False
 ) -> BoundBreakdown:
@@ -500,47 +464,6 @@ def spherical_optimal_scale(x, y, state: ModelState) -> float:
     """The single optimal scale 1 / (1 + mean_n d_nn / sigma2)."""
     prep = prepare(x, y, state)
     return float(1.0 / (1.0 + np.mean(prep.gap_diag) / prep.sigma2))
-
-
-def general_c_oracle(x, y, state: ModelState, c: np.ndarray) -> BoundBreakdown:
-    """Dense bound over an arbitrary PSD replacement C for the gap D.
-
-    total = log N(y; 0, Q + sigma2 I)
-            - tr[(D^-1 + I/sigma2) C] / 2 - log(|D| / |C|) / 2 + N / 2.
-
-    D is factorized with the jitter ladder, so the oracle is only
-    trustworthy when D is comfortably nonsingular.  Maximized over C it
-    lands on C* = (D^-1 + I/sigma2)^-1, the single-block log-det bound.
-    """
-    prep = prepare(x, y, state)
-    n = prep.n
-    if n > DENSE_CAP:
-        raise ValueError(f"general_c_oracle is dense; refusing N={n} > {DENSE_CAP}")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n, n):
-        raise ValueError(f"C must be ({n}, {n}), got {c.shape}")
-    d = prep.block_gap(np.arange(n))
-    ld = chol(d)
-    lc = chol(c)
-    trace = float(np.sum(ld.solve(c) * np.eye(n))) + float(np.trace(c)) / prep.sigma2
-    reg = -0.5 * trace - 0.5 * (ld.logdet() - lc.logdet()) + 0.5 * n
-    gauss = _fit(prep, _chunks(prep))[0]
-    fit = gauss.logpdf()
-    jit = max(gauss.jitter_used, ld.jitter_used, lc.jitter_used)
-    return BoundBreakdown(fit + reg, fit, reg, jit)
-
-
-def general_c_optimum(x, y, state: ModelState) -> np.ndarray:
-    """The oracle's maximizer C* = (D^-1 + I/sigma2)^-1, computed densely."""
-    prep = prepare(x, y, state)
-    n = prep.n
-    if n > DENSE_CAP:
-        raise ValueError(f"general_c_optimum is dense; refusing N={n} > {DENSE_CAP}")
-    d = prep.block_gap(np.arange(n))
-    ld = chol(d)
-    prec = ld.solve(np.eye(n)) + np.eye(n) / prep.sigma2
-    cstar = chol(prec).solve(np.eye(n))
-    return 0.5 * (cstar + cstar.T)
 
 
 def optimal_qu(x, y, state: ModelState) -> GaussianQU:

@@ -236,7 +236,7 @@ def test_tpep_uncollapsed_and_qu_gradient_match_the_one_block_path(alpha, m, cut
         cfg = PepConfig(alpha=alpha, partition=part, m_scale=m)
         q = random_qu(rng, state.num_inducing)
         prep = prepare(x, y, state)
-        at = prep.projector_t()
+        at = prep.luu.half_solve_t(prep.v)  # A^T = Kuu^-1 Kuf
         a_mean = at.T @ q.mean
         h = prep.v.T @ prep.luu.half_solve(q.cov_chol.lower)
         mm = state.num_inducing

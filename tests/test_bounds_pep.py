@@ -12,16 +12,12 @@ from numpy.testing import assert_allclose
 
 from _oracles import dense_exact, dense_pep, dense_tpep
 from blockgp.bounds_pep import (
-    FixedPointMismatch,
     PepConfig,
-    general_pep_oracle,
     pep_collapsed,
-    pep_iterate,
     tpep_collapsed,
     tpep_optimal_qu,
     tpep_stochastic,
     tpep_uncollapsed,
-    verify_site_fixed_point,
 )
 from blockgp.bounds_vi import (
     btsgpr_collapsed,
@@ -34,6 +30,12 @@ from blockgp.bounds_vi import (
 )
 from blockgp import bounds_vi
 from blockgp.model import BoundSpec, make_partition, singleton_partition
+from blockgp.oracles import (
+    FixedPointMismatch,
+    general_pep_oracle,
+    pep_iterate,
+    verify_site_fixed_point,
+)
 from blockgp.training import (
     ParameterPack,
     TrainConfig,
@@ -387,7 +389,8 @@ def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
     for mod in (linalg, bounds_vi, bounds_pep):
         if hasattr(mod, "chol_stack"):
             monkeypatch.setattr(mod, "chol_stack", counting_chol_stack)
-        monkeypatch.setattr(mod, "chol", counting_chol)
+        if hasattr(mod, "chol"):
+            monkeypatch.setattr(mod, "chol", counting_chol)
     rng = np.random.default_rng(30)
     x, y, state = small_instance(rng)
     n = y.shape[0]

@@ -24,10 +24,7 @@ from blockgp import bounds_vi
 from blockgp.bounds_vi import (
     btsgpr_collapsed,
     btsgpr_optimal_scales,
-    btsgpr_parametric,
     exact_lml,
-    general_c_optimum,
-    general_c_oracle,
     kl_qu,
     optimal_qu,
     prepare,
@@ -45,6 +42,7 @@ from blockgp.bounds_vi import (
 from blockgp.kernels import KernelParams, NoiseParam
 from blockgp.linalg import BATCHED_INVERSE_MAX
 from blockgp.model import ModelState, Partition, make_partition, singleton_partition
+from blockgp.oracles import btsgpr_parametric, general_c_optimum, general_c_oracle
 from blockgp.verify import (
     equal_blocks,
     random_blocks,

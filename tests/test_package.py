@@ -140,3 +140,47 @@ def test_module_level_imports_stay_within_numpy_scipy_linalg_and_the_stdlib():
         for node in _module_level_imports(ast.parse(path.read_text())):
             bad += [f"{path.name}:{node.lineno} imports {name}" for name in _outside_budget(node)]
     assert bad == [], "import these where they are called: " + "; ".join(bad)
+
+
+# The modules whose private names and internals the dense references
+# must not borrow: the code they check.
+CHECKED = ("bounds_vi", "bounds_pep", "training", "linalg")
+
+
+def _imported(node):
+    """The dotted names an import statement imports, without the package
+    prefix: `from .oracles import f` gives oracles and oracles.f."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        base = node.module or ""
+        names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+    return [name.removeprefix("blockgp.") for name in names if name]
+
+
+def test_only_verify_and_the_package_import_the_oracles_which_borrow_nothing_private():
+    importers = set()
+    for path in sorted((SRC / "blockgp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                name.split(".")[0] == "oracles" for name in _imported(node)
+            ):
+                importers.add(path.stem)
+    assert importers == {"__init__", "verify"}
+
+    tree = ast.parse((SRC / "blockgp" / "oracles.py").read_text())
+    borrowed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("blockgp.")
+            borrowed += [f"{module}.{alias.name}" for alias in node.names
+                         if module in CHECKED and alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in CHECKED and node.attr.startswith("_"):
+                borrowed.append(f"{node.value.id}.{node.attr}")
+    # the pass and the Woodbury fit are what the oracles check
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert borrowed == [] and named.isdisjoint({"_fit", "_chunks", "LowRankGaussian"})

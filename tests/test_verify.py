@@ -4,9 +4,14 @@ tampered with, and honest about runtimes."""
 import numpy as np
 import pytest
 
+from blockgp.model import METHODS
 from blockgp.verify import (
     CHECKS,
+    CheckContext,
     CheckResult,
+    check_collapse_identities,
+    check_gradient_checks,
+    check_stochastic_unbiasedness,
     format_report,
     gentle_instance,
     random_instance,
@@ -38,6 +43,23 @@ def test_report_formatting():
         assert r.name in report
     assert "PASS" in report
     assert report.count("\n") >= len(results)
+
+
+def test_row_details_count_what_the_method_table_holds():
+    ctx = CheckContext(scale="small", seed=0)
+    rows = METHODS.values()
+    trainable = sum(row.penalty is not None for row in rows)
+    stochastic = sum(row.stochastic for row in rows)
+    # a full-bound q(u) gradient for each variational penalty and each
+    # power-EP method, and one single-block estimator's
+    q_families = len({row.penalty for row in rows if row.penalty and not row.alpha})
+    q_families += sum(row.alpha for row in rows) + 1
+    assert f" x {trainable} identities," in check_collapse_identities(ctx)
+    assert f" x {stochastic} estimators," in check_stochastic_unbiasedness(ctx)
+    assert (
+        f" x ({q_families} q(u) families + {stochastic} single-block estimators"
+        f" + {len(METHODS)} collapsed objectives in every coordinate),"
+    ) in check_gradient_checks(ctx)
 
 
 def test_scale_is_validated():
