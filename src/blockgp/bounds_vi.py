@@ -32,7 +32,9 @@ Every value, optimum and gradient reads the data a chunk at a time
 (_chunks), a range of at most CHUNK_ENTRIES // M points.  The bounds that
 read blocks are sums over blocks, so they take the points in the
 partition's block order (Partition.order, put once in _prepared): each
-stack of equal-size blocks is a range, read and written through views.
+run of equal-size blocks is a range, which _chunks, the one place the
+layout is decided, cuts into stacks of at most STACK_ENTRIES matrix
+entries within a chunk, read and written through views.
 Titsias's (2009) statistics are sums over chunks, as in
 Gal, van der Wilk and Rasmussen (2014), so a chunk's K_uc and V_c = Lu^-1
 K_uc are built, added into M x M and M-sized sums and freed.  The first
@@ -70,7 +72,6 @@ from .linalg import (
     stack_inverse,
     stack_logdet,
 )
-from . import model
 from .model import METHODS, GaussianQU, ModelState, Partition, check_power
 
 # exact_lml and every dense reference in oracles refuse more points than
@@ -257,33 +258,37 @@ def _gap_block(kbb: np.ndarray, vb: np.ndarray, gap_diag: np.ndarray) -> np.ndar
 # chunk's Python work a few small BLAS calls.
 CHUNK_ENTRIES = 2**15
 
+# Most matrix entries (B_s n_s^2) in one stack of equal-size blocks, so each
+# (B_s, n_s, n_s) temporary of the batched block work stays near 0.5 MB;
+# a block that fills a stack alone costs far more than the call around it.
+STACK_ENTRIES = 2**16
 
-def _chunks(prep: "PreparedBound", shapes: Optional[Sequence[Tuple[int, int]]] = None) -> list:
+
+def _chunks(prep: "PreparedBound", runs: Optional[Sequence[Tuple[int, int]]] = None) -> list:
     """The pass's chunks over prep's points, (span, stacks) pairs: span the
     slice of at most CHUNK_ENTRIES // M points a chunk holds, which
-    prep.points opens as views.  With shapes, the (B_s, n_s) stack shapes
-    of points in block order, the stacks are cut and joined to that
-    width, and a chunk's stacks are the shapes within it, one after
-    another: neighbouring blocks of one size are one stack where it stays
-    within STACK_ENTRIES, and a block wider than a chunk is a chunk alone.
-    With none, the chunks are ranges of points, their stacks None."""
+    prep.points opens as views.  With runs, the (count, size) run of each
+    block size over points in block order, a chunk's stacks are the
+    (B_s, n_s) shapes of its blocks, one after another: every run is cut
+    into stacks of at most STACK_ENTRIES matrix entries and at most a
+    chunk's width, and a block wider than either is a stack alone (wider
+    than a chunk, a chunk alone).  This is the one place the stacks are
+    decided.  With none, the chunks are ranges of points, their stacks
+    None."""
     n, width = prep.n, max(1, CHUNK_ENTRIES // prep.state.num_inducing)
-    if shapes is None:
+    if runs is None:
         return [(slice(a, min(a + width, n)), None) for a in range(0, n, width)]
     chunks, stacks, start, size = [], [], 0, 0
-    for b, s in shapes:
+    for b, s in runs:
+        per = max(1, STACK_ENTRIES // (s * s))
         while b:
-            take = min(b, (width - size) // s)
+            take = min(b, per, (width - size) // s)
             if take <= 0 and stacks:  # the chunk is full
                 chunks.append((slice(start, start + size), stacks))
                 stacks, start, size = [], start + size, 0
                 continue
             take = max(1, take)
-            joined = stacks[-1][0] + take if stacks and stacks[-1][1] == s else None
-            if joined is not None and joined * s * s <= model.STACK_ENTRIES:
-                stacks[-1] = (joined, s)
-            else:
-                stacks.append((take, s))
+            stacks.append((take, s))
             size += take * s
             b -= take
     return chunks + [(slice(start, start + size), stacks)] if stacks else chunks
@@ -426,11 +431,13 @@ def btsgpr_collapsed(
 
 def btsgpr_optimal_scales(x, y, state: ModelState, partition: Partition) -> List[np.ndarray]:
     """Per-block optimal scale matrices (I + D_bb / sigma2)^-1."""
-    prep = _prepared(x, y, state, "logdet", partition)[0]
-    groups, scales = partition.groups, {}
-    # the stacks come in block order, groups'; each block's is keyed by its first index
-    for ix, (*_, lower, _) in zip(groups, prep.gap_factors([ix.shape for ix in groups])):
-        scales.update(zip(ix[:, 0], stack_inverse(lower)))
+    prep, chunks = _prepared(x, y, state, "logdet", partition)
+    inverses = [inv for span, shapes in chunks
+                for *_, lower, _ in prep.points(span).gap_factors(shapes)
+                for inv in stack_inverse(lower)]
+    # the stacks hold the blocks in block order: each block's first point keys its scale
+    sizes = np.sort(partition.block_sizes)
+    scales = dict(zip(partition.order[np.cumsum(sizes) - sizes].tolist(), inverses))
     return [scales[idx[0]] for idx in partition.blocks]
 
 
@@ -525,9 +532,9 @@ def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
     """prepare's state and the pass's chunks for penalty.  For the
     penalties that read blocks the state is over the points in the
     partition's block order (Partition.order), the one gather of the data
-    in a pass, and the chunks are the partition's stack shapes; the rest
-    read no partition (one given is still checked against the data) and
-    keep the caller's order, in ranges of points."""
+    in a pass, and _chunks cuts the runs of equal-size blocks into stacks;
+    the rest read no partition (one given is still checked against the
+    data) and keep the caller's order, in ranges of points."""
     if partition is None and penalty in _STACKED_PENALTIES:
         raise ValueError(f"penalty {penalty!r} reads a partition's blocks; none was given")
     prep = prepare(x, y, state)
@@ -536,7 +543,8 @@ def _prepared(x, y, state: ModelState, penalty: Optional[str] = None,
     if partition is None or penalty not in _STACKED_PENALTIES:
         return prep, _chunks(prep)
     prep = prep.points(partition.order)
-    return prep, _chunks(prep, [ix.shape for ix in partition.groups])
+    sizes, counts = np.unique(partition.block_sizes, return_counts=True)
+    return prep, _chunks(prep, list(zip(counts.tolist(), sizes.tolist())))
 
 
 def _penalty_stacks(chunk: PreparedBound, shapes, penalty: Optional[str], alpha=None, m=1.0):
@@ -806,9 +814,9 @@ def block_estimate(
     partition.check_covers(n)
     idx = partition.blocks[block_index]
     prep = PreparedBound(x[idx], y[idx], state)
-    shapes = [(1, idx.size)] if penalty in _STACKED_PENALTIES else None
+    runs = [(1, idx.size)] if penalty in _STACKED_PENALTIES else None
     return _estimate(
-        prep, q, _chunks(prep, shapes), penalty, float(partition.num_blocks),
+        prep, q, _chunks(prep, runs), penalty, float(partition.num_blocks),
         alpha=alpha, m=m_scale, n_total=n, gradient=gradient,
     )[0]
 

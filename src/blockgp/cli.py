@@ -677,13 +677,20 @@ def _load_model(path: str) -> Tuple[ModelState, GaussianQU, Optional[Standardiza
 
 
 def cmd_predict(args) -> int:
-    state, q, stats, _, payload = _load_model(args.model)
+    state, q, stats, feature_names, payload = _load_model(args.model)
     if args.no_target:
-        x_raw, _names = load_features(args.data)
+        x_raw, names = load_features(args.data)
         y_raw = None
     else:
-        data = load_csv(args.data, args.target_column)
-        x_raw, y_raw = data.x, data.y
+        data = load_csv(args.data, args.target_column, keep_constant=True)
+        x_raw, y_raw, names = data.x, data.y, data.column_names
+    if names is not None and feature_names is not None:
+        missing = [name for name in feature_names if name not in names]
+        if missing:
+            raise DataFormatError(
+                f"{args.data}: no columns named {missing}; the model reads {feature_names}"
+            )
+        x_raw = x_raw[:, [names.index(name) for name in feature_names]]
     input_dim = state.inducing.shape[1]
     if x_raw.shape[1] != input_dim:
         raise DataFormatError(

@@ -90,68 +90,69 @@ def _looks_like_header(row: List[str]) -> bool:
 def _read_numeric_table(path: str):
     """Shared CSV guts: header autodetect, cell parsing, shape checks.
 
-    A cell that does not parse, or parses to nan or inf, raises
-    DataFormatError naming its row and column.
+    Blank and whitespace-only rows are skipped.  A cell that does not
+    parse, or parses to nan or inf, raises DataFormatError naming its
+    row (the file's line number) and column.
 
-    Returns (values, names, start) with names None for headerless
-    files and start the first data row's 1-based line number.
+    Returns (values, names) with names None for headerless files.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     names: Optional[List[str]] = None
-    start = 0
-    if _looks_like_header(rows[0]):
-        names = [c.strip() for c in rows[0]]
-        start = 1
-    body = rows[start:]
-    if not body:
+    if _looks_like_header(rows[0][1]):
+        names = [c.strip() for c in rows[0][1]]
+        rows = rows[1:]
+    if not rows:
         raise EmptyDatasetError(f"{path}: header but no data rows")
-    width = len(body[0])
-    values = np.empty((len(body), width))
-    for i, row in enumerate(body):
+    width = len(rows[0][1])
+    values = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
         if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {start + i + 1} has {len(row)} cells, expected {width}"
-            )
+            raise DataFormatError(f"{path}: row {line} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
             try:
                 values[i, j] = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {start + i + 1}, column {j + 1}: "
+                    f"{path}: row {line}, column {j + 1}: "
                     f"cannot parse {cell.strip()!r} as a number"
                 ) from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
+        line, row = rows[i]
         raise DataFormatError(
-            f"{path}: row {start + i + 1}, column {j + 1}: "
-            f"{body[i][j].strip()!r} is not a finite number"
+            f"{path}: row {line}, column {j + 1}: "
+            f"{row[j].strip()!r} is not a finite number"
         )
     if names is not None and len(names) != width:
         raise DataFormatError(
             f"{path}: header has {len(names)} names for {width} columns"
         )
-    return values, names, start + 1
+    return values, names
 
 
 def load_features(path: str) -> Tuple[np.ndarray, Optional[List[str]]]:
     """Read a numeric CSV (optional header) as a plain feature matrix."""
-    values, names, _ = _read_numeric_table(path)
+    values, names = _read_numeric_table(path)
     return values, names
 
 
-def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
+def load_csv(path: str, target_column: Optional[str] = None,
+             keep_constant: bool = False) -> Dataset:
     """Read a numeric CSV into a Dataset.
 
     Header row is auto-detected (any non-numeric cell in the first
     row).  The target is the named column if given, else the last one.
-    Constant feature columns are dropped with a warning.  Malformed or
-    non-finite cells raise DataFormatError naming the row and column.
+    Constant feature columns are dropped with a warning, unless
+    keep_constant (inputs to predict at, whose columns are the model's
+    whatever their spread).  Malformed or non-finite cells raise
+    DataFormatError naming the row and column.
     """
-    values, names, _ = _read_numeric_table(path)
+    values, names = _read_numeric_table(path)
     width = values.shape[1]
     if width < 2:
         raise DataFormatError(f"{path}: need at least two columns (features, target)")
@@ -172,20 +173,17 @@ def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
     x = values[:, feature_idx]
     y = values[:, t]
     feature_names = [names[j] for j in feature_idx] if names is not None else None
+    if keep_constant:
+        return Dataset(x=x, y=y, column_names=feature_names)
 
-    keep = [j for j in range(x.shape[1]) if np.ptp(x[:, j]) > 0.0]
-    if len(keep) < x.shape[1]:
-        dropped = [j for j in range(x.shape[1]) if j not in keep]
-        label = (
-            [feature_names[j] for j in dropped]
-            if feature_names is not None
-            else dropped
-        )
+    keep = np.ptp(x, axis=0) > 0.0
+    if not keep.all():
+        dropped = np.flatnonzero(~keep).tolist()
+        label = dropped if feature_names is None else [feature_names[j] for j in dropped]
         warnings.warn(f"{path}: dropping constant feature columns {label}")
         x = x[:, keep]
-        feature_names = (
-            [feature_names[j] for j in keep] if feature_names is not None else None
-        )
+        if feature_names is not None:
+            feature_names = [name for name, kept in zip(feature_names, keep) if kept]
     if x.shape[1] == 0:
         raise DataFormatError(f"{path}: all feature columns are constant")
     return Dataset(x=x, y=y, column_names=feature_names)

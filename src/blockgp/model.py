@@ -2,7 +2,8 @@
 
 A ModelState bundles everything the objectives need: kernel
 hyperparameters, noise variance, inducing inputs, and (for the scaled
-power-EP family) the scalar scale m on log scale.
+power-EP family) the scalar scale m on log scale.  A Partition holds its
+blocks and their block order; the pass (bounds_vi._chunks) stacks them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 
 from .kernels import QUIET, KernelParams, NoiseParam
 from .linalg import CholeskyFactor
-
-# Most matrix entries (B_s n_s^2) in one stack of equal-size blocks, so each
-# (B_s, n_s, n_s) temporary of the batched block work stays near 0.5 MB;
-# a block that fills a stack alone costs far more than the call around it.
-STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class Partition:
         if not np.array_equal(np.sort(flat), np.arange(flat.size)):
             raise ValueError("partition blocks must cover 0..n-1 exactly once")
         object.__setattr__(self, "blocks", blocks)
-        # the checked sizes and indices, so n and groups loop over no block
+        # the checked sizes and indices, so n and order loop over no block
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_flat", flat)
 
@@ -147,24 +143,12 @@ class Partition:
         return self._sizes.tolist()
 
     @cached_property
-    def groups(self) -> List[np.ndarray]:
-        """The blocks as (B_s, n_s) index stacks of equal-size blocks, sizes
-        ascending, blocks in partition order; a stack holds one block or
-        as many as fit in STACK_ENTRIES matrix entries."""
-        sizes, flat = self._sizes, self._flat
-        starts = np.cumsum(sizes) - sizes
-        out = []
-        for s in np.unique(sizes).tolist():
-            rows = flat[starts[sizes == s, None] + np.arange(s)]  # the size-s blocks, in order
-            per = max(1, STACK_ENTRIES // (s * s))
-            out += [rows[i : i + per] for i in range(0, len(rows), per)]
-        return out
-
-    @cached_property
     def order(self) -> np.ndarray:
-        """groups raveled: the order the bounds that read blocks take the
-        points in, so that every stack is a range of them."""
-        return np.concatenate([ix.ravel() for ix in self.groups])
+        """The points block by block, sizes ascending and blocks in
+        partition order within a size: the order the bounds that read
+        blocks take the points in, so that every run of equal-size blocks
+        is a range of them."""
+        return self._flat[np.argsort(np.repeat(self._sizes, self._sizes), kind="stable")]
 
 
 def make_partition(n: int, num_blocks: int, seed: int = 0) -> Partition:

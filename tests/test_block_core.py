@@ -7,7 +7,8 @@ at a time.  The references below redo the same quantities one block at
 a time, from PreparedBound.block_gap and chol, the way the objectives
 were first written; the gap builder itself is checked against
 kernel_matrix.  Partitions are unequal, with a one-point block and size
-groups that hold a single block.
+groups that hold a single block.  The stacks are the ones the pass cuts
+(bounds_vi._chunks), whose budgets are checked here too.
 """
 
 import numpy as np
@@ -21,7 +22,10 @@ from blockgp.bounds_pep import (
     tpep_qu_gradient,
     tpep_uncollapsed,
 )
+from blockgp import bounds_vi
 from blockgp.bounds_vi import (
+    CHUNK_ENTRIES,
+    STACK_ENTRIES,
     PreparedBound,
     btsgpr_collapsed,
     btsgpr_optimal_scales,
@@ -39,8 +43,7 @@ from blockgp.linalg import (
     chol,
     chol_stack,
 )
-from blockgp import model
-from blockgp.model import STACK_ENTRIES, BoundSpec, ModelState, Partition, make_partition
+from blockgp.model import BoundSpec, ModelState, Partition, make_partition
 from blockgp.training import EvaluationFailed, TrainConfig, evaluate_bound, fit_collapsed
 from blockgp.verify import random_instance, random_qu
 
@@ -51,7 +54,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 @pytest.fixture(params=[STACK_ENTRIES, 20], ids=["stacks", "cut-stacks"])
 def cut(request, monkeypatch):
     """Run with the default stack size and with stacks cut to a few blocks."""
-    monkeypatch.setattr(model, "STACK_ENTRIES", request.param)
+    monkeypatch.setattr(bounds_vi, "STACK_ENTRIES", request.param)
 
 
 def _close(ours, ref, rtol=RTOL):
@@ -105,10 +108,25 @@ def _per_block_fit(prep: PreparedBound, blocks, rs):
     return fit, logdet_noise, max(jit, lb.jitter_used), f.T @ w, f.T @ f
 
 
+def _layout(x, y, state, part):
+    """The pass's chunks over the points in the partition's block order,
+    as the bounds that read blocks cut them."""
+    return bounds_vi._prepared(x, y, state, "logdet", part)[1]
+
+
+def _index_stacks(part, shapes):
+    """The (B_s, n_s) point indices of stacks that follow one another
+    through the block order."""
+    ends = np.cumsum([b * s for b, s in shapes])
+    return [part.order[e - b * s : e].reshape(b, s) for e, (b, s) in zip(ends, shapes)]
+
+
 def _in_block_order(x, y, state, part):
-    """prepare over the points in the partition's block order, as the
-    bounds that read blocks take them, and its stack shapes."""
-    return prepare(x[part.order], y[part.order], state), [ix.shape for ix in part.groups]
+    """prepare over the points in the partition's block order, its stack
+    shapes, one chunk after another, and the stacks' point indices."""
+    shapes = [shape for _, stacks in _layout(x, y, state, part) for shape in stacks]
+    prep = prepare(x[part.order], y[part.order], state)
+    return prep, shapes, _index_stacks(part, shapes)
 
 
 def _noise_blocks(prep, part, alpha, m):
@@ -118,8 +136,8 @@ def _noise_blocks(prep, part, alpha, m):
 
 def test_stacked_gaps_match_kernel_matrix_blocks():
     for _, x, y, state, part in _instances(40):
-        prep, shapes = _in_block_order(x, y, state, part)
-        for ix, (rows, _, gaps) in zip(part.groups, prep.gap_stacks(shapes)):
+        prep, shapes, index = _in_block_order(x, y, state, part)
+        for ix, (rows, _, gaps) in zip(index, prep.gap_stacks(shapes)):
             at = np.arange(rows.start, rows.stop).reshape(ix.shape)  # the blocks' places
             for idx, pos, gap in zip(ix, at, gaps):
                 kbb = kernel_matrix(x[idx], x[idx], state.kernel)
@@ -131,23 +149,46 @@ def test_stacked_gaps_match_kernel_matrix_blocks():
                 assert np.array_equal(gap, prep.block_gap(pos))
 
 
-def test_partition_groups_stack_blocks_by_size():
+def _instance_at(n, m, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n, 2))
+    z = x[rng.choice(n, m, replace=False)]
+    return x, np.sin(x[:, 0]), ModelState(KernelParams(np.zeros(2), 0.0), NoiseParam(-2.0), z)
+
+
+def test_chunks_cut_each_run_of_blocks_within_both_budgets():
     rng = np.random.default_rng(41)
-    for part in (_unequal_partition(rng, 23), make_partition(6000, 30)):
-        sizes = [ix.shape[1] for ix in part.groups]
-        assert sizes == sorted(sizes)
-        assert set(sizes) == set(part.block_sizes)
-        assert all(ix.shape[0] == 1 or ix.size * ix.shape[1] <= STACK_ENTRIES
-                   for ix in part.groups)
-        stacked = [idx for ix in part.groups for idx in ix]
-        in_order = sorted(part.blocks, key=len)
-        assert len(stacked) == part.num_blocks
-        assert all(np.array_equal(a, b) for a, b in zip(stacked, in_order))
-    # blocks of 200 fill a stack each; 50 blocks of 40 make stacks of 40 and
-    # 10; blocks of 3 and 4 are not cut
-    assert [ix.shape[0] for ix in make_partition(6000, 30).groups] == [1] * 30
-    assert [ix.shape[0] for ix in make_partition(2000, 50).groups] == [40, 10]
-    assert len(_unequal_partition(rng, 1000).groups) == 4
+    # blocks of 3 and 4 points, as many of each as the tpep-fine-blocks workload
+    sizes = rng.permutation([3] * 144 + [4] * 142)
+    fine = Partition([np.sort(p) for p in np.split(rng.permutation(1000), np.cumsum(sizes)[:-1])])
+    cases = [(_unequal_partition(rng, 23), 4), (_unequal_partition(rng, 1000), 64),
+             (make_partition(2000, 50), 32), (make_partition(6000, 30), 8),
+             (make_partition(6000, 150), 8), (make_partition(1500, 5), 128), (fine, 8)]
+    layouts = []
+    for part, m in cases:
+        x, y, state = _instance_at(part.n, m)
+        chunks = _layout(x, y, state, part)
+        width = CHUNK_ENTRIES // m
+        shapes = [shape for _, stacks in chunks for shape in stacks]
+        assert all(b == 1 or b * s * s <= STACK_ENTRIES and b * s <= width for b, s in shapes)
+        for span, stacks in chunks:
+            assert span.stop - span.start == sum(b * s for b, s in stacks)
+            assert span.stop - span.start <= width or stacks == [(1, stacks[0][1])]
+        assert [span.start for span, _ in chunks] == [0] + [span.stop for span, _ in chunks[:-1]]
+        # the stacks cover the block order once, in order, each of whole equal-size blocks
+        stacked = [idx for ix in _index_stacks(part, shapes) for idx in ix]
+        assert chunks[-1][0].stop == part.n and len(stacked) == part.num_blocks
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, sorted(part.blocks, key=len)))
+        layouts.append([stacks for _, stacks in chunks])
+    # the workloads: 50 blocks of 40 at M = 32 are two chunks of one stack
+    # each; blocks of 200 fill a stack each; blocks of 3 and 4 fit one chunk
+    assert layouts[2] == [[(25, 40)], [(25, 40)]]
+    assert layouts[3] == [[(1, 200)] * 20, [(1, 200)] * 10]
+    assert layouts[6] == [[(144, 3), (142, 4)]]
+    # blocks of 40 at M = 8 are cut to 40 a stack; blocks of 300 wider than
+    # a chunk of 256 points are a chunk each
+    assert layouts[4] == [[(40, 40), (40, 40), (22, 40)], [(40, 40), (8, 40)]]
+    assert layouts[5] == [[(1, 300)]] * 5
 
 
 def test_btsgpr_matches_the_one_block_path(cut):
@@ -208,9 +249,9 @@ def test_block_noise_gaussian_matches_the_one_block_path(alpha, m, cut):
         prep = prepare(x, y, state)
         rs = _noise_blocks(prep, part, alpha, m)
         fit, logdet_noise, jit, mean, cov = _per_block_fit(prep, part.blocks, rs)
-        ordered, shapes = _in_block_order(x, y, state, part)
+        ordered, shapes, index = _in_block_order(x, y, state, part)
         stacks = list(ordered.gap_factors(shapes, alpha, m))
-        for ix, (_, _, gaps, lower, _) in zip(part.groups, stacks):
+        for ix, (_, _, gaps, lower, _) in zip(index, stacks):
             for idx, gap, low in zip(ix, gaps, lower):
                 _close(gap, prep.block_gap(idx))
                 _close(low, chol(alpha * m * gap + prep.sigma2 * np.eye(idx.size)).lower)
@@ -280,13 +321,13 @@ def _duplicate_instance():
 def test_duplicate_inputs_get_the_per_block_jitter(cut):
     x, y, state, part, dup = _duplicate_instance()
     prep = prepare(x, y, state)
-    ordered, shapes = _in_block_order(x, y, state, part)
+    ordered, shapes, index = _in_block_order(x, y, state, part)
     s2 = prep.sigma2
     seen = 0
     # BT-SGPR's I + D_bb / sigma2 and T-PEP's a m D_bb + sigma2 I
     for alpha, m in ((None, 1.0), (0.5, 1.3)):
         stacks = ordered.gap_factors(shapes, alpha, m)
-        for ix, (_, _, gaps, lower, jitter) in zip(part.groups, stacks):
+        for ix, (_, _, gaps, lower, jitter) in zip(index, stacks):
             eye = np.eye(ix.shape[1])
             stack = gaps / s2 + eye if alpha is None else (alpha * m) * gaps + s2 * eye
             ref = [chol(a) for a in stack]
@@ -386,4 +427,5 @@ def test_stacked_kernel_overflow_raises(log_ell, log_s2):
                      noise=state.noise, inducing=state.inducing)
     prep.state = far
     with pytest.raises(FloatingPointError):
-        list(prep.gap_stacks([ix.shape for ix in make_partition(y.shape[0], 4).groups]))
+        chunks = _layout(x, y, state, make_partition(y.shape[0], 4))
+        list(prep.gap_stacks([shape for _, stacks in chunks for shape in stacks]))

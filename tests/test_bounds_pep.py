@@ -358,7 +358,7 @@ def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
     # log-det penalty is read off the factors of R_b: one evaluation, with
     # or without its gradient, passes each block once through the stacked
     # gap builder and once through the stacked factorization, one call per
-    # size group (SharedBlock factors only the average of its blocks); on
+    # stack the pass cuts (SharedBlock factors only the average of its blocks); on
     # the happy path chol runs only for Kuu, the capacitance, the shared
     # average and, with a gradient, the q(u) factor at the optimum
     from blockgp import bounds_pep, bounds_vi, linalg
@@ -397,26 +397,29 @@ def test_collapsed_energies_build_and_factor_each_block_once(monkeypatch):
     # sizes 1, 2 and 3, with a size group that holds a single block
     cuts = [1, 3, 5, 8, 11] + list(range(14, n, 3))
     part = Partition([np.sort(b) for b in np.split(rng.permutation(n), cuts)])
-    assert len(part.groups) >= 3
     # SharedBlock needs equal sizes: pairs, on an even number of points
     n2 = n // 2 * 2
     pairs = Partition([np.sort(b) for b in np.split(rng.permutation(n2), n2 // 2)])
+    stacks = [sum(len(shapes) for _, shapes in bounds_vi._prepared(
+        x[:blocks.n], y[:blocks.n], state, "logdet", blocks)[1]) for blocks in (part, pairs)]
+    assert stacks[0] >= 3
     energies = (
-        ("PEP", lambda g: pep_collapsed(x, y, state, _cfg(0.5, part), g), part),
-        ("T-PEP", lambda g: tpep_collapsed(x, y, state, _cfg(0.5, part, 1.3), g), part),
-        ("BT-SGPR", lambda g: btsgpr_collapsed(x, y, state, part, g), part),
+        ("PEP", lambda g: pep_collapsed(x, y, state, _cfg(0.5, part), g), part, stacks[0]),
+        ("T-PEP", lambda g: tpep_collapsed(x, y, state, _cfg(0.5, part, 1.3), g), part,
+         stacks[0]),
+        ("BT-SGPR", lambda g: btsgpr_collapsed(x, y, state, part, g), part, stacks[0]),
         ("SharedBlock",
-         lambda g: sharedblock_collapsed(x[:n2], y[:n2], state, pairs, g), pairs),
+         lambda g: sharedblock_collapsed(x[:n2], y[:n2], state, pairs, g), pairs, stacks[1]),
     )
-    for name, fn, blocks in energies:
+    for name, fn, blocks, num_stacks in energies:
         shared = name == "SharedBlock"
         for gradient in (False, True):
             for key in calls:
                 calls[key] = 0
             fn(gradient)
             assert calls == {
-                "gap_rows": blocks.num_blocks, "gap_calls": len(blocks.groups),
+                "gap_rows": blocks.num_blocks, "gap_calls": num_stacks,
                 "factor_rows": 0 if shared else blocks.num_blocks,
-                "factor_calls": 0 if shared else len(blocks.groups),
+                "factor_calls": 0 if shared else num_stacks,
                 "chol": 2 + shared + gradient,
             }, (name, gradient)

@@ -65,7 +65,7 @@ def test_memory_does_not_grow_with_n(name):
     peaks = []
     for n in (5000, 25000):
         x, y, state, part = _instance(n)
-        part.groups  # the partition's index stacks, built once a partition
+        part.order  # the partition's block order, built once a partition
         CALLS[name](x, y, state, part)
         tracemalloc.start()
         try:

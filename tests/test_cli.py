@@ -265,6 +265,38 @@ def test_predict_rejects_wrong_width(tmp_path, capsys):
     assert "feature columns" in capsys.readouterr().err
 
 
+def test_predict_reads_the_models_columns_whatever_the_rows_hold(tmp_path):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, (60, 2))
+    table = np.column_stack([x, np.sin(x).sum(axis=1) + 0.1 * rng.standard_normal(60)])
+    train = tmp_path / "train.csv"
+    train.write_text("a,b,y\n" + "\n".join(",".join(map(repr, r)) for r in table.tolist()) + "\n")
+    cfg_path, cfg = _write_config(tmp_path, method="SGPR", dataset=str(train), epochs=3)
+    assert main(["fit", "--config", cfg_path]) == 0
+    model = str(Path(cfg["out"]) / "model.json")
+    # (a, b, y), three rows with a = 0.5
+    rows = [[0.5, -1.0, 0.2], [1.5, 0.3, -0.1], [0.5, 0.7, 1.0], [-1.0, 1.2, 0.4], [0.5, 1.9, 0.0]]
+
+    def predict_at(name, header, rows, *flags):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(header + "\n" + "\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        out = tmp_path / name
+        assert main(["predict", "--model", model, "--data", str(path), "--out", str(out),
+                     *flags]) == 0
+        return np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
+
+    whole = predict_at("whole", "a,b,y", rows)
+    assert whole.shape == (5, 7)
+    np.testing.assert_allclose(predict_at("one", "a,b,y", rows[:1]), whole[:1], rtol=1e-12)
+    same_a = [0, 2, 4]
+    np.testing.assert_allclose(predict_at("same_a", "a,b,y", [rows[i] for i in same_a]),
+                               whole[same_a], rtol=1e-12)
+    # the model's columns are found by name, the target by --target-column
+    moved = [[y, b, a] for a, b, y in rows]
+    np.testing.assert_allclose(predict_at("moved", "y,b,a", moved, "--target-column", "y"),
+                               whole, rtol=1e-12)
+
+
 def test_fit_rejects_a_non_finite_csv_cell(tmp_path, capsys):
     rng = np.random.default_rng(5)
     table = np.column_stack([rng.uniform(-2, 2, (60, 2)), rng.standard_normal(60)])

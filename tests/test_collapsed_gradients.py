@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blockgp import model
+from blockgp import bounds_vi
 from blockgp.bounds_pep import PepConfig, tpep_collapsed, tpep_uncollapsed
-from blockgp.bounds_vi import optimal_qu, vi_uncollapsed
+from blockgp.bounds_vi import STACK_ENTRIES, optimal_qu, vi_uncollapsed
 from blockgp.linalg import NotPositiveDefiniteError
-from blockgp.model import STACK_ENTRIES, BoundSpec, Partition, singleton_partition
+from blockgp.model import BoundSpec, Partition, make_partition, singleton_partition
 from blockgp.training import (
     EvaluationFailed,
     ParameterPack,
@@ -43,7 +43,7 @@ METHODS = ("Exact", "SGPR", "T-SGPR", "Spherical", "SharedBlock", "BT-SGPR", "PE
 @pytest.fixture(params=[STACK_ENTRIES, 20], ids=["stacks", "cut-stacks"])
 def cut(request, monkeypatch):
     """Run with the default stack size and with stacks cut to a few blocks."""
-    monkeypatch.setattr(model, "STACK_ENTRIES", request.param)
+    monkeypatch.setattr(bounds_vi, "STACK_ENTRIES", request.param)
 
 
 def _unequal_partition(rng, n: int) -> Partition:
@@ -165,7 +165,7 @@ def test_difference_lbfgs_climbs_from_duplicates_raises_from_overflow():
     # capacitance through it then failed past the ladder's cap; chol's pivot
     # rule gives K_uu jitter, so L-BFGS on differences climbs past that point
     x, y, state = _failing_start()
-    part = model.make_partition(300, 30, seed=0)
+    part = make_partition(300, 30, seed=0)
     spec = BoundSpec(method="BT-SGPR", num_blocks=30)
 
     def run(start, max_iter):
@@ -209,7 +209,7 @@ def test_shared_penalty_reports_its_jitter_in_every_mode():
     x, y, state, _, _ = _duplicate_instance()
     n = y.shape[0] - y.shape[0] % 3
     x, y = x[:n].copy(), y[:n]
-    part = model.make_partition(n, n // 3, seed=0)
+    part = make_partition(n, n // 3, seed=0)
     for b in part.blocks:
         x[b[1]] = x[b[0]]
     spec = BoundSpec(method="SharedBlock", num_blocks=part.num_blocks)
@@ -245,7 +245,7 @@ def test_analytic_lbfgs_from_the_duplicate_start_climbs():
     # the analytic gradient needs no perturbed evaluations, so from the
     # same start every point L-BFGS-B accepts has a gradient
     x, y, state = _failing_start()
-    part = model.make_partition(300, 30, seed=0)
+    part = make_partition(300, 30, seed=0)
     spec = BoundSpec(method="BT-SGPR", num_blocks=30)
     cfg = TrainConfig(objective=spec, optimizer="lbfgs", epochs=5)
     fitted, trace = fit_collapsed(x, y, state, cfg, part)

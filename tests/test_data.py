@@ -62,6 +62,19 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
     assert "row 3" in msg and "column 2" in msg and "oops" in msg
 
 
+def test_csv_errors_name_the_files_line_past_blank_rows(tmp_path):
+    bad = _write(tmp_path, "blank.csv", "a,b\n\n1,2\n\n\nx,3\n")
+    with pytest.raises(DataFormatError, match="row 6, column 1: cannot parse 'x'"):
+        load_csv(bad)
+    nonfinite = _write(tmp_path, "blank_inf.csv", "a,b\n \n1,2\n,\n3,inf\n")
+    for load in (load_csv, load_features):
+        with pytest.raises(DataFormatError, match="row 5, column 2: 'inf' is not a finite"):
+            load(nonfinite)
+    ragged = _write(tmp_path, "blank_ragged.csv", "\n1,2\n\n3\n")
+    with pytest.raises(DataFormatError, match="row 4 has 1 cells"):
+        load_features(ragged)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 @pytest.mark.parametrize("column", [1, 3])  # a feature, the target
 def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):

@@ -158,6 +158,18 @@ def _imported(node):
     return [name.removeprefix("blockgp.") for name in names if name]
 
 
+def _names(tree):
+    """Every name a module's code refers to: bare names, attributes and
+    the names its from-imports bring in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def test_only_verify_and_the_package_import_the_oracles_which_borrow_nothing_private():
     importers = set()
     for path in sorted((SRC / "blockgp").glob("*.py")):
@@ -179,8 +191,16 @@ def test_only_verify_and_the_package_import_the_oracles_which_borrow_nothing_pri
             if node.value.id in CHECKED and node.attr.startswith("_"):
                 borrowed.append(f"{node.value.id}.{node.attr}")
     # the pass and the Woodbury fit are what the oracles check
-    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names}
+    named = set(_names(tree))
     assert borrowed == [] and named.isdisjoint({"_fit", "_chunks", "LowRankGaussian"})
+
+
+def test_only_the_pass_decides_the_stack_layout():
+    layout = {"STACK_ENTRIES", "_chunks"}
+    naming = sorted(
+        f"{path.name} names {name}"
+        for path in (SRC / "blockgp").glob("*.py") if path.stem != "bounds_vi"
+        for name in layout & set(_names(ast.parse(path.read_text())))
+    )
+    assert naming == []
+    assert layout <= set(_names(ast.parse((SRC / "blockgp" / "bounds_vi.py").read_text())))
