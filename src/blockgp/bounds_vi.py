@@ -981,8 +981,8 @@ def _estimate(
         g_uu = 0.5 * (g_uu + g_uu.T)
         d_mean = w * at_rho - p_mean
         d_lower = np.diag(1.0 / np.diag(lq)) - p_lq - w * at_g
-        d_ell, d_ls2, d_z1 = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
-        d_z2 = kernel_matrix_adjoint(z, z, kern, prep.kuu.T, g_uu.T)[2]  # z as x2
+        # Kuu and g_uu are symmetric, so z's adjoint as x2 equals its one as x1
+        d_ell, d_ls2, d_z = kernel_matrix_adjoint(z, z, kern, prep.kuu, g_uu)
         # K's diagonal, the signal variance, is D's diagonal's other part
         d_ls2 += e_ls2 + kern.signal_variance * sum_dd
         est = BlockEstimate(
@@ -990,7 +990,7 @@ def _estimate(
             d_log_lengthscales=d_ell + e_ell,
             d_log_signal_variance=d_ls2,
             d_log_noise_variance=s2 * g_s2,
-            d_inducing=d_z1 + d_z2 + e_z,
+            d_inducing=2.0 * d_z + e_z,
             d_log_m_scale=m * sums.g_m,
             d_mean=d_mean,
             d_lower=np.tril(d_lower),

@@ -46,6 +46,7 @@ from .model import (
 )
 from .prediction import PredictiveGaussian, metrics, predict
 from .training import (
+    BoundBreakdown,
     Diverged,
     EvaluationFailed,
     TrainConfig,
@@ -265,7 +266,8 @@ def _validate_config(cfg: dict, compare: bool) -> List[str]:
     if _as_int(cfg, "epochs") < 1:
         raise ConfigError("epochs", "need at least one epoch")
     _as_choice(cfg, "gradient_mode", ("fd", "analytic"))
-    _as_int(cfg, "seed")
+    if _as_int(cfg, "seed") < 0:
+        raise ConfigError("seed", "must be a non-negative integer")
     if not isinstance(cfg["destandardize_metrics"], bool):
         raise ConfigError("destandardize_metrics", "expected true or false")
     if _as_int(cfg, "grid_points") < 2:
@@ -292,19 +294,13 @@ def _validate_config(cfg: dict, compare: bool) -> List[str]:
 # shared run pipeline
 
 
-def _load_dataset(cfg: dict) -> Dataset:
-    if cfg["dataset"] is not None:
-        return load_csv(cfg["dataset"], cfg["target_column"])
-    return synthetic_1d(
-        int(cfg["synthetic_n"]),
-        seed=int(cfg["seed"]),
-        noise_std=float(cfg["synthetic_noise_std"]),
-    )
-
-
 def _prepare_data(cfg: dict) -> Tuple[Dataset, Dataset]:
     """Load, split, then standardize with train statistics only."""
-    data = _load_dataset(cfg)
+    if cfg["dataset"] is not None:
+        data = load_csv(cfg["dataset"], cfg["target_column"])
+    else:
+        data = synthetic_1d(int(cfg["synthetic_n"]), seed=int(cfg["seed"]),
+                            noise_std=float(cfg["synthetic_noise_std"]))
     train, test = split(data, float(cfg["test_fraction"]), seed=int(cfg["seed"]))
     if cfg["standardize"]:
         train = standardize(train)
@@ -335,15 +331,19 @@ class RunResult:
     q: GaussianQU
     trace: TrainTrace
     initial_objective: float
-    objective: float  # collapsed bound at the final state
-    fit_term: float
-    regularizer: float
-    jitter_used: float
+    final: BoundBreakdown  # collapsed bound at the final state
     uncollapsed: Optional[float]  # bound at (state, q); stochastic runs only
+    metrics: dict  # rmse and mean_ll of the trained model on the scored split
+    metrics_scale: str
 
 
-def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> RunResult:
+def _run_method(
+    cfg: dict, train: Dataset, base: ModelState, method: str, scored: Dataset
+) -> RunResult:
+    """Train method from base, with the gap scale m at 1 where its row
+    has one, and score the trained model on scored."""
     spec = _spec_for(cfg, method)
+    state0 = base.with_(log_m_scale=0.0) if METHODS[method].gap_scale else base
     seed = int(cfg["seed"])
     # the run's one partition, which every call takes and only those that
     # read blocks use
@@ -367,38 +367,36 @@ def _run_method(cfg: dict, train: Dataset, state0: ModelState, method: str) -> R
         state, trace = fit_collapsed(train.x, train.y, state0, train_cfg, partition)
         q = qu_optimum(train.x, train.y, state, spec, partition)
 
-    final = evaluate_bound(train.x, train.y, state, spec, partition)
+    pred = predict(scored.x, state, q, include_noise=True)
+    m, scale = _score(pred, scored.y, scored.stats, cfg["destandardize_metrics"])
     return RunResult(
         spec=spec,
         state=state,
         q=q,
         trace=trace,
         initial_objective=init_value,
-        objective=final.total,
-        fit_term=final.fit_term,
-        regularizer=final.regularizer,
-        jitter_used=final.jitter_used,
+        final=evaluate_bound(train.x, train.y, state, spec, partition),
         uncollapsed=uncollapsed,
+        metrics=m,
+        metrics_scale=scale,
     )
 
 
-def _initial_state_for(cfg: dict, train: Dataset, with_m: bool) -> ModelState:
-    return initial_state(
-        train,
-        int(cfg["num_inducing"]),
-        seed=int(cfg["seed"]),
-        inducing=cfg["inducing_init"],
-        with_m=with_m,
+def _runs(args, compare: bool) -> Tuple[dict, str, Dataset, str, List[RunResult]]:
+    """The pipeline of fit (one method) and compare: resolve, validate and
+    hash the config, prepare the data, and train every method from one
+    shared initial state on one split.  Returns the config, its hash, the
+    training split, the name of the scored split and the runs."""
+    cfg = _resolve_config(args)
+    methods = _validate_config(cfg, compare)
+    cfg_hash = _config_hash(cfg)
+    train, test = _prepare_data(cfg)
+    base = initial_state(
+        train, int(cfg["num_inducing"]), seed=int(cfg["seed"]), inducing=cfg["inducing_init"]
     )
-
-
-def _eval_metrics(cfg: dict, data: Dataset, state: ModelState, q: GaussianQU) -> dict:
-    """RMSE and mean predictive log density, standardized scale by default."""
-    pred = predict(data.x, state, q, include_noise=True)
-    if cfg["destandardize_metrics"] and data.stats is not None:
-        s = data.stats
-        return metrics(_destandardize(pred, s), data.y * s.y_std + s.y_mean)
-    return metrics(pred, data.y)
+    scored, scored_on = (test, "test") if test.n else (train, "train")
+    runs = [_run_method(cfg, train, base, method, scored) for method in methods]
+    return cfg, cfg_hash, train, scored_on, runs
 
 
 def _destandardize(
@@ -414,10 +412,18 @@ def _destandardize(
     )
 
 
-def _metrics_scale(cfg: dict, data: Dataset) -> str:
-    if cfg["destandardize_metrics"] and data.stats is not None:
-        return "original"
-    return "standardized"
+def _score(
+    pred: PredictiveGaussian, y: np.ndarray, stats: Optional[StandardizationStats],
+    original: bool,
+) -> Tuple[dict, str]:
+    """RMSE and mean predictive log density of pred against y, both on the
+    scale stats standardized them to (None: the data's own), and the name
+    of the scale they are reported on: "original" unless the data were
+    standardized and original units were not asked for."""
+    if stats is None or original:
+        y = y if stats is None else y * stats.y_std + stats.y_mean
+        return metrics(_destandardize(pred, stats), y), "original"
+    return metrics(pred, y), "standardized"
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +470,8 @@ def _model_payload(cfg: dict, cfg_hash: str, run: RunResult, train: Dataset) -> 
     }
 
 
-def _report_payload(
-    cfg: dict, cfg_hash: str, run: RunResult, eval_on: str, scale: str, m: dict
-) -> dict:
-    state = run.state
+def _report_payload(cfg: dict, cfg_hash: str, run: RunResult, scored_on: str) -> dict:
+    state, final = run.state, run.final
     report = {
         "version": __version__,
         "config_hash": cfg_hash,
@@ -478,14 +482,14 @@ def _report_payload(
         "trainer": cfg["trainer"],
         "optimizer": cfg["optimizer"],
         "steps": len(run.trace),
-        "objective": run.objective,
-        "fit_term": run.fit_term,
-        "regularizer": run.regularizer,
-        "jitter_used": run.jitter_used,
-        "rmse": m["rmse"],
-        "mean_ll": m["mean_ll"],
-        "metrics_on": eval_on,
-        "metrics_scale": scale,
+        "objective": final.total,
+        "fit_term": final.fit_term,
+        "regularizer": final.regularizer,
+        "jitter_used": final.jitter_used,
+        "rmse": run.metrics["rmse"],
+        "mean_ll": run.metrics["mean_ll"],
+        "metrics_on": scored_on,
+        "metrics_scale": run.metrics_scale,
         "sigma2": state.noise.noise_variance,
         "kernel_variance": state.kernel.signal_variance,
         "lengthscales": state.kernel.lengthscales,
@@ -523,27 +527,17 @@ def _method_slug(method: str) -> str:
 
 
 def cmd_fit(args) -> int:
-    cfg = _resolve_config(args)
-    _validate_config(cfg, compare=False)
-    cfg_hash = _config_hash(cfg)
-    train, test = _prepare_data(cfg)
-    method = cfg["method"]
-    state0 = _initial_state_for(cfg, train, METHODS[method].gap_scale)
-    run = _run_method(cfg, train, state0, method)
-
-    eval_data, eval_on = (test, "test") if test.n else (train, "train")
-    m = _eval_metrics(cfg, eval_data, run.state, run.q)
+    cfg, cfg_hash, train, scored_on, [run] = _runs(args, compare=False)
     out = _ensure_out(cfg["out"])
     _write_json(out / "model.json", _model_payload(cfg, cfg_hash, run, train))
     (out / "trace.csv").write_text(_trace_csv(run.trace, train.dim))
-    report = _report_payload(cfg, cfg_hash, run, eval_on, _metrics_scale(cfg, eval_data), m)
-    _write_json(out / "report.json", report)
+    _write_json(out / "report.json", _report_payload(cfg, cfg_hash, run, scored_on))
 
+    trace, m = run.trace, run.metrics
     print(
-        f"{method}: objective {run.objective:.6f} after {len(run.trace)} steps, "
-        f"rmse {m['rmse']:.6f}, mean_ll {m['mean_ll']:.6f} ({eval_on})"
+        f"{run.spec.method}: objective {run.final.total:.6f} after {len(trace)} steps, "
+        f"rmse {m['rmse']:.6f}, mean_ll {m['mean_ll']:.6f} ({scored_on})"
     )
-    trace = run.trace
     if trace.function_evals is not None:
         print(
             f"L-BFGS-B stopped: {trace.stop_message} ({len(trace)} iterations, "
@@ -556,36 +550,24 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
-    methods = _validate_config(cfg, compare=True)
-    cfg_hash = _config_hash(cfg)
-    train, test = _prepare_data(cfg)
-    eval_data, eval_on = (test, "test") if test.n else (train, "train")
-    scale = _metrics_scale(cfg, eval_data)
-
-    # One shared initialization: every method starts from the same
-    # hyperparameters, inducing inputs, and data split.
-    base = _initial_state_for(cfg, train, with_m=False)
+    cfg, cfg_hash, train, scored_on, runs = _runs(args, compare=True)
     out = _ensure_out(cfg["out"])
     rows = []
-    for method in methods:
-        state0 = base.with_(log_m_scale=0.0) if METHODS[method].gap_scale else base
-        run = _run_method(cfg, train, state0, method)
-        m = _eval_metrics(cfg, eval_data, run.state, run.q)
-        row = {
+    for run in runs:
+        method, state = run.spec.method, run.state
+        rows.append({
             "method": method,
             "objective_init": run.initial_objective,
-            "objective": run.objective,
-            "rmse": m["rmse"],
-            "mean_ll": m["mean_ll"],
-            "sigma2": run.state.noise.noise_variance,
-            "kernel_variance": run.state.kernel.signal_variance,
-            "m": run.state.m_scale,
-            "lengthscales": run.state.kernel.lengthscales,
-        }
-        rows.append(row)
+            "objective": run.final.total,
+            "rmse": run.metrics["rmse"],
+            "mean_ll": run.metrics["mean_ll"],
+            "sigma2": state.noise.noise_variance,
+            "kernel_variance": state.kernel.signal_variance,
+            "m": state.m_scale,
+            "lengthscales": state.kernel.lengthscales,
+        })
         if train.dim == 1:
-            curve = _prediction_curve(cfg, train, run.state, run.q)
+            curve = _prediction_curve(cfg, train, state, run.q)
             (out / f"curve_{_method_slug(method)}.csv").write_text(
                 _csv(["x_grid", "mean", "lower", "upper"], zip(*curve))
             )
@@ -602,13 +584,14 @@ def cmd_compare(args) -> int:
             "version": __version__,
             "config_hash": cfg_hash,
             "seed": int(cfg["seed"]),
-            "metrics_on": eval_on,
-            "metrics_scale": scale,
+            "metrics_on": scored_on,
+            # every run scores one split on one scale
+            "metrics_scale": runs[0].metrics_scale,
             "methods": rows,
         },
     )
 
-    width = max(len(m) for m in methods)
+    width = max(len(row["method"]) for row in rows)
     for row in rows:
         print(
             f"{row['method']:<{width}}  obj {row['objective']:>12.4f}  "
@@ -716,17 +699,17 @@ def cmd_predict(args) -> int:
 
     if y_raw is not None:
         y_std_scale = (y_raw - stats.y_mean) / stats.y_std if stats is not None else y_raw
+        m, scale = _score(pred, y_std_scale, stats, original=False)
         report = {
             "version": __version__,
             "config_hash": payload.get("config_hash"),
             "seed": payload.get("seed"),
             "method": payload.get("method"),
+            **m,
+            "metrics_scale": scale,
         }
-        report.update(metrics(pred, y_std_scale))
-        report["metrics_scale"] = "standardized" if stats is not None else "original"
         if stats is not None:
-            for key, value in metrics(original, y_raw).items():
-                report[f"{key}_original"] = value
+            report.update({f"{k}_original": v for k, v in metrics(original, y_raw).items()})
         _write_json(out / "metrics.json", report)
         print(
             f"rmse {report['rmse']:.6f}, mean_ll {report['mean_ll']:.6f} "
@@ -738,6 +721,13 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
 
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
@@ -771,7 +761,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the internal consistency checks")
     verify.add_argument("--scale", choices=("small", "full"), default="small")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_non_negative_int, default=0)
     verify.add_argument("--out", default=None, help="also write a JSON report here")
     verify.add_argument(
         "--tamper-bias",

@@ -90,13 +90,14 @@ def _looks_like_header(row: List[str]) -> bool:
 def _read_numeric_table(path: str):
     """Shared CSV guts: header autodetect, cell parsing, shape checks.
 
-    Blank and whitespace-only rows are skipped.  A cell that does not
+    The file is read as UTF-8, past a byte-order mark if it starts with
+    one.  Blank and whitespace-only rows are skipped.  A cell that does not
     parse, or parses to nan or inf, raises DataFormatError naming its
     row (the file's line number) and column.
 
     Returns (values, names) with names None for headerless files.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:

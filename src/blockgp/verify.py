@@ -99,6 +99,8 @@ class CheckContext:
     def __post_init__(self):
         if self.scale not in ("small", "full"):
             raise ValueError(f"scale must be 'small' or 'full', got {self.scale!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def count(self, small: int, full: int) -> int:
         return small if self.scale == "small" else full

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from blockgp.bounds_pep import PepConfig, tpep_optimal_qu, tpep_uncollapsed
 from blockgp.bounds_vi import optimal_qu, vi_uncollapsed
-from blockgp.cli import CONFIG_DEFAULTS, _load_model, _prepare_data, main
+from blockgp.cli import CONFIG_DEFAULTS, _load_model, _method_slug, _prepare_data, main
+from blockgp.data import split, synthetic_1d
 from blockgp.model import METHODS, make_partition, singleton_partition
+from blockgp.prediction import PredictiveGaussian, metrics, predict
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -155,6 +158,7 @@ def test_invalid_configs_exit_2_and_name_the_field(tmp_path, capsys):
         ({"synthetic_noise_std": float("inf")}, "synthetic_noise_std"),
         ({"test_fraction": float("-inf")}, "test_fraction"),
         ({"synthetic_noise_std": 10 ** 400}, "synthetic_noise_std"),  # past float's range
+        ({"seed": -1}, "seed"),
     ]
     for overrides, field in cases:
         cfg_path, _ = _write_config(tmp_path, name=f"{field}.json", **overrides)
@@ -198,6 +202,73 @@ def test_compare_writes_table_and_curves(tmp_path):
         curve = (out / f"curve_{slug}.csv").read_text().splitlines()
         assert curve[0] == "x_grid,mean,lower,upper"
         assert len(curve) > 100
+
+
+def test_more_blocks_than_training_points_exit_2_and_name_the_field(tmp_path, capsys):
+    # 50 points with a fifth held out leave 40 to train on
+    cfg_path, _ = _write_config(tmp_path, method="BT-SGPR", blocks=41)
+    assert main(["fit", "--config", cfg_path]) == 2
+    assert "config field 'blocks': must be at most the training size (40)" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_negative_seed_exits_2_and_names_the_field(tmp_path, capsys):
+    cfg_path, _ = _write_config(tmp_path, method="SGPR")
+    assert main(["fit", "--config", cfg_path, "--seed", "-1"]) == 2
+    assert "config field 'seed'" in capsys.readouterr().err
+    cfg_path, _ = _write_config(tmp_path, name="cmp.json", methods=["SGPR", "T-SGPR"], seed=-1)
+    assert main(["compare", "--config", cfg_path]) == 2
+    assert "config field 'seed'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--seed", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative" in err
+
+
+def test_destandardized_metrics_are_the_original_units_metrics(tmp_path):
+    cfg_path, cfg = _write_config(tmp_path, method="SGPR", destandardize_metrics=True)
+    assert main(["fit", "--config", cfg_path]) == 0
+    report = json.loads((Path(cfg["out"]) / "report.json").read_text())
+    assert (report["metrics_on"], report["metrics_scale"]) == ("test", "original")
+    full = dict(CONFIG_DEFAULTS, **cfg)
+    raw = synthetic_1d(full["synthetic_n"], full["seed"], full["synthetic_noise_std"])
+    _, test = split(raw, full["test_fraction"], seed=full["seed"])
+    train, scaled = _prepare_data(full)
+    state, q = _load_model(str(Path(cfg["out"]) / "model.json"))[:2]
+    pred = predict(scaled.x, state, q, include_noise=True)
+    s = train.stats
+    original = PredictiveGaussian(mean=pred.mean * s.y_std + s.y_mean,
+                                  variance=pred.variance * s.y_std ** 2)
+    expected = metrics(original, test.y)
+    assert_allclose([report["rmse"], report["mean_ll"]],
+                    [expected["rmse"], expected["mean_ll"]], rtol=1e-12)
+
+
+def test_unstandardized_runs_report_metrics_on_the_original_scale(tmp_path):
+    cfg_path, cfg = _write_config(tmp_path, method="SGPR", standardize=False,
+                                  methods=["SGPR", "T-SGPR"])
+    assert main(["fit", "--config", cfg_path]) == 0
+    report = json.loads((Path(cfg["out"]) / "report.json").read_text())
+    assert report["metrics_scale"] == "original"
+    assert main(["compare", "--config", cfg_path]) == 0
+    table = json.loads((Path(cfg["out"]) / "compare.json").read_text())
+    assert table["metrics_scale"] == "original"
+
+
+def test_fit_reports_what_compare_reports_for_its_method(tmp_path):
+    methods = ["SGPR", "BT-SGPR", "T-PEP"]
+    cfg_path, cfg = _write_config(tmp_path, methods=methods, alpha=0.5, blocks=4, epochs=4)
+    assert main(["compare", "--config", cfg_path]) == 0
+    rows = json.loads((Path(cfg["out"]) / "compare.json").read_text())["methods"]
+    for method, row in zip(methods, rows):
+        out = str(tmp_path / _method_slug(method))
+        assert main(["fit", "--config", cfg_path, "--method", method, "--out", out]) == 0
+        report = json.loads((Path(out) / "report.json").read_text())
+        for key in ("objective", "rmse", "mean_ll", "sigma2", "kernel_variance", "m",
+                    "lengthscales"):
+            assert report[key] == row[key], (method, key)
 
 
 def test_compare_needs_two_methods(tmp_path, capsys):
@@ -252,6 +323,21 @@ def test_predict_roundtrip(tmp_path, capsys):
     # same inputs, same model: identical predictions either way
     trimmed = {ln.rsplit(",", 1)[0] for ln in lines[1:]}
     assert trimmed == set(lines2[1:])
+
+
+def test_predict_names_a_feature_column_the_file_lacks(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    table = np.column_stack([rng.uniform(-2, 2, (40, 2)), rng.standard_normal(40)])
+    train = tmp_path / "train.csv"
+    train.write_text("a,b,y\n" + "\n".join(",".join(map(repr, r)) for r in table.tolist()) + "\n")
+    cfg_path, cfg = _write_config(tmp_path, method="SGPR", dataset=str(train), epochs=3)
+    assert main(["fit", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    other = tmp_path / "other.csv"
+    other.write_text("a,c,y\n0.5,1.0,0.2\n1.5,0.3,-0.1\n")
+    assert main(["predict", "--model", str(Path(cfg["out"]) / "model.json"),
+                 "--data", str(other), "--out", str(tmp_path / "p")]) == 1
+    assert "no columns named ['b']" in capsys.readouterr().err
 
 
 def test_predict_rejects_wrong_width(tmp_path, capsys):

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blockgp import bounds_vi
+from blockgp import bounds_vi, model
 from blockgp.bounds_pep import PepConfig, tpep_collapsed, tpep_uncollapsed
 from blockgp.bounds_vi import STACK_ENTRIES, optimal_qu, vi_uncollapsed
+from blockgp.kernels import KernelParams, NoiseParam, kernel_matrix_adjoint
 from blockgp.linalg import NotPositiveDefiniteError
-from blockgp.model import BoundSpec, Partition, make_partition, singleton_partition
+from blockgp.model import BoundSpec, ModelState, Partition, make_partition, singleton_partition
 from blockgp.training import (
     EvaluationFailed,
     ParameterPack,
@@ -30,6 +31,7 @@ from blockgp.training import (
     finite_difference_gradient,
     fit_collapsed,
     maximize_lbfgs,
+    stochastic_estimate,
 )
 from blockgp.verify import GRAD_ATOL, GRAD_RTOL, small_instance
 
@@ -138,6 +140,59 @@ def test_the_gradient_pass_meets_the_collapsed_value_at_the_optimal_qu():
         state_m, spec, part = _setup(rng, method, x, y, state)
         out = evaluate_bound(x, y, state_m, spec, part, gradient=True)
         assert_allclose(out.gradient.value, out.total, rtol=1e-9, err_msg=method)
+
+
+def test_the_kuu_site_takes_z_adjoint_once_for_both_positions(monkeypatch):
+    # Kuu and its adjoint are symmetric, so z's adjoint as x2 is its adjoint
+    # as x1: the one call, doubled, against the two calls (the second
+    # transposed), in the collapsed gradients and the single-block
+    # estimators', which share the body
+    rng = np.random.default_rng(35)
+    draws = []
+    for method in METHODS[1:]:
+        for _ in range(3):
+            n, dim = 3 * int(rng.integers(10, 21)), int(rng.integers(1, 8))
+            m = int(rng.integers(2, 130))
+            kernel = KernelParams(
+                log_lengthscales=rng.uniform(0.0, 0.8, dim) + 0.5 * np.log(dim),
+                log_signal_variance=float(rng.uniform(-0.4, 0.4)),
+            )
+            state = ModelState(kernel=kernel, noise=NoiseParam(float(np.log(0.2))),
+                               inducing=rng.uniform(-2.0, 2.0, (m, dim)))
+            x, y = rng.uniform(-2.0, 2.0, (n, dim)), rng.standard_normal(n)
+            draws.append((method, x, y, *_setup(rng, method, x, y, state)))
+
+    def inducing_adjoints():
+        out = []
+        for method, x, y, state, spec, part in draws:
+            out.append(evaluate_bound(x, y, state, spec, part, gradient=True).gradient)
+            if part is not None and model.METHODS[method].stochastic:
+                q = optimal_qu(x, y, state)
+                out.append(stochastic_estimate(x, y, state, part, q, 0, spec, gradient=True))
+        return [est.d_inducing for est in out]
+
+    sites = []
+
+    def two_calls(x1, x2, params, k, k_bar):
+        d_ell, d_s2, d_x1 = kernel_matrix_adjoint(x1, x2, params, k, k_bar)
+        if x1 is x2 and k.ndim == 2:  # the Kuu site, once an estimate
+            d_x2 = kernel_matrix_adjoint(x2, x1, params, k.T, k_bar.T)[2]
+            # the size of the terms that each entry of d_x1 + d_x2 sums: where
+            # Kuu is ill-conditioned they cancel, on these draws to 1e-4 of it
+            w = np.abs(k_bar * k)
+            size = (w @ np.abs(x2) + w.sum(axis=1)[:, None] * np.abs(x1))
+            size /= params.lengthscales ** 2
+            sites.append((2.0 * d_x1, d_x1 + d_x2, 2.0 * size))
+            d_x1 = 0.5 * (d_x1 + d_x2)  # which the body doubles back
+        return d_ell, d_s2, d_x1
+
+    once = inducing_adjoints()
+    monkeypatch.setattr(bounds_vi, "kernel_matrix_adjoint", two_calls)
+    twice = inducing_adjoints()
+    assert len(sites) == len(once) > len(draws)
+    for one, two, (doubled, summed, size) in zip(once, twice, sites):
+        assert np.all(np.abs(doubled - summed) <= 1e-12 * size)
+        assert np.all(np.abs(one - two) <= 1e-12 * size)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -127,6 +127,38 @@ def test_load_features_keeps_every_column(tmp_path):
         load_features(_write(tmp_path, "k.csv", ""))
 
 
+def test_a_utf8_byte_order_mark_is_not_part_of_the_first_cell(tmp_path):
+    headerless = tmp_path / "bom.csv"
+    headerless.write_bytes("\ufeff1.0,2.0\n3.0,4.5\n5.0,6.1\n".encode("utf-8"))
+    data = load_csv(str(headerless))
+    assert data.column_names is None
+    assert_allclose(data.x[:, 0], [1.0, 3.0, 5.0])  # no row lost to a header
+    assert_allclose(data.y, [2.0, 4.5, 6.1])
+    x, names = load_features(str(headerless))
+    assert names is None and x.shape == (3, 2)
+
+    header = tmp_path / "bom_header.csv"
+    header.write_bytes("\ufeffa,y\n1.0,2.0\n3.0,4.5\n".encode("utf-8"))
+    data = load_csv(str(header), target_column="y")
+    assert data.column_names == ["a"]
+    assert_allclose(data.x[:, 0], [1.0, 3.0])
+    x, names = load_features(str(header))
+    assert names == ["a", "y"] and x.shape == (2, 2)
+
+
+def test_load_csv_names_a_header_of_the_wrong_width(tmp_path):
+    path = _write(tmp_path, "wide_header.csv", "a,b,c,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(DataFormatError, match="header has 4 names for 3 columns"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_a_table_whose_features_are_all_constant(tmp_path):
+    path = _write(tmp_path, "flat.csv", "a,b,y\n7,1,0\n7,1,1\n7,1,2\n")
+    with pytest.warns(UserWarning, match="dropping constant feature columns"):
+        with pytest.raises(DataFormatError, match="all feature columns are constant"):
+            load_csv(path)
+
+
 def test_standardize_hand_values_and_roundtrip():
     data = Dataset(x=np.array([[0.0], [2.0]]), y=np.array([0.0, 2.0]))
     std = standardize(data)

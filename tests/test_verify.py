@@ -67,6 +67,13 @@ def test_scale_is_validated():
         run_all(scale="huge")
 
 
+def test_a_negative_seed_is_rejected_by_name():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        CheckContext(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        run_all(seed=-1)
+
+
 def test_instance_generators_shapes_and_determinism():
     ax, ay, astate = random_instance(np.random.default_rng(7))
     bx, by, bstate = random_instance(np.random.default_rng(7))
